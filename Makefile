@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race fuzz alloc admin-smoke chaos-smoke detect-soak overload-smoke bench
+.PHONY: ci vet build test race fuzz alloc admin-smoke chaos-smoke detect-soak overload-smoke bench loc
 
 ci: vet build test race fuzz alloc admin-smoke chaos-smoke detect-soak overload-smoke
 	@echo "ci: all gates passed"
@@ -51,15 +51,13 @@ fuzz:
 
 # The allocation gate: the binary codec's hot paths (AppendMessage into a
 # warm buffer, DecodeWire into a reused value, Size of a binary payload)
-# must stay at zero allocations — the regression fence behind the wire
-# bench's steady-state numbers. Runs without the race detector: the race
-# runtime adds its own allocations.
+# must stay at zero allocations — the regression fence behind the
+# benchmark's codec.allocs_per_roundtrip. Runs without the race detector:
+# the race runtime adds its own allocations.
 alloc:
 	$(GO) test -run 'ZeroAllocs' -count=1 ./internal/codec/
 
-# The wire benchmark: codec and transport tiers at 4/16/64 loopback
-# nodes, binary versus gob versus binary+batching; writes BENCH_wire.json.
-# The scale benchmark: gossip versus complete-graph fanout at 136/256/512
+# The scale benchmark: gossip traffic and convergence at 136/256/512
 # simulated nodes plus 64/128 loopback gossip engines; writes
 # BENCH_scale.json. The detect benchmark: false-positive rate and
 # detection latency at 0/10/20% liveness-plane loss, 136/256 simulated
@@ -67,11 +65,15 @@ alloc:
 # The cloud benchmark: SLO attainment of a service tenant under batch
 # overload at 0.5/1/2x capacity, shed ladder versus a no-backpressure
 # baseline; writes BENCH_cloud.json.
+# (Codec and transport numbers come from the repository benchmark, bench/.)
 bench:
-	$(GO) run ./cmd/phoenix-bench -exp wire
 	$(GO) run ./cmd/phoenix-bench -exp scale
 	$(GO) run ./cmd/phoenix-bench -exp detect
 	$(GO) run ./cmd/phoenix-bench -exp cloud
+
+# Non-test Go lines outside bench/: the one number "less code" PRs quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 # The operations-plane gate: build the shipped binaries, boot one real
 # node with its admin server enabled, scrape /healthz + /metrics through

@@ -22,9 +22,8 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|table2|table3|table4|fig3|fig5|fig6|pws|ablation-partition|ablation-interval|wire|scale|detect|cloud|all")
-	quick := flag.Bool("quick", true, "shrink the Linpack problem sizes, wire-bench message counts and scale/detect-bench windows for a fast run")
-	wireOut := flag.String("wire-out", "BENCH_wire.json", "where -exp wire writes its JSON report")
+	exp := flag.String("exp", "all", "experiment: table1|table2|table3|table4|fig3|fig5|fig6|pws|ablation-partition|ablation-interval|scale|detect|cloud|all")
+	quick := flag.Bool("quick", true, "shrink the Linpack problem sizes and scale/detect-bench windows for a fast run")
 	scaleOut := flag.String("scale-out", "BENCH_scale.json", "where -exp scale writes its JSON report")
 	detectOut := flag.String("detect-out", "BENCH_detect.json", "where -exp detect writes its JSON report")
 	cloudOut := flag.String("cloud-out", "BENCH_cloud.json", "where -exp cloud writes its JSON report")
@@ -90,18 +89,6 @@ func main() {
 			fmt.Println(r.Render())
 			return nil
 		},
-		"wire": func() error {
-			r, err := experiments.RunWireBench(*quick)
-			if err != nil {
-				return err
-			}
-			fmt.Println(r.Render())
-			if err := r.WriteJSON(*wireOut); err != nil {
-				return err
-			}
-			fmt.Printf("wire bench report written to %s\n", *wireOut)
-			return nil
-		},
 		"scale": func() error {
 			r, err := experiments.RunScaleBench(*quick)
 			if err != nil {
@@ -140,7 +127,7 @@ func main() {
 		},
 	}
 	order := []string{"table1", "table2", "table3", "table4", "fig3", "fig5", "fig6", "pws",
-		"ablation-partition", "ablation-interval", "wire", "scale", "detect", "cloud"}
+		"ablation-partition", "ablation-interval", "scale", "detect", "cloud"}
 
 	var selected []string
 	if *exp == "all" {

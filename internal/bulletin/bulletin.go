@@ -2,17 +2,18 @@
 // §4.2, §4.4): an in-memory database storing the cluster-wide physical
 // resource and application state. One instance runs per partition; the
 // detectors of a partition export their samples to it. The instances form
-// a complete-graph federation: a client can query any instance and receive
-// cluster-wide information (single access point), assembled by
-// scatter-gather over the peers. If one instance is down, only its
-// partition's state is unavailable (paper Figure 5).
+// a federation: a client can query any instance and receive cluster-wide
+// information (single access point), assembled by scatter-gather over the
+// peers. If one instance is down, only its partition's state is
+// unavailable (paper Figure 5). Keyed reads and writes go through the
+// sharded data plane (shardplane.go), whose delta batches replicate
+// through the co-located gossip instance.
 package bulletin
 
 import (
 	"time"
 
 	"repro/internal/codec"
-	"repro/internal/events"
 	"repro/internal/federation"
 	"repro/internal/gossip"
 	"repro/internal/rpc"
@@ -119,13 +120,6 @@ type Config struct {
 	Replicas   int           // copies per key range, primary included (0 = shard.DefaultReplicas)
 	VNodes     int           // virtual nodes per partition on the ring (0 = shard.DefaultVNodes)
 	DeltaFlush time.Duration // delta-batch flush interval (0 = DefaultDeltaFlush)
-
-	// Gossip routes delta propagation through the co-located gossip
-	// instance (bounded fanout, anti-entropy) instead of publishing
-	// EvBulletinDelta through the event federation's complete graph.
-	// Sequencing, dedup and the requestSync repair path are identical on
-	// both transports.
-	Gossip bool
 }
 
 // cachedSnap is one partition's home snapshot in the read-through cache.
@@ -142,7 +136,6 @@ type Service struct {
 
 	rt      rt.Runtime
 	pending *rpc.Pending
-	esc     *events.Client
 
 	res  map[types.NodeID]types.ResourceStats
 	apps map[string]types.AppState // keyed by node/proc
@@ -191,20 +184,6 @@ func (s *Service) Service() string { return types.SvcDB }
 func (s *Service) Start(h *simhost.Handle) {
 	s.rt = h
 	s.pending = rpc.NewPending(h)
-	// Delta propagation rides the event service unless the gossip plane
-	// carries it: publish to the co-located instance, receive every peer
-	// primary's batches through the federation. The subscription is
-	// sticky — the local ES may still be restoring (or restarting after a
-	// migration) when we come up. With Gossip on, batches arrive as
-	// MsgDeliver from the co-located gossip instance instead and the ES
-	// never sees delta traffic.
-	s.esc = events.NewClient(h, rpc.Budget(time.Second), func() (types.Addr, bool) {
-		return types.Addr{Node: h.Node(), Service: types.SvcES}, true
-	})
-	if !s.cfg.Gossip {
-		s.esc.SubscribeSticky([]types.EventType{types.EvBulletinDelta}, -1, "",
-			2*time.Second, s.onDelta, nil)
-	}
 	s.smap = shard.FromView(s.view, s.cfg.Replicas, s.cfg.VNodes)
 	// A (re)started instance begins empty: pull the shard stores of every
 	// mapped peer.
@@ -238,10 +217,6 @@ func (s *Service) Utilisation() float64 {
 
 // Receive implements simhost.Process.
 func (s *Service) Receive(msg types.Message) {
-	if s.esc != nil && (msg.Type == events.MsgSubAck || msg.Type == events.MsgUnsubAck || msg.Type == events.MsgEvent) {
-		s.esc.Handle(msg)
-		return
-	}
 	switch msg.Type {
 	case MsgPut:
 		req, ok := msg.Payload.(PutReq)
@@ -351,23 +326,22 @@ func (s *Service) query(replyTo types.Addr, req QueryReq) {
 	}
 	// Cluster scope: read-through — serve each peer partition from its
 	// cached snapshot while fresh, fetch only the expired or missing ones.
+	// Partitions are walked in ascending order, so the fetch fan-out does
+	// not depend on map iteration.
 	now := s.rt.Now()
-	peers := s.view.PeerAddrs(s.part, types.SvcDB)
-	// Partitions absent from the view's alive set are missing a priori.
 	var missing []types.PartitionID
+	gathered := make([]Snapshot, 0, len(s.view.Entries))
+	var fetch []types.PartitionID
+	stale := false
 	for _, p := range s.view.Partitions() {
 		if p == s.part {
 			continue
 		}
-		if e := s.view.Entries[p]; !e.Alive {
+		if !s.view.Entries[p].Alive {
+			// Absent from the view's alive set: missing a priori.
 			missing = append(missing, p)
+			continue
 		}
-	}
-	gathered := make([]Snapshot, 0, len(peers))
-	var fetch []types.Addr
-	stale := false
-	for _, peer := range peers {
-		p := s.peerPartition(peer)
 		if c, held := s.qcache[p]; held && now.Sub(c.at) <= s.cfg.CacheTTL {
 			s.sstats.CacheHits++
 			gathered = append(gathered, c.snap)
@@ -375,7 +349,7 @@ func (s *Service) query(replyTo types.Addr, req QueryReq) {
 			continue
 		}
 		s.sstats.CacheMisses++
-		fetch = append(fetch, peer)
+		fetch = append(fetch, p)
 	}
 	if len(fetch) == 0 {
 		snaps := append([]Snapshot{s.local()}, gathered...)
@@ -391,8 +365,8 @@ func (s *Service) query(replyTo types.Addr, req QueryReq) {
 		snaps := append([]Snapshot{s.local()}, gathered...)
 		s.reply(replyTo, req, QueryAck{Snapshots: snaps, Missing: missing, Stale: stale})
 	}
-	for _, peer := range fetch {
-		peerPart := s.peerPartition(peer)
+	for _, peerPart := range fetch {
+		peerPart := peerPart
 		tok := s.pending.New(s.cfg.FetchTimeout,
 			func(payload any) {
 				ack := payload.(FetchAck)
@@ -404,6 +378,7 @@ func (s *Service) query(replyTo types.Addr, req QueryReq) {
 				missing = append(missing, peerPart)
 				finish()
 			})
+		peer := types.Addr{Node: s.view.Entries[peerPart].Node, Service: types.SvcDB}
 		s.rt.Send(peer, types.AnyNIC, MsgFetch, FetchReq{Token: tok})
 	}
 }
@@ -430,15 +405,6 @@ func (s *Service) cacheSnap(p types.PartitionID, snap Snapshot) {
 	for _, a := range snap.Apps {
 		s.cacheIndex[a.Node] = p
 	}
-}
-
-func (s *Service) peerPartition(addr types.Addr) types.PartitionID {
-	for p, e := range s.view.Entries {
-		if e.Node == addr.Node {
-			return p
-		}
-	}
-	return -1
 }
 
 var _ simhost.Process = (*Service)(nil)

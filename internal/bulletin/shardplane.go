@@ -1,8 +1,9 @@
 package bulletin
 
 import (
+	"cmp"
 	"errors"
-	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/codec"
@@ -14,10 +15,10 @@ import (
 // The sharded data plane splits the bulletin's key space (one key per
 // cluster node, shard.NodeKey) across the federation with a consistent-hash
 // ring derived from the federation view. The key's primary applies writes
-// and propagates them to replicas as delta batches published through the
-// event service; any copy holder answers keyed reads. The legacy home
-// store (each partition's own detector samples, scatter-gathered by
-// cluster queries) is untouched underneath.
+// and propagates them to replicas as delta batches handed to the
+// co-located gossip instance; any copy holder answers keyed reads. The
+// legacy home store (each partition's own detector samples,
+// scatter-gathered by cluster queries) is untouched underneath.
 
 // Message types of the sharded plane.
 const (
@@ -83,8 +84,9 @@ type SyncAck struct {
 	Apps  []types.AppState
 }
 
-// DeltaBatch is the payload of one types.EvBulletinDelta event: the writes
-// a primary buffered since its last flush, coalesced per key.
+// DeltaBatch is the payload of one gossiped delta (gossip.SubmitMsg out,
+// gossip.DeliverMsg in): the writes a primary buffered since its last
+// flush, coalesced per key.
 type DeltaBatch struct {
 	Part       types.PartitionID
 	MapVersion uint64
@@ -97,18 +99,6 @@ func init() {
 	codec.RegisterGob(PutAck{})
 	codec.RegisterGob(GetAck{})
 	codec.RegisterGob(SyncAck{})
-}
-
-func encodeDelta(b DeltaBatch) ([]byte, error) {
-	return b.AppendWire(nil), nil
-}
-
-func decodeDelta(data []byte) (DeltaBatch, error) {
-	var b DeltaBatch
-	if err := b.DecodeWire(data); err != nil {
-		return DeltaBatch{}, fmt.Errorf("bulletin: decode delta: %w", err)
-	}
-	return b, nil
 }
 
 // ShardStats is the data-plane section of an instance's observability
@@ -225,18 +215,29 @@ func (s *Service) rebuildMap() {
 		s.cacheIndex = make(map[types.NodeID]types.PartitionID)
 		s.sstats.CacheInvalidations++
 	}
-	// Re-home this partition's own detector samples under the new map.
-	for _, r := range s.res {
-		s.shardWrite(PutReq{Kind: "res", Res: r})
+	// Re-home this partition's own detector samples under the new map, in
+	// key order: shardWrite forwards to other primaries, and send order
+	// must not depend on map iteration (simulator repeatability per seed).
+	for _, n := range sortedKeys(s.res) {
+		s.shardWrite(PutReq{Kind: "res", Res: s.res[n]})
 	}
-	for _, a := range s.apps {
-		s.shardWrite(PutReq{Kind: "app", App: a})
+	for _, key := range sortedKeys(s.apps) {
+		s.shardWrite(PutReq{Kind: "app", App: s.apps[key]})
 	}
 	for _, e := range s.smap.Entries {
 		if e.Part != s.part {
 			s.requestSync(types.Addr{Node: e.Node, Service: types.SvcDB})
 		}
 	}
+}
+
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // shardWrite routes one unacked write (a detector export, or a re-homed
@@ -413,8 +414,9 @@ func (s *Service) bufferDelta(req PutReq) {
 	}
 }
 
-// flushDeltas publishes the buffered writes as one EvBulletinDelta event;
-// the event-service federation fans it out to every bulletin instance.
+// flushDeltas hands the buffered writes to the co-located gossip instance
+// as one sequenced batch; the epidemic rounds carry it to every bulletin
+// instance with bounded fanout.
 func (s *Service) flushDeltas() {
 	s.flushArmed = false
 	rows := len(s.deltaRes) + len(s.deltaApps)
@@ -432,58 +434,23 @@ func (s *Service) flushDeltas() {
 	s.deltaRes = make(map[types.NodeID]types.ResourceStats)
 	s.deltaApps = make(map[string]types.AppState)
 	s.pendingSince = time.Time{}
-	data, err := encodeDelta(batch)
-	if err != nil {
-		return
-	}
 	s.sstats.DeltaBatchesOut++
 	s.sstats.DeltaRowsOut += uint64(rows)
-	if s.cfg.Gossip {
-		// Hand the batch to the co-located gossip instance; the epidemic
-		// rounds carry it to every peer with bounded fanout.
-		s.rt.Send(types.Addr{Node: s.rt.Node(), Service: types.SvcGossip},
-			types.AnyNIC, gossip.MsgSubmit, gossip.SubmitMsg{Seq: s.deltaSeq, Data: data})
-		return
-	}
-	s.esc.Publish(types.Event{
-		Type: types.EvBulletinDelta, Node: s.rt.Node(), Partition: s.part,
-		Service: types.SvcDB, Data: data,
-	})
-}
-
-// onDelta applies a peer primary's delta batch arriving as an
-// EvBulletinDelta event (the complete-graph transport).
-func (s *Service) onDelta(ev types.Event) {
-	if len(ev.Data) == 0 {
-		return
-	}
-	batch, err := decodeDelta(ev.Data)
-	if err != nil {
-		return
-	}
-	s.applyDeltaBatch(batch)
+	s.rt.Send(types.Addr{Node: s.rt.Node(), Service: types.SvcGossip},
+		types.AnyNIC, gossip.MsgSubmit, gossip.SubmitMsg{Seq: s.deltaSeq, Data: batch.AppendWire(nil)})
 }
 
 // onGossipDelta applies a peer primary's delta batch delivered by the
-// co-located gossip instance.
+// co-located gossip instance: dedup and gap-detect by per-source sequence,
+// land the rows we hold copies of, and invalidate the query-cache entries
+// those rows make stale. A gap means the source flushed batches we never
+// saw (gossip log truncated past its DigestCap) — the repair is a
+// requestSync full pull.
 func (s *Service) onGossipDelta(d gossip.DeliverMsg) {
-	if len(d.Data) == 0 {
+	var batch DeltaBatch
+	if len(d.Data) == 0 || batch.DecodeWire(d.Data) != nil {
 		return
 	}
-	batch, err := decodeDelta(d.Data)
-	if err != nil {
-		return
-	}
-	s.applyDeltaBatch(batch)
-}
-
-// applyDeltaBatch is the transport-independent half of delta ingestion:
-// dedup and gap-detect by per-source sequence, land the rows we hold
-// copies of, and invalidate the query-cache entries those rows make
-// stale. A gap means the source flushed batches we never saw (lost
-// event, or gossip log truncated past its DigestCap) — the repair is the
-// same requestSync full pull either way.
-func (s *Service) applyDeltaBatch(batch DeltaBatch) {
 	if batch.Part == s.part {
 		return
 	}

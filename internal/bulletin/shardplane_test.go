@@ -5,9 +5,8 @@ import (
 	"time"
 
 	"repro/internal/bulletin"
-	"repro/internal/checkpoint"
-	"repro/internal/events"
 	"repro/internal/federation"
+	"repro/internal/gossip"
 	"repro/internal/metrics"
 	"repro/internal/shard"
 	"repro/internal/sim"
@@ -19,10 +18,10 @@ import (
 // pusherProc injects federation view pushes, standing in for the GSD.
 type pusherProc struct{ h *simhost.Handle }
 
-func (p *pusherProc) Service() string              { return "pusher" }
-func (p *pusherProc) OnStop()                      {}
-func (p *pusherProc) Start(h *simhost.Handle)      { p.h = h }
-func (p *pusherProc) Receive(msg types.Message)    {}
+func (p *pusherProc) Service() string           { return "pusher" }
+func (p *pusherProc) OnStop()                   {}
+func (p *pusherProc) Start(h *simhost.Handle)   { p.h = h }
+func (p *pusherProc) Receive(msg types.Message) {}
 func (p *pusherProc) push(to types.Addr, v federation.View) {
 	p.h.Send(to, types.AnyNIC, federation.MsgView, federation.ViewMsg{View: v})
 }
@@ -35,8 +34,14 @@ func shardCfg() bulletin.Config {
 	return c
 }
 
-// shardRig: full data-plane topology — DB + ES + checkpoint instances on
-// nodes 0..2 (partitions 0..2), client and pusher on node 3.
+// gossipFor is the rig's gossip instance for one partition: fast rounds,
+// default fanout (with two peers, every round reaches both).
+func gossipFor(part types.PartitionID, view federation.View) *gossip.Service {
+	return gossip.NewService(part, view, gossip.Config{Interval: 50 * time.Millisecond, Seed: int64(part) + 1})
+}
+
+// shardRig: full data-plane topology — DB + gossip instances on nodes
+// 0..2 (partitions 0..2), client and pusher on node 3.
 func shardRig(t *testing.T) (*sim.Engine, []*simhost.Host, []*bulletin.Service, *clientProc, *pusherProc, federation.View) {
 	t.Helper()
 	eng := sim.New(1)
@@ -52,10 +57,7 @@ func shardRig(t *testing.T) (*sim.Engine, []*simhost.Host, []*bulletin.Service, 
 		if _, err := hosts[i].Spawn(svcs[i]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := hosts[i].Spawn(events.NewService(types.PartitionID(i), view, time.Second, false)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := hosts[i].Spawn(checkpoint.NewService(types.PartitionID(i), view, 250*time.Millisecond)); err != nil {
+		if _, err := hosts[i].Spawn(gossipFor(types.PartitionID(i), view)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,7 +69,7 @@ func shardRig(t *testing.T) (*sim.Engine, []*simhost.Host, []*bulletin.Service, 
 	if _, err := hosts[3].Spawn(pusher); err != nil {
 		t.Fatal(err)
 	}
-	eng.RunFor(time.Second) // sticky subscriptions + initial syncs settle
+	eng.RunFor(time.Second) // initial syncs settle
 	return eng, hosts, svcs, cl, pusher, view
 }
 
@@ -101,8 +103,8 @@ func get(t *testing.T, eng *sim.Engine, cl *clientProc, n types.NodeID) bulletin
 }
 
 // TestShardedWritesReplicateAndSpreadReads is the data plane end to end:
-// acked writes land at key primaries, deltas flush through the event
-// service to replicas, and keyed reads fan out across copy holders.
+// acked writes land at key primaries, deltas flush through the gossip
+// plane to replicas, and keyed reads fan out across copy holders.
 func TestShardedWritesReplicateAndSpreadReads(t *testing.T) {
 	eng, _, svcs, cl, _, _ := shardRig(t)
 	for n := types.NodeID(0); n < 4; n++ {
@@ -119,7 +121,7 @@ func TestShardedWritesReplicateAndSpreadReads(t *testing.T) {
 		replicaRows += uint64(st.ReplicaRows)
 	}
 	if deltasIn == 0 {
-		t.Fatal("no delta batches propagated through the event service")
+		t.Fatal("no delta batches propagated through the gossip plane")
 	}
 	if replicaRows == 0 {
 		t.Fatal("no replica rows: writes did not replicate")
@@ -204,7 +206,8 @@ func TestMigratedPrimaryFreshStreamAccepted(t *testing.T) {
 	}
 
 	// Partition 1's instance dies; its replacement comes up on node 3
-	// (with a fresh ES to publish through) and the view moves with it.
+	// (with a fresh gossip instance to submit through) and the view moves
+	// with it.
 	if err := hosts[1].Kill(types.SvcDB); err != nil {
 		t.Fatal(err)
 	}
@@ -213,12 +216,7 @@ func TestMigratedPrimaryFreshStreamAccepted(t *testing.T) {
 	e := v2.Entries[1]
 	e.Node = 3
 	v2.Entries[1] = e
-	if _, err := hosts[3].Spawn(checkpoint.NewService(1, v2, 250*time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	// restart=true: the newcomer ES restores the replicated subscription
-	// table from the checkpoint federation, as a GSD migration would.
-	if _, err := hosts[3].Spawn(events.NewService(1, v2, time.Second, true)); err != nil {
+	if _, err := hosts[3].Spawn(gossipFor(1, v2)); err != nil {
 		t.Fatal(err)
 	}
 	repl := bulletin.NewService(1, v2, shardCfg())
@@ -227,12 +225,9 @@ func TestMigratedPrimaryFreshStreamAccepted(t *testing.T) {
 	}
 	for _, n := range []types.NodeID{0, 2} {
 		pusher.push(types.Addr{Node: n, Service: types.SvcDB}, v2)
-		pusher.push(types.Addr{Node: n, Service: types.SvcES}, v2)
+		pusher.push(types.Addr{Node: n, Service: types.SvcGossip}, v2)
 	}
-	// Long enough for the DBs' sticky re-subscriptions to replicate to
-	// the newcomer ES (restore-from-checkpoint is the GSD's job; the rig
-	// relies on the 2 s sticky refresh instead).
-	eng.RunFor(5 * time.Second)
+	eng.RunFor(time.Second)
 
 	// New writes make the replacement flush batches numbered from 1.
 	for n := types.NodeID(0); n < 12; n++ {

@@ -121,7 +121,7 @@ func RegisterPayload(id uint16, fn func() Payload) {
 		panic(fmt.Sprintf("codec: RegisterPayload(%d) for %T, but its WireID() is %d", id, p, got))
 	}
 	exemplar := rv.Elem().Interface()
-	gob.Register(exemplar) // the fallback family must be able to carry it too
+	gob.Register(exemplar) // gob payloads carry binary types behind interface fields (a spawn request's Spec)
 	regMu.Lock()
 	defer regMu.Unlock()
 	old := loadRegistry()
@@ -183,16 +183,6 @@ func registerBuiltins() {
 	)
 }
 
-// forceGob routes every payload — binary family included — through the
-// gob fallback. It exists so benchmarks and differential tests can
-// measure the two codecs over identical traffic; production code never
-// touches it.
-var forceGob atomic.Bool
-
-// ForceGob toggles the gob-only mode used by phoenix-bench's wire suite
-// and the differential tests. Flip it only while no transport is live.
-func ForceGob(v bool) { forceGob.Store(v) }
-
 // lookupBinary resolves the wire ID of a payload value's type, if the
 // type is binary-registered. Lock-free: hot paths call it per message.
 func lookupBinary(v any) (uint16, bool) {
@@ -218,7 +208,7 @@ func AppendMessage(buf []byte, msg types.Message) ([]byte, error) {
 	var wa wireAppender
 	if msg.Payload != nil {
 		id = idGob
-		if a, ok := msg.Payload.(wireAppender); ok && !forceGob.Load() {
+		if a, ok := msg.Payload.(wireAppender); ok {
 			if rid, found := lookupBinary(msg.Payload); found {
 				id, wa = rid, a
 			}
@@ -379,7 +369,7 @@ func Size(msg types.Message) int {
 	case Sizer:
 		return EnvelopeOverhead + p.WireSize()
 	case wireAppender:
-		if _, ok := lookupBinary(msg.Payload); ok && !forceGob.Load() {
+		if _, ok := lookupBinary(msg.Payload); ok {
 			sb := sizeScratch.Get().(*sizeBuf)
 			out := p.AppendWire(sb.b[:0])
 			n := len(out)

@@ -227,7 +227,7 @@ type Params struct {
 	// to the bulletin shard ring.
 	BulletinVNodes int
 	// BulletinDeltaFlush is how long a shard primary batches writes
-	// before publishing them to its replicas as one delta event.
+	// before gossiping them to its replicas as one delta batch.
 	BulletinDeltaFlush time.Duration
 	// RPCTimeout is the deadline budget of one kernel RPC — the total
 	// time a resilient call may spend across all retry attempts, not a
@@ -239,9 +239,7 @@ type Params struct {
 	// checkpoint restore plus exec/announce slack.
 	ServiceRecoveryGrace time.Duration
 	// GossipFanout is the number of random peers each gossip round
-	// contacts on the epidemic dissemination plane. Zero disables the
-	// plane: federation views and bulletin deltas fall back to the
-	// complete-graph event fanout.
+	// contacts on the epidemic dissemination plane (0 = gossip.DefaultFanout).
 	GossipFanout int
 	// GossipInterval is the gossip round period; each round is jittered
 	// by up to ±1/8 of it so partitions do not synchronize into bursts.

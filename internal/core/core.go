@@ -227,7 +227,7 @@ func (k *Kernel) initialFedView() federation.View {
 }
 
 // spawnServerDaemons boots a partition's server-side daemons (GSD, event
-// service, data bulletin, checkpoint service) on the given host.
+// service, data bulletin, checkpoint service, gossip) on the given host.
 func (k *Kernel) spawnServerDaemons(server *simhost.Host, p config.PartitionInfo, opts Options) error {
 	topo, params := k.Topo, k.Params
 	initialFed := k.initialFedView()
@@ -248,10 +248,8 @@ func (k *Kernel) spawnServerDaemons(server *simhost.Host, p config.PartitionInfo
 	if _, err := server.Spawn(k.newCheckpoint(p.ID, initialFed, opts)); err != nil {
 		return fmt.Errorf("core: spawn CKPT for %v: %w", p.ID, err)
 	}
-	if params.GossipFanout > 0 {
-		if _, err := server.Spawn(gossip.NewService(p.ID, initialFed, gossipConfig(params, p.ID))); err != nil {
-			return fmt.Errorf("core: spawn gossip for %v: %w", p.ID, err)
-		}
+	if _, err := server.Spawn(gossip.NewService(p.ID, initialFed, gossipConfig(params, p.ID))); err != nil {
+		return fmt.Errorf("core: spawn gossip for %v: %w", p.ID, err)
 	}
 	return nil
 }
@@ -313,7 +311,6 @@ func bulletinConfig(params config.Params) bulletin.Config {
 		Replicas:     params.BulletinReplicas,
 		VNodes:       params.BulletinVNodes,
 		DeltaFlush:   params.BulletinDeltaFlush,
-		Gossip:       params.GossipFanout > 0,
 	}
 }
 

@@ -1,8 +1,6 @@
 package events
 
 import (
-	"time"
-
 	"repro/internal/rpc"
 	"repro/internal/rt"
 	"repro/internal/types"
@@ -66,27 +64,6 @@ func (c *Client) Subscribe(typesList []types.EventType, partition types.Partitio
 				done(ack.ID)
 			}
 		},
-	})
-}
-
-// SubscribeSticky keeps trying to register until it succeeds: every failed
-// attempt (budget exhausted, instance still restoring) schedules another
-// after the retry interval. Used by long-lived daemons — e.g. bulletin
-// instances wiring up delta propagation — whose local event service may
-// start later than they do. done (optional) fires once, with the ID of the
-// registration that finally stuck.
-func (c *Client) SubscribeSticky(typesList []types.EventType, partition types.PartitionID, service string,
-	retry time.Duration, handler func(types.Event), done func(id uint64)) {
-	c.Subscribe(typesList, partition, service, handler, func(id uint64) {
-		if id != 0 {
-			if done != nil {
-				done(id)
-			}
-			return
-		}
-		c.rt.After(retry, func() {
-			c.SubscribeSticky(typesList, partition, service, retry, handler, done)
-		})
 	})
 }
 

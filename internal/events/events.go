@@ -8,11 +8,9 @@
 // service.
 //
 // The federation's event fanout is a complete graph — one message per
-// peer instance per publish. Clusters running the gossip dissemination
-// plane (internal/gossip) move the highest-volume stream, bulletin
-// delta batches (types.EvBulletinDelta), off this path entirely: the
-// bulletin hands batches to its co-located gossip instance and the ES
-// carries only the low-rate control events.
+// peer instance per publish — so the ES carries only the low-rate control
+// events; the high-volume bulletin delta batches travel through the
+// gossip dissemination plane (internal/gossip) instead.
 package events
 
 import (

@@ -200,3 +200,42 @@ func TestSupplierRegistrationBookkeeping(t *testing.T) {
 	eng.RunFor(300 * time.Millisecond)
 	_ = svcs // supplier registration is bookkeeping; no observable delivery change
 }
+
+// TestResubscribeReplacesRegistration: an identical re-subscription (same
+// consumer, same filters) replaces the old registration — events are not
+// delivered twice — and the replacement reaches federation peers too.
+func TestResubscribeReplacesRegistration(t *testing.T) {
+	eng, hosts, svcs := rig(t)
+	cons := &consumerProc{name: "cons", target: 0}
+	if _, err := hosts[2].Spawn(cons); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(300 * time.Millisecond)
+	cons.subscribe([]types.EventType{types.EvNodeFail}, -1, "")
+	eng.RunFor(300 * time.Millisecond)
+	first := cons.subID
+	if first == 0 {
+		t.Fatal("first subscription not acked")
+	}
+	cons.subscribe([]types.EventType{types.EvNodeFail}, -1, "")
+	eng.RunFor(300 * time.Millisecond)
+	if cons.subID == 0 || cons.subID == first {
+		t.Fatalf("re-subscription id = %d, want a fresh id (first was %d)", cons.subID, first)
+	}
+	if n := svcs[0].Subscriptions(); n != 1 {
+		t.Fatalf("registrations at instance 0 = %d, want the replacement only", n)
+	}
+	if n := svcs[1].Subscriptions(); n != 1 {
+		t.Fatalf("registrations at peer instance = %d, want the replacement only", n)
+	}
+	publish(eng, hosts, 0, types.Event{Type: types.EvNodeFail, Node: 3, Detail: "once"})
+	if len(cons.got) != 1 {
+		t.Fatalf("delivered %d copies, want exactly one", len(cons.got))
+	}
+	// A different filter set is a genuinely new registration, not a replace.
+	cons.subscribe([]types.EventType{types.EvNodeFail}, 1, "")
+	eng.RunFor(300 * time.Millisecond)
+	if n := svcs[0].Subscriptions(); n != 2 {
+		t.Fatalf("registrations = %d, want 2 after a different-filter subscribe", n)
+	}
+}

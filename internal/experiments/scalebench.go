@@ -19,13 +19,13 @@ import (
 	"repro/internal/wire"
 )
 
-// The scale benchmark quantifies what the gossip plane buys over the
-// complete-graph federation fanout as the cluster grows, in two tiers:
+// The scale benchmark quantifies what the gossip plane costs and delivers
+// as the cluster grows, in two tiers:
 //
 //   - sim tier: full simulated kernels at 136 (the paper's testbed),
-//     256 and 512 nodes, gossip versus baseline — steady-state kernel
-//     traffic per node, bulletin delta propagation time, and federation
-//     view convergence time after a GSD failure forces a view change;
+//     256 and 512 nodes — steady-state kernel traffic per node, bulletin
+//     delta propagation time, and federation view convergence time after
+//     a GSD failure forces a view change;
 //   - loopback tier: real-socket clusters of 64/128 gossip engines over
 //     wire transports, measuring how long one seeded view change plus a
 //     delta burst takes to reach every node, and the datagram/byte cost.
@@ -35,18 +35,16 @@ import (
 
 // ScaleSimRow is one simulated cluster measurement.
 type ScaleSimRow struct {
-	Nodes      int    `json:"nodes"`
-	Partitions int    `json:"partitions"`
-	Mode       string `json:"mode"` // "gossip" or "baseline"
-	Fanout     int    `json:"fanout,omitempty"`
+	Nodes      int `json:"nodes"`
+	Partitions int `json:"partitions"`
 	// Steady-state kernel traffic, all planes and services.
 	MsgsPerNodeSec  float64 `json:"msgs_per_node_sec"`
 	BytesPerNodeSec float64 `json:"bytes_per_node_sec"`
 	// GossipMsgsPerRound is the cluster-wide digest+updates message count
-	// per gossip round (gossip mode only).
-	GossipMsgsPerRound float64 `json:"gossip_msgs_per_round,omitempty"`
+	// per gossip round.
+	GossipMsgsPerRound float64 `json:"gossip_msgs_per_round"`
 	// MaxFanout is the most peers any instance contacted in one round.
-	MaxFanout int `json:"max_fanout,omitempty"`
+	MaxFanout int `json:"max_fanout"`
 	// DeltaConvergeMs is how long a freshly authored bulletin delta takes
 	// to be applied by every other partition.
 	DeltaConvergeMs float64 `json:"delta_converge_ms"`
@@ -84,9 +82,7 @@ var simTiers = []struct{ parts, size int }{
 	{32, 16}, // 512 nodes
 }
 
-// RunScaleBench runs both tiers. Quick halves the steady-state window
-// and skips the 512-node baseline (the slowest cell, and the one whose
-// trend the 136/256 baselines already establish).
+// RunScaleBench runs both tiers. Quick halves the steady-state window.
 func RunScaleBench(quick bool) (*ScaleBench, error) {
 	fanout := config.DefaultParams().GossipFanout
 	b := &ScaleBench{Go: runtime.Version(), Quick: quick, Fanout: fanout}
@@ -95,16 +91,11 @@ func RunScaleBench(quick bool) (*ScaleBench, error) {
 		window = 10 * time.Second
 	}
 	for _, tier := range simTiers {
-		for _, mode := range []string{"gossip", "baseline"} {
-			if quick && mode == "baseline" && tier.parts*tier.size > 256 {
-				continue
-			}
-			row, err := scaleSimRow(tier.parts, tier.size, mode == "gossip", window)
-			if err != nil {
-				return nil, fmt.Errorf("scale sim %dx%d %s: %w", tier.parts, tier.size, mode, err)
-			}
-			b.Sim = append(b.Sim, row)
+		row, err := scaleSimRow(tier.parts, tier.size, window)
+		if err != nil {
+			return nil, fmt.Errorf("scale sim %dx%d: %w", tier.parts, tier.size, err)
 		}
+		b.Sim = append(b.Sim, row)
 	}
 	for _, nodes := range []int{64, 128} {
 		row, err := scaleLoopback(nodes, fanout)
@@ -134,18 +125,12 @@ func partitionDBs(c *cluster.Cluster) map[types.PartitionID]*bulletin.Service {
 	return out
 }
 
-func scaleSimRow(parts, size int, gossipOn bool, window time.Duration) (ScaleSimRow, error) {
+func scaleSimRow(parts, size int, window time.Duration) (ScaleSimRow, error) {
 	spec := cluster.Spec{
 		Partitions: parts, PartitionSize: size, NICs: 3, Seed: 1,
 		Params: config.FastParams(),
 	}
-	if !gossipOn {
-		spec.Params.GossipFanout = 0
-	}
-	row := ScaleSimRow{Nodes: parts * size, Partitions: parts, Mode: "baseline"}
-	if gossipOn {
-		row.Mode, row.Fanout = "gossip", spec.Params.GossipFanout
-	}
+	row := ScaleSimRow{Nodes: parts * size, Partitions: parts}
 	c, err := cluster.Build(spec)
 	if err != nil {
 		return row, err
@@ -163,17 +148,15 @@ func scaleSimRow(parts, size int, gossipOn bool, window time.Duration) (ScaleSim
 	secs := window.Seconds()
 	row.MsgsPerNodeSec = (c.Metrics.Counter("net.msgs").Value() - msgs0) / secs / nodes
 	row.BytesPerNodeSec = (c.Metrics.Counter("net.bytes").Value() - bytes0) / secs / nodes
-	if gossipOn {
-		gspMsgs := c.Metrics.Counter("net.msgs."+gossip.MsgDigest).Value() +
-			c.Metrics.Counter("net.msgs."+gossip.MsgUpdates).Value() - gsp0
-		roundsPerWindow := secs / spec.Params.GossipInterval.Seconds()
-		row.GossipMsgsPerRound = gspMsgs / roundsPerWindow
-		for _, p := range c.Topo.Partitions {
-			for _, m := range p.Members {
-				if svc, ok := c.Hosts[m].Proc(types.SvcGossip).(*gossip.Service); ok {
-					if mf := svc.Stats().MaxFanout; mf > row.MaxFanout {
-						row.MaxFanout = mf
-					}
+	gspMsgs := c.Metrics.Counter("net.msgs."+gossip.MsgDigest).Value() +
+		c.Metrics.Counter("net.msgs."+gossip.MsgUpdates).Value() - gsp0
+	roundsPerWindow := secs / spec.Params.GossipInterval.Seconds()
+	row.GossipMsgsPerRound = gspMsgs / roundsPerWindow
+	for _, p := range c.Topo.Partitions {
+		for _, m := range p.Members {
+			if svc, ok := c.Hosts[m].Proc(types.SvcGossip).(*gossip.Service); ok {
+				if mf := svc.Stats().MaxFanout; mf > row.MaxFanout {
+					row.MaxFanout = mf
 				}
 			}
 		}
@@ -407,17 +390,13 @@ func federationView(n int, version uint64) federation.View {
 // Render tabulates both tiers.
 func (b *ScaleBench) Render() string {
 	var sb strings.Builder
-	sb.WriteString("Scale — gossip dissemination vs complete-graph fanout (simulated kernels)\n")
-	fmt.Fprintf(&sb, "  %-6s %-6s %-9s %12s %14s %12s %12s %11s\n",
-		"nodes", "parts", "mode", "msgs/node/s", "bytes/node/s", "delta ms", "view ms", "msgs/round")
+	sb.WriteString("Scale — gossip dissemination (simulated kernels)\n")
+	fmt.Fprintf(&sb, "  %-6s %-6s %12s %14s %12s %12s %11s\n",
+		"nodes", "parts", "msgs/node/s", "bytes/node/s", "delta ms", "view ms", "msgs/round")
 	for _, r := range b.Sim {
-		round := "-"
-		if r.GossipMsgsPerRound > 0 {
-			round = fmt.Sprintf("%.0f", r.GossipMsgsPerRound)
-		}
-		fmt.Fprintf(&sb, "  %-6d %-6d %-9s %12.1f %14.0f %12.0f %12.0f %11s\n",
-			r.Nodes, r.Partitions, r.Mode, r.MsgsPerNodeSec, r.BytesPerNodeSec,
-			r.DeltaConvergeMs, r.ViewConvergeMs, round)
+		fmt.Fprintf(&sb, "  %-6d %-6d %12.1f %14.0f %12.0f %12.0f %11.0f\n",
+			r.Nodes, r.Partitions, r.MsgsPerNodeSec, r.BytesPerNodeSec,
+			r.DeltaConvergeMs, r.ViewConvergeMs, r.GossipMsgsPerRound)
 	}
 	fmt.Fprintf(&sb, "  (gossip fanout %d; view ms = GSD kill to cluster-wide shard-map adoption)\n\n", b.Fanout)
 

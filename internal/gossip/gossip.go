@@ -1,6 +1,6 @@
 // Package gossip is the epidemic dissemination plane: bounded-fanout,
-// anti-entropy exchange of the cluster state that the kernel previously
-// spread by complete-graph fanout — federation views, bulletin delta
+// anti-entropy exchange of cluster state that would otherwise cost its
+// originator one message per partition — federation views, bulletin delta
 // sequences per source partition, and per-partition liveness summaries
 // (the WD heartbeat aggregate, paper §4.2 folded to one row per
 // partition).
@@ -13,8 +13,7 @@
 // terminates) and is pushed to in turn. Per-source sequencing is
 // preserved end to end: when the bounded in-memory log can no longer
 // supply a full suffix, the receiver observes a sequence gap and falls
-// back to the bulletin's requestSync full-store pull — the same repair
-// path the event-carried delta plane used.
+// back to the bulletin's requestSync full-store pull.
 //
 // The Engine below is the pure state machine: no timers, no I/O, fully
 // deterministic given its seed and call sequence. Service wraps it in a

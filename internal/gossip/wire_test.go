@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -110,7 +111,9 @@ func FuzzGossipWire(f *testing.F) {
 		if err := q.DecodeWire(enc); err != nil {
 			t.Fatalf("re-encoded bytes failed to decode: %v", err)
 		}
-		if !reflect.DeepEqual(p, q) {
+		// Compared as bytes, not DeepEqual: a decoded NaN utilisation is
+		// stable on the wire but never equal to itself.
+		if !bytes.Equal(enc, q.AppendWire(nil)) {
 			t.Fatalf("re-encode not stable:\n p %+v\n q %+v", p, q)
 		}
 	})

@@ -149,13 +149,11 @@ type metaFlapState struct {
 
 // New builds a GSD.
 func New(spec Spec) *Daemon {
+	// The gossip instance is a supervised partition service like the other
+	// three: restarted by the local check, migrated with the GSD, fed the
+	// federation view by syncFedView.
 	localSvcs := append([]string{types.SvcES, types.SvcDB, types.SvcCkpt}, spec.Extra...)
-	if spec.Params.GossipFanout > 0 {
-		// The gossip instance is a supervised partition service like the
-		// other three: restarted by the local check, migrated with the
-		// GSD, fed the federation view by syncFedView.
-		localSvcs = append(localSvcs, types.SvcGossip)
-	}
+	localSvcs = append(localSvcs, types.SvcGossip)
 	return &Daemon{
 		spec:            spec,
 		localSvcs:       localSvcs,
@@ -430,7 +428,8 @@ func (g *Daemon) announceTo(node types.NodeID) {
 // and pushes it to the local service instances.
 func (g *Daemon) syncFedView(v *membership.View) {
 	fv := federation.View{Version: v.Version, Entries: make(map[types.PartitionID]federation.Entry)}
-	for p, m := range v.Members {
+	for _, p := range v.Order {
+		m := v.Members[p]
 		fv.Entries[p] = federation.Entry{Node: m.Node, Alive: m.Alive, Quarantined: m.Quarantined}
 	}
 	g.fedView = fv
@@ -540,9 +539,6 @@ func (g *Daemon) onPartitionDiagnosed(v heartbeat.Verdict) {
 // partitions. The version is the GSD's clock at stamping, so a summary
 // republished after a migration supersedes the old host's rows.
 func (g *Daemon) pushLiveness() {
-	if g.spec.Params.GossipFanout <= 0 {
-		return
-	}
 	part, ok := g.spec.Topo.Partition(g.spec.Partition)
 	if !ok {
 		return

@@ -73,8 +73,8 @@ func TestLocalSvcsIncludeExtras(t *testing.T) {
 	topo, _ := config.Uniform(2, 4, 3)
 	g := New(Spec{Partition: 0, Topo: topo, Params: config.FastParams(),
 		Extra: []string{types.SvcPWS}})
-	// FastParams enables gossip, so the dissemination service is
-	// supervised alongside the fixed trio and the extras.
+	// The gossip instance is supervised alongside the fixed trio and the
+	// extras.
 	want := map[string]bool{types.SvcES: true, types.SvcDB: true,
 		types.SvcCkpt: true, types.SvcPWS: true, types.SvcGossip: true}
 	if len(g.localSvcs) != len(want) {

@@ -351,7 +351,8 @@ func (m *Monitor) Watched() []types.NodeID {
 	return out
 }
 
-// DownNodes lists nodes currently diagnosed as failed.
+// DownNodes lists nodes currently diagnosed as failed, in node order (the
+// GSD's reintegration sweep probes them in this order).
 func (m *Monitor) DownNodes() []types.NodeID {
 	var out []types.NodeID
 	for id, tr := range m.nodes {
@@ -359,6 +360,7 @@ func (m *Monitor) DownNodes() []types.NodeID {
 			out = append(out, id)
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

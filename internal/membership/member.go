@@ -113,11 +113,11 @@ func (m *Member) IsLeader() bool { return m.view.Leader == m.self }
 func (m *Member) Start(announce bool) {
 	if announce {
 		join := JoinMsg{Part: m.self, Node: m.rt.Node()}
-		for p, info := range m.view.Members {
+		for _, p := range m.view.Order {
 			if p == m.self {
 				continue
 			}
-			m.rt.Send(types.Addr{Node: info.Node, Service: types.SvcGSD}, types.AnyNIC, MsgMetaJoin, join)
+			m.rt.Send(types.Addr{Node: m.view.Members[p].Node, Service: types.SvcGSD}, types.AnyNIC, MsgMetaJoin, join)
 		}
 		// The joiner marks itself alive locally; peers do the same on
 		// receipt of the join and answer with their views if they know
@@ -226,9 +226,13 @@ func (m *Member) SetQuarantined(part types.PartitionID, on bool) {
 	m.afterViewChange(oldLeader)
 }
 
+// broadcastView sends the view to every alive peer, in ring order: send
+// order must not depend on map iteration or the simulator stops being
+// repeatable per seed.
 func (m *Member) broadcastView() {
 	vm := ViewMsg{View: m.view.Clone()}
-	for p, info := range m.view.Members {
+	for _, p := range m.view.Order {
+		info := m.view.Members[p]
 		if p == m.self || !info.Alive {
 			continue
 		}

@@ -72,7 +72,7 @@ type Status struct {
 	Detect *Detect `json:"detect,omitempty"`
 	// Gossip is the hosted dissemination instance's snapshot: rounds run,
 	// digests and updates exchanged, deltas learned, repair gaps. Nil when
-	// this node hosts no gossip service (compute node, or plane disabled).
+	// this node hosts no gossip service (compute node).
 	Gossip *gossip.Stats `json:"gossip,omitempty"`
 	// Peers counts the nodes in the wire address book.
 	Peers int `json:"peers"`

@@ -203,10 +203,6 @@ const (
 	EvJobFinish      EventType = "job.finish"
 	EvJobFail        EventType = "job.fail"
 	EvConfigChange   EventType = "config.change"
-
-	// EvBulletinDelta carries a batch of bulletin writes from a shard
-	// primary to its replicas; the batch rides in Event.Data.
-	EvBulletinDelta EventType = "bulletin.delta"
 )
 
 // Event is the payload published through the event service.
@@ -217,7 +213,7 @@ type Event struct {
 	Service   string
 	NIC       int // for net.* events: which interface
 	Detail    string
-	Data      []byte // opaque payload for data-plane events (e.g. delta batches)
+	Data      []byte // opaque payload for data-plane events
 	When      time.Time
 	Seq       uint64
 }

@@ -20,7 +20,6 @@ func init() {
 		string(EvProcRecover), string(EvServiceFail), string(EvServiceRecover),
 		string(EvMemberFail), string(EvMemberRecover), string(EvJobStart),
 		string(EvJobFinish), string(EvJobFail), string(EvConfigChange),
-		string(EvBulletinDelta),
 	)
 }
 

@@ -50,15 +50,10 @@ var (
 // instead of pooled.
 const poolCapMax = maxFrameSize + headerSize
 
-func (t *Transport) newFrameBuf() *wbuf {
-	if t.opt.pool {
-		return framePool.Get().(*wbuf)
-	}
-	return new(wbuf)
-}
+func (t *Transport) newFrameBuf() *wbuf { return framePool.Get().(*wbuf) }
 
 func (t *Transport) putFrameBuf(w *wbuf) {
-	if w == nil || !t.opt.pool || cap(w.b) > poolCapMax {
+	if w == nil || cap(w.b) > poolCapMax {
 		return
 	}
 	w.b = w.b[:0]

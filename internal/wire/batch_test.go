@@ -113,27 +113,6 @@ func TestBatchedBidirectionalTraffic(t *testing.T) {
 	}
 }
 
-// TestBufferPoolDisabled runs traffic with pooling off — the debugging
-// escape hatch must not change delivery semantics.
-func TestBufferPoolDisabled(t *testing.T) {
-	a, b := pair(t, 1, WithBufferPool(false))
-	got := make(chan types.Message, 8)
-	b.Register(recvAddr(), func(m types.Message) { got <- m })
-	for i := 0; i < 4; i++ {
-		err := a.Send(types.Message{
-			From: types.Addr{Node: 0, Service: "cli"}, To: recvAddr(),
-			NIC: 0, Type: "plain",
-			Payload: types.ResourceStats{Node: types.NodeID(i), MemPct: 7},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		await(t, got)
-	}
-}
-
 // TestBatchWindowValidation pins the option's bounds: it must sit in
 // [0, rto).
 func TestBatchWindowValidation(t *testing.T) {

@@ -35,7 +35,6 @@ type options struct {
 	retries     int
 	ackDelay    time.Duration
 	batchWindow time.Duration
-	pool        bool
 
 	onPeerFault func(peer types.NodeID, plane int, err error)
 	filter      OutboundFilter
@@ -115,12 +114,6 @@ func WithAckDelay(d time.Duration) Option { return func(o *options) { o.ackDelay
 // retransmitted before their first transmission leaves the node.
 func WithBatchWindow(d time.Duration) Option { return func(o *options) { o.batchWindow = d } }
 
-// WithBufferPool toggles sync.Pool reuse of frame and datagram buffers
-// (default on). Turning it off makes every buffer a fresh allocation —
-// the escape hatch for debugging suspected buffer-reuse bugs, at the
-// cost of the steady-state allocation rate.
-func WithBufferPool(on bool) Option { return func(o *options) { o.pool = on } }
-
 // WithPeerFaultHandler installs the callback invoked (from a timer
 // goroutine, not the Loop) when a lane exhausts its retransmission budget.
 // The error wraps ErrPeerUnreachable.
@@ -142,7 +135,6 @@ func buildOptions(opts []Option) (options, error) {
 		rto:      50 * time.Millisecond,
 		retries:  10,
 		ackDelay: 20 * time.Millisecond,
-		pool:     true,
 	}
 	for _, opt := range opts {
 		opt(&o)

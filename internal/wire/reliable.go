@@ -71,10 +71,13 @@ type txState struct {
 	batchTimer clock.Timer
 }
 
-// rxState is the receiver's view of one (peer, plane) lane.
+// rxState is the receiver's view of one (peer, plane) lane. seen is the
+// duplicate-suppression memory, a ring of one bit per sequence: bit
+// seq%dupWindow is set when seq — within dupWindow below latest — has
+// been delivered.
 type rxState struct {
 	latest     uint32
-	seen       map[uint32]bool
+	seen       [dupWindow / 64]uint64
 	ackPending bool
 	ackTimer   clock.Timer
 	reasm      map[uint32]*reassembly
@@ -101,6 +104,32 @@ const (
 	reassemblyExpiry = 30 * time.Second
 )
 
+func (rx *rxState) has(seq uint32) bool {
+	slot := seq % dupWindow
+	return rx.seen[slot/64]&(1<<(slot%64)) != 0
+}
+
+func (rx *rxState) mark(seq uint32) {
+	slot := seq % dupWindow
+	rx.seen[slot/64] |= 1 << (slot % 64)
+}
+
+// advance raises latest to seq and marks it, first clearing the slots the
+// window moves over: they hold the bits of sequences dupWindow older,
+// which have just left the window.
+func (rx *rxState) advance(seq uint32) {
+	if seq-rx.latest >= dupWindow {
+		rx.seen = [dupWindow / 64]uint64{}
+	} else {
+		for s := rx.latest + 1; s != seq+1; s++ {
+			slot := s % dupWindow
+			rx.seen[slot/64] &^= 1 << (slot % 64)
+		}
+	}
+	rx.latest = seq
+	rx.mark(seq)
+}
+
 func (t *Transport) txFor(key peerKey) *txState {
 	tx := t.tx[key]
 	if tx == nil {
@@ -113,7 +142,7 @@ func (t *Transport) txFor(key peerKey) *txState {
 func (t *Transport) rxFor(key peerKey) *rxState {
 	rx := t.rx[key]
 	if rx == nil {
-		rx = &rxState{seen: make(map[uint32]bool), reasm: make(map[uint32]*reassembly)}
+		rx = &rxState{reasm: make(map[uint32]*reassembly)}
 		t.rx[key] = rx
 	}
 	return rx
@@ -324,17 +353,11 @@ func (t *Transport) handleData(key peerKey, f frame) []byte {
 	dup := false
 	switch {
 	case f.seq > rx.latest:
-		rx.seen[f.seq] = true
-		for s := range rx.seen {
-			if f.seq-s >= dupWindow {
-				delete(rx.seen, s)
-			}
-		}
-		rx.latest = f.seq
-	case rx.latest-f.seq >= dupWindow || rx.seen[f.seq]:
+		rx.advance(f.seq)
+	case rx.latest-f.seq >= dupWindow || rx.has(f.seq):
 		dup = true
 	default:
-		rx.seen[f.seq] = true
+		rx.mark(f.seq)
 	}
 	// Schedule an ack either way: a duplicate means the sender missed it.
 	if !rx.ackPending {
@@ -422,7 +445,7 @@ func (t *Transport) takeAckLocked(key peerKey) (ack, ackBits uint32, flag byte) 
 func ackFieldsLocked(rx *rxState) (ack, bits uint32) {
 	ack = rx.latest
 	for i := uint32(0); i < 32 && ack > i+1; i++ {
-		if rx.seen[ack-1-i] {
+		if rx.has(ack - 1 - i) {
 			bits |= 1 << i
 		}
 	}

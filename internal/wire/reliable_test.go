@@ -260,3 +260,75 @@ func TestSendQueueOverflowIsReported(t *testing.T) {
 		t.Error("overflow not counted")
 	}
 }
+
+// TestDupRingWindowAndWrap drives the receiver's duplicate ring directly:
+// a frame dupWindow below latest is a duplicate, one just inside the
+// window is delivered exactly once, and advancing latest over a slot —
+// across the ring's wrap and a 64-bit word boundary — clears the bit the
+// sequence dupWindow older left there.
+func TestDupRingWindowAndWrap(t *testing.T) {
+	tr, err := New(0, nil, WithPlanes(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tr.Close)
+	key := peerKey{node: 1, plane: 0}
+	delivered := func(seq uint32) bool {
+		return tr.handleData(key, frame{flags: flagData, seq: seq, fragCount: 1, payload: []byte{1}}) != nil
+	}
+	mustDeliver := func(seq uint32) {
+		t.Helper()
+		if !delivered(seq) {
+			t.Fatalf("seq %d dropped as duplicate, want delivered", seq)
+		}
+	}
+	mustDrop := func(seq uint32) {
+		t.Helper()
+		if delivered(seq) {
+			t.Fatalf("seq %d delivered, want dropped as duplicate", seq)
+		}
+	}
+
+	// 1..68 in order: crosses a 64-bit word boundary of the ring.
+	for seq := uint32(1); seq <= 68; seq++ {
+		mustDeliver(seq)
+	}
+	mustDrop(64)
+	if ack, bits := ackFieldsLocked(tr.rx[key]); ack != 68 || bits != 0xffffffff {
+		t.Fatalf("ack fields = %d/%#x, want 68/0xffffffff", ack, bits)
+	}
+
+	// latest jumps to 60+dupWindow, skipping 69..571. The window is now
+	// (60, 572]: 60 sits exactly dupWindow below, 61..68 are remembered,
+	// and the slots of the skipped sequences — which held the bits of
+	// 1..59 — must read as unseen.
+	latest := uint32(60 + dupWindow)
+	mustDeliver(latest)
+	mustDrop(latest - dupWindow)     // 60: too old
+	mustDrop(latest - dupWindow + 1) // 61: inside, delivered before the jump
+	mustDeliver(latest - dupWindow + 9)
+	mustDrop(latest - dupWindow + 9) // 69: inside, delivered just now
+	mustDeliver(latest - 1)          // 571 shares a slot with 59
+	mustDeliver(dupWindow + 1)       // 513 shares a slot with 1
+	if ack, bits := ackFieldsLocked(tr.rx[key]); ack != latest || bits != 1 {
+		t.Fatalf("ack fields = %d/%#x, want %d/0x1", ack, bits, latest)
+	}
+
+	// Advance across the ring's wrap (slot 511 -> 0) leaving holes: the
+	// hole at 2*dupWindow+1 shares its slot with 513, delivered above.
+	mustDeliver(2*dupWindow - 2)
+	mustDeliver(2*dupWindow + 2)
+	for seq := uint32(2*dupWindow - 1); seq <= 2*dupWindow+1; seq++ {
+		mustDeliver(seq)
+		mustDrop(seq)
+	}
+
+	// A jump of more than a full window forgets everything.
+	far := uint32(6 * dupWindow)
+	mustDeliver(far)
+	mustDeliver(far - 1)
+	mustDrop(far - dupWindow)
+	if got := tr.Metrics().Counter("wire.rx.dup_drops").Value(); got != 8 {
+		t.Fatalf("dup_drops = %v, want 8", got)
+	}
+}

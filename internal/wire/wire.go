@@ -51,9 +51,8 @@ type Transport struct {
 	wg    sync.WaitGroup
 
 	// flushPooling gates sync.Pool reuse of assembled datagrams: off when
-	// the user disabled pooling, and off when an outbound filter is
-	// installed, since a filter may hold a datagram and replay it from
-	// another goroutine after the write call returned.
+	// an outbound filter is installed, since a filter may hold a datagram
+	// and replay it from another goroutine after the write call returned.
 	flushPooling bool
 
 	mu       sync.Mutex
@@ -105,7 +104,7 @@ func New(node types.NodeID, book *Book, opts ...Option) (*Transport, error) {
 
 	t := &Transport{
 		node: node, loop: o.loop, reg: o.reg, clk: clock.Real{}, opt: o,
-		flushPooling: o.pool && o.filter == nil,
+		flushPooling: o.filter == nil,
 		handlers:     make(map[types.Addr]func(types.Message)),
 		up:           true,
 		tx:           make(map[peerKey]*txState),
