@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race fuzz alloc admin-smoke chaos-smoke detect-soak overload-smoke bench loc
+.PHONY: ci vet build test race fuzz alloc admin-smoke chaos-smoke detect-soak overload-smoke bench bench-experiments loc
 
 ci: vet build test race fuzz alloc admin-smoke chaos-smoke detect-soak overload-smoke
 	@echo "ci: all gates passed"
@@ -57,6 +57,11 @@ fuzz:
 alloc:
 	$(GO) test -run 'ZeroAllocs' -count=1 ./internal/codec/
 
+# The repository benchmark (BENCHMARK.json): four workloads with bounds,
+# calibration and a checked-in baseline; see bench/README.md.
+bench:
+	$(GO) run ./bench -workload all
+
 # The scale benchmark: gossip traffic and convergence at 136/256/512
 # simulated nodes plus 64/128 loopback gossip engines; writes
 # BENCH_scale.json. The detect benchmark: false-positive rate and
@@ -66,7 +71,7 @@ alloc:
 # overload at 0.5/1/2x capacity, shed ladder versus a no-backpressure
 # baseline; writes BENCH_cloud.json.
 # (Codec and transport numbers come from the repository benchmark, bench/.)
-bench:
+bench-experiments:
 	$(GO) run ./cmd/phoenix-bench -exp scale
 	$(GO) run ./cmd/phoenix-bench -exp detect
 	$(GO) run ./cmd/phoenix-bench -exp cloud

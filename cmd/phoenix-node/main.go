@@ -55,7 +55,6 @@ func main() {
 		stateDir = flag.String("state-dir", "", "durable state directory: checkpoint records are mirrored there and a restart from the same directory rejoins the cluster instead of booting fresh")
 		chaosPth = flag.String("chaos", "", "chaos scenario file: seeded fault schedule injected into this node's wire transport (see internal/chaos)")
 		chaosSd  = flag.Int64("chaos-seed", 0, "override the chaos scenario's seed (0 keeps the scenario's own)")
-		batchWin = flag.Duration("batch-window", 0, "wire frame-coalescing window (0 disables batching; must stay below the retransmission timeout)")
 		pwsOn    = flag.Bool("pws", false, "host the PWS job scheduler on partition 0's server (pools derived from the topology: one service pool, the rest batch)")
 	)
 	flag.Parse()
@@ -105,9 +104,6 @@ func main() {
 	}
 	if *stateDir != "" {
 		opts = append(opts, noded.WithStateDir(*stateDir))
-	}
-	if *batchWin != 0 {
-		opts = append(opts, noded.WithWireOptions(wire.WithBatchWindow(*batchWin)))
 	}
 	if *pwsOn {
 		// Every node passes the same spec; noded spawns the scheduler only

@@ -1,7 +1,6 @@
 package bulletin
 
 import (
-	"repro/internal/federation"
 	"repro/internal/rpc"
 	"repro/internal/rt"
 	"repro/internal/shard"
@@ -86,14 +85,6 @@ func (c *Client) adopt(has bool, m shard.Map) {
 	}
 }
 
-// AdoptView lets daemons that receive federation view pushes refresh the
-// client's map the same way the instances do (replicas/vnodes from the
-// current map carry over).
-func (c *Client) AdoptView(v federation.View) {
-	m := shard.FromView(v, c.smap.Replicas, c.smap.VNodes)
-	c.adopt(true, m)
-}
-
 // ExportResources pushes a physical-resource sample (fire-and-forget).
 func (c *Client) ExportResources(res types.ResourceStats) {
 	if addr, ok := c.target(); ok {
@@ -138,12 +129,6 @@ func (c *Client) put(req PutReq, done func(ok bool)) {
 // retried, rerouted on shard handoff). done is optional.
 func (c *Client) PutRes(res types.ResourceStats, done func(ok bool)) {
 	c.put(PutReq{Kind: "res", Res: res}, done)
-}
-
-// PutApp writes an application state through the shard plane. done is
-// optional.
-func (c *Client) PutApp(app types.AppState, done func(ok bool)) {
-	c.put(PutReq{Kind: "app", App: app}, done)
 }
 
 // Get reads one node's rows from the shard plane. The read starts on a

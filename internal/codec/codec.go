@@ -325,18 +325,6 @@ func Decode(data []byte) (types.Message, error) {
 	return DecodeMessage(data)
 }
 
-// EncodedSize reports the exact body size of a message in bytes — what
-// the wire transport fragments against its MTU. Unlike Size it never
-// approximates through Sizer, so it is the right input for
-// fragment-count math (and the wrong one for simulator hot paths).
-func EncodedSize(msg types.Message) (int, error) {
-	data, err := Encode(msg)
-	if err != nil {
-		return 0, err
-	}
-	return len(data), nil
-}
-
 // sizeErrors counts messages whose payload failed to encode during Size
 // accounting; such messages are reported as envelope-only, so a nonzero
 // count means the bandwidth figures are an undercount. The first

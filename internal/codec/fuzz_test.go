@@ -1,36 +1,28 @@
 package codec_test
 
 import (
+	"reflect"
 	"testing"
 
-	"repro/internal/bulletin"
 	"repro/internal/codec"
-	"repro/internal/events"
-	"repro/internal/heartbeat"
 	"repro/internal/types"
-	"repro/internal/watchd"
+
+	// Registers IDs 96+; every other registering package arrives through
+	// roundtrip_test.go's cluster import.
+	_ "repro/internal/gossip"
 )
 
-// hotDecoders returns one fresh decoder per hand-rolled hot payload type.
-// Kept as an explicit list: a new binary payload must be added here to be
-// fuzzed, and the length check below makes forgetting loud.
+// hotDecoders returns one fresh decoder per binary payload type: every
+// exemplar in codec.Registered() whose pointer implements codec.Payload.
+// Derived, so a payload is fuzzed from the moment it registers.
 func hotDecoders() []codec.Payload {
-	return []codec.Payload{
-		new(types.Event),
-		new(types.ResourceStats),
-		new(types.AppState),
-		new(heartbeat.Heartbeat),
-		new(heartbeat.GSDAnnounce),
-		new(bulletin.PutReq),
-		new(bulletin.QueryReq),
-		new(bulletin.FetchReq),
-		new(bulletin.GetReq),
-		new(bulletin.SyncReq),
-		new(bulletin.DeltaBatch),
-		new(events.PubReq),
-		new(events.EventMsg),
-		new(watchd.Spec),
+	var out []codec.Payload
+	for _, ex := range codec.Registered() {
+		if p, ok := reflect.New(reflect.TypeOf(ex)).Interface().(codec.Payload); ok {
+			out = append(out, p)
+		}
 	}
+	return out
 }
 
 // FuzzDecodeMessage asserts the codec-level half of the live-node
@@ -64,8 +56,8 @@ func FuzzDecodeMessage(f *testing.F) {
 // DecodeWire: errors are fine, panics are not, and whatever state the
 // decoder leaves behind must still encode.
 func FuzzPayloadDecode(f *testing.F) {
-	if n := len(hotDecoders()); n < 14 {
-		f.Fatalf("only %d hot decoders listed", n)
+	if n, want := len(hotDecoders()), len(binaryExemplars(f)); n != want {
+		f.Fatalf("%d hot decoders derived, but %d binary payload types are registered", n, want)
 	}
 	for _, p := range hotDecoders() {
 		f.Add(p.AppendWire(nil))

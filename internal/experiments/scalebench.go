@@ -14,7 +14,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/federation"
 	"repro/internal/gossip"
-	"repro/internal/metrics"
 	"repro/internal/types"
 	"repro/internal/wire"
 )
@@ -257,10 +256,7 @@ func scaleLoopback(nodes, fanout int) (ScaleLoopbackRow, error) {
 	book := wire.NewBook()
 	peers := make([]*loopNode, nodes)
 	for i := range peers {
-		tr, err := wire.New(types.NodeID(i), nil,
-			wire.WithMetrics(metrics.NewRegistry()), wire.WithPlanes(1),
-			wire.WithWindow(8), wire.WithAckDelay(5*time.Millisecond),
-			wire.WithBatchWindow(2*time.Millisecond))
+		tr, err := wire.New(types.NodeID(i), nil, wire.WithPlanes(1))
 		if err != nil {
 			return row, err
 		}

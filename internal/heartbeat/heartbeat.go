@@ -656,45 +656,10 @@ func (m *Monitor) HandleIndirectAck(ack IndirectProbeAck) {
 // Stats reports the monitor's lifecycle counters.
 func (m *Monitor) Stats() Stats { return m.stats }
 
-// SuspicionLevel reports the node's current accrual suspicion level
-// (phi); 0 in fixed-deadline mode or while the beat is on time.
-func (m *Monitor) SuspicionLevel(node types.NodeID) float64 {
-	tr, ok := m.nodes[node]
-	if !ok || tr.window == nil {
-		return 0
-	}
-	since := tr.lastArrival
-	if since.IsZero() {
-		since = tr.lastSeen
-	}
-	return tr.window.phi(m.rt.Now().Sub(since), m.minStd())
-}
-
-// FlapScore reports the node's decayed flap score.
-func (m *Monitor) FlapScore(node types.NodeID) float64 {
-	tr, ok := m.nodes[node]
-	if !ok {
-		return 0
-	}
-	return tr.flap.decayed(m.rt.Now(), m.flapHalfLife())
-}
-
 // Quarantined reports whether the node is flap-quarantined.
 func (m *Monitor) Quarantined(node types.NodeID) bool {
 	tr, ok := m.nodes[node]
 	return ok && tr.quarantined
-}
-
-// QuarantinedNodes lists the flap-quarantined nodes.
-func (m *Monitor) QuarantinedNodes() []types.NodeID {
-	var out []types.NodeID
-	for id, tr := range m.nodes {
-		if tr.quarantined {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Incarnation reports the node's last seen incarnation number.

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 )
@@ -289,9 +288,3 @@ func DefaultProblemSize(workers int) int {
 		return 1280
 	}
 }
-
-// MaxUsefulWorkers reports the hardware parallelism available; Table 4's
-// 64- and 128-CPU rows oversubscribe it deliberately (the paper's testbed
-// had real CPUs; the reproduction measures relative, not absolute,
-// throughput).
-func MaxUsefulWorkers() int { return runtime.NumCPU() }

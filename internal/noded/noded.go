@@ -35,18 +35,17 @@ import (
 
 // settings collects everything Start can be configured with.
 type settings struct {
-	params      config.Params
-	costs       simhost.Costs
-	seed        int64
-	book        *wire.Book
-	transport   *wire.Transport
-	reg         *metrics.Registry
-	enforceAuth bool
-	wireOpts    []wire.Option
-	adminAddr   string
-	adminPprof  bool
-	stateDir    string
-	pwsSpec     *pws.Spec
+	params     config.Params
+	costs      simhost.Costs
+	seed       int64
+	book       *wire.Book
+	transport  *wire.Transport
+	reg        *metrics.Registry
+	wireOpts   []wire.Option
+	adminAddr  string
+	adminPprof bool
+	stateDir   string
+	pwsSpec    *pws.Spec
 }
 
 // Option configures Start.
@@ -77,9 +76,6 @@ func WithTransport(tr *wire.Transport) Option { return func(s *settings) { s.tra
 // WithMetrics supplies the registry that receives transport counters; the
 // default is a private one.
 func WithMetrics(reg *metrics.Registry) Option { return func(s *settings) { s.reg = reg } }
-
-// WithEnforceAuth makes the PPM require security tokens on job operations.
-func WithEnforceAuth() Option { return func(s *settings) { s.enforceAuth = true } }
 
 // WithWireOptions forwards options (retransmission policy, MTU, window,
 // fault handler, …) to the transport Start constructs. Later options win,
@@ -216,7 +212,7 @@ func Start(node types.NodeID, topo *config.Topology, opts ...Option) (*Node, err
 	n.loop.Run(func() {
 		n.host = simhost.New(node, tr, clk, rng, s.costs)
 		bootOpts := core.Options{
-			Topo: topo, Params: s.params, EnforceAuth: s.enforceAuth,
+			Topo: topo, Params: s.params,
 			CheckpointDir: ckptDir, Rejoin: rejoin,
 			IncarnationStore: incs,
 			RPC:              rpc.Options{Breakers: breakers, Metrics: tr.Metrics()},

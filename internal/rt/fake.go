@@ -57,11 +57,4 @@ func (f *Fake) After(d time.Duration, fn func()) clock.Timer {
 	return f.Clk.AfterFunc(d, fn)
 }
 
-// TakeSent returns and clears the recorded messages.
-func (f *Fake) TakeSent() []types.Message {
-	out := f.Sent
-	f.Sent = nil
-	return out
-}
-
 var _ Runtime = (*Fake)(nil)

@@ -10,32 +10,40 @@ import (
 )
 
 // frameCounter counts how many times each data sequence number passes a
-// filter, forwarding everything.
+// filter, forwarding everything. Filters only ever see well-formed
+// datagrams, so one that parseFrame rejects carries more than one frame:
+// multi counts those, acks the single-frame datagrams without data.
 type frameCounter struct {
-	mu   sync.Mutex
-	seen map[uint32]int
+	mu    sync.Mutex
+	seen  map[uint32]int
+	acks  int
+	multi int
 }
 
 func newFrameCounter() *frameCounter { return &frameCounter{seen: make(map[uint32]int)} }
 
 func (fc *frameCounter) note(data []byte) {
 	f, err := parseFrame(data)
-	if err != nil || !f.isData() {
-		return
-	}
-	fc.mu.Lock()
-	fc.seen[f.seq]++
-	fc.mu.Unlock()
-}
-
-func (fc *frameCounter) counts() map[uint32]int {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	out := make(map[uint32]int, len(fc.seen))
-	for k, v := range fc.seen {
-		out[k] = v
+	switch {
+	case err != nil:
+		fc.multi++
+	case f.isData():
+		fc.seen[f.seq]++
+	default:
+		fc.acks++
 	}
-	return out
+}
+
+func (fc *frameCounter) counts() (seen map[uint32]int, acks, multi int) {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	seen = make(map[uint32]int, len(fc.seen))
+	for k, v := range fc.seen {
+		seen[k] = v
+	}
+	return seen, fc.acks, fc.multi
 }
 
 func ping(i int) types.Message {
@@ -51,6 +59,8 @@ func ping(i int) types.Message {
 // the receive side (each datagram passes once, before dedup). On a clean
 // loopback lane with a generous RTO nothing retransmits, so every data
 // frame crosses each filter exactly once and is delivered exactly once.
+// It also pins the send-side contract the benchmark's stage stamping reads
+// datagrams by: each one, data or standalone ack, carries a single frame.
 func TestFiltersSeeEveryFrameExactlyOnce(t *testing.T) {
 	out, in := newFrameCounter(), newFrameCounter()
 	a, b := pair(t, 1,
@@ -76,9 +86,17 @@ func TestFiltersSeeEveryFrameExactlyOnce(t *testing.T) {
 		await(t, got)
 	}
 	// Note: a and b share the filters (pair applies the same options to
-	// both), but only a sends data, so the counters describe the a→b lane.
+	// both), but only a sends data, so the data counters describe the a→b
+	// lane; b has no return traffic, so its acks come back standalone.
+	waitNonzero(t, a, "wire.rx.acks")
 	for name, fc := range map[string]*frameCounter{"outbound": out, "inbound": in} {
-		counts := fc.counts()
+		counts, acks, multi := fc.counts()
+		if multi != 0 {
+			t.Errorf("%s filter saw %d datagrams carrying more than one frame", name, multi)
+		}
+		if acks == 0 {
+			t.Errorf("%s filter saw no standalone ack", name)
+		}
 		if len(counts) != n {
 			t.Errorf("%s filter saw %d distinct data frames, want %d", name, len(counts), n)
 		}

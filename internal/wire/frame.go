@@ -12,12 +12,11 @@ import (
 // layer needs — sequence numbers, piggybacked acks, and fragmentation.
 // Version 3 keeps the 32-byte header bit-for-bit but changes the datagram
 // contract: a datagram may carry several frames back to back, the length
-// field of each delimiting the next — that is what lets the batching layer
-// coalesce a burst of frames (and the acks riding with them) into one
-// socket write. The frame body format also moved from gob to the codec's
-// binary envelope (codec.AppendMessage), so the version bump is load-
-// bearing twice over: old v2 frames are rejected cleanly before their
-// bodies are misread.
+// field of each delimiting the next. The receiver accepts such datagrams;
+// the sender puts exactly one frame in each (batch.go). The frame body
+// format also moved from gob to the codec's binary envelope
+// (codec.AppendMessage), so the version bump is load-bearing twice over:
+// old v2 frames are rejected cleanly before their bodies are misread.
 //
 //	offset  size  field
 //	0       2     magic "PX"
@@ -90,9 +89,9 @@ type frame struct {
 func (f *frame) isData() bool { return f.flags&flagData != 0 }
 func (f *frame) hasAck() bool { return f.flags&flagAck != 0 }
 
-// appendFrame serialises a frame onto dst — into a pooled flush buffer, a
-// lane's open batch, or a fresh allocation via encodeFrame. The payload is
-// copied, so the assembled bytes never alias caller state.
+// appendFrame serialises a frame onto dst — into a pooled buffer, or a
+// fresh allocation via encodeFrame. The payload is copied, so the
+// assembled bytes never alias caller state.
 func appendFrame(dst []byte, f frame) []byte {
 	var hdr [headerSize]byte
 	hdr[0], hdr[1], hdr[2], hdr[3] = frameMagic0, frameMagic1, frameVersion, byte(f.plane)

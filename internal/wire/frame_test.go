@@ -179,3 +179,35 @@ func FuzzParseBook(f *testing.F) {
 		}
 	})
 }
+
+// TestMultiFrameDatagram pins the v3 datagram contract: parseFrameAt
+// walks concatenated frames, parseFrame stays strictly single-frame, and
+// one malformed frame poisons the whole datagram.
+func TestMultiFrameDatagram(t *testing.T) {
+	f1 := frame{plane: 0, flags: flagData, src: 1, seq: 5, fragCount: 1, payload: []byte("first")}
+	f2 := frame{plane: 0, flags: flagAck, src: 1, ack: 9, ackBits: 0x3}
+	dgram := appendFrame(encodeFrame(f1), f2)
+
+	g1, next, err := parseFrameAt(dgram, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(g1.payload) != "first" || g1.seq != 5 {
+		t.Fatalf("first frame mangled: %+v", g1)
+	}
+	g2, next2, err := parseFrameAt(dgram, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next2 != len(dgram) || !g2.hasAck() || g2.ack != 9 {
+		t.Fatalf("second frame mangled: %+v (next %d of %d)", g2, next2, len(dgram))
+	}
+
+	if _, err := parseFrame(dgram); err == nil {
+		t.Fatal("parseFrame accepted a multi-frame datagram")
+	}
+	// Truncating the second frame's header must fail the walk.
+	if _, _, err := parseFrameAt(dgram[:next+3], next); err == nil {
+		t.Fatal("truncated second frame accepted")
+	}
+}

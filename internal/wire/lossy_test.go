@@ -203,10 +203,11 @@ func TestLargePayloadOverLoopback(t *testing.T) {
 		To:   types.Addr{Node: 1, Service: "sink"},
 		NIC:  0, Type: "blob", Payload: blob,
 	}
-	size, err := codec.EncodedSize(msg)
+	body, err := codec.Encode(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	size := len(body)
 	if size <= 64*1024 {
 		t.Fatalf("payload encodes to %d bytes, want > 64 KiB", size)
 	}

@@ -24,17 +24,15 @@ var (
 
 // options collects everything New can be configured with.
 type options struct {
-	planes      int // ephemeral mode: bind this many loopback planes
-	loop        *Loop
-	reg         *metrics.Registry
-	mtu         int
-	window      int
-	queueMax    int
-	rto         time.Duration
-	rtoMax      time.Duration
-	retries     int
-	ackDelay    time.Duration
-	batchWindow time.Duration
+	planes   int // ephemeral mode: bind this many loopback planes
+	reg      *metrics.Registry
+	mtu      int
+	window   int
+	queueMax int
+	rto      time.Duration
+	rtoMax   time.Duration
+	retries  int
+	ackDelay time.Duration
 
 	onPeerFault func(peer types.NodeID, plane int, err error)
 	filter      OutboundFilter
@@ -72,10 +70,6 @@ type InboundFilter func(peer types.NodeID, plane int, data []byte, deliver func(
 // exclusive with a non-nil book argument to New.
 func WithPlanes(n int) Option { return func(o *options) { o.planes = n } }
 
-// WithLoop supplies the node's serialisation loop; the default is a fresh
-// one.
-func WithLoop(l *Loop) Option { return func(o *options) { o.loop = l } }
-
 // WithMetrics supplies the registry the transport accounts into; the
 // default is a private one.
 func WithMetrics(reg *metrics.Registry) Option { return func(o *options) { o.reg = reg } }
@@ -104,15 +98,6 @@ func WithRetransmit(rto time.Duration, retries int) Option {
 // piggyback an ack before sending one standalone. The default is 20ms; it
 // must stay well below the retransmission timeout.
 func WithAckDelay(d time.Duration) Option { return func(o *options) { o.ackDelay = d } }
-
-// WithBatchWindow turns on per-lane frame coalescing: data frames bound
-// for the same (peer, plane) lane within d of each other leave in one
-// datagram (up to the MTU), and standalone acks ride an open batch
-// instead of paying their own socket write. d = 0 — the default —
-// disables coalescing; every frame leaves in its own datagram. d must
-// stay below the retransmission timeout, or batched frames would be
-// retransmitted before their first transmission leaves the node.
-func WithBatchWindow(d time.Duration) Option { return func(o *options) { o.batchWindow = d } }
 
 // WithPeerFaultHandler installs the callback invoked (from a timer
 // goroutine, not the Loop) when a lane exhausts its retransmission budget.
@@ -151,15 +136,9 @@ func buildOptions(opts []Option) (options, error) {
 	if o.ackDelay <= 0 || o.ackDelay >= o.rto {
 		return o, fmt.Errorf("wire: ack delay %v must sit in (0, rto=%v)", o.ackDelay, o.rto)
 	}
-	if o.batchWindow < 0 || o.batchWindow >= o.rto {
-		return o, fmt.Errorf("wire: batch window %v must sit in [0, rto=%v)", o.batchWindow, o.rto)
-	}
 	o.rtoMax = 40 * o.rto
 	if o.rtoMax > 2*time.Second {
 		o.rtoMax = 2 * time.Second
-	}
-	if o.loop == nil {
-		o.loop = NewLoop()
 	}
 	if o.reg == nil {
 		o.reg = metrics.NewRegistry()

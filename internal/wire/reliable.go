@@ -63,12 +63,6 @@ type txState struct {
 	nextSeq  uint32
 	inflight map[uint32]*pending
 	queue    []queued
-
-	// batch is the lane's open coalescing buffer (WithBatchWindow > 0):
-	// frames staged since the last flush, leaving together when the
-	// window timer fires or the next frame would overflow the MTU.
-	batch      *wbuf
-	batchTimer clock.Timer
 }
 
 // rxState is the receiver's view of one (peer, plane) lane. seen is the
@@ -198,7 +192,9 @@ func (t *Transport) sendReliable(dst types.NodeID, plane int, ep *net.UDPAddr, b
 		fb.b = appendFrame(fb.b[:0], f)
 		if len(tx.inflight) < t.opt.window {
 			t.armLocked(tx, key, seq, fb)
-			t.stageLocked(tx, key, &out, fb.b)
+			w := t.getFlush()
+			w.b = append(w.b[:0], fb.b...)
+			out.add(w)
 		} else {
 			tx.queue = append(tx.queue, queued{seq: seq, buf: fb})
 			stalled++
@@ -263,10 +259,8 @@ func (t *Transport) retransmit(key peerKey, seq uint32) {
 		backoff = t.opt.rtoMax
 	}
 	p.timer = t.clk.AfterFunc(backoff, func() { t.retransmit(key, seq) })
-	// Retransmissions bypass the batch — the lane is losing traffic, so
-	// they should not wait on the window — and copy the frame under relMu,
-	// so a concurrent ack settling p back into the pool cannot race the
-	// write.
+	// Copy the frame under relMu, so a concurrent ack settling p back into
+	// the pool cannot race the write.
 	w := t.getFlush()
 	w.b = append(w.b[:0], p.buf.b...)
 	t.relMu.Unlock()
@@ -295,7 +289,6 @@ func (t *Transport) dropLaneLocked(key peerKey) {
 	for _, q := range tx.queue {
 		t.putFrameBuf(q.buf)
 	}
-	t.dropBatchLocked(tx)
 	// Keep nextSeq: if the peer returns, its dup window is keyed to the
 	// highest sequence it saw, so sequence numbers must not restart.
 	tx.inflight = make(map[uint32]*pending)
@@ -331,7 +324,9 @@ func (t *Transport) handleAck(key peerKey, ack, ackBits uint32) {
 		q := tx.queue[0]
 		tx.queue = tx.queue[1:]
 		t.armLocked(tx, key, q.seq, q.buf)
-		t.stageLocked(tx, key, &out, q.buf.b)
+		w := t.getFlush()
+		w.b = append(w.b[:0], q.buf.b...)
+		out.add(w)
 	}
 	t.relMu.Unlock()
 
@@ -471,16 +466,6 @@ func (t *Transport) sendAck(key peerKey) {
 		return
 	}
 	ack, bits := ackFieldsLocked(rx)
-	af := frame{plane: key.plane, flags: flagAck, src: t.node, ack: ack, ackBits: bits}
-	// An open batch on the reverse lane is leaving within the batch
-	// window anyway: ride it instead of paying a datagram of our own.
-	if tx := t.tx[key]; tx != nil && tx.batch != nil && len(tx.batch.b)+headerSize <= t.opt.mtu {
-		tx.batch.b = appendFrame(tx.batch.b, af)
-		t.relMu.Unlock()
-		t.reg.Counter("wire.tx.acks").Inc()
-		t.reg.Counter("wire.tx.ack_batched").Inc()
-		return
-	}
 	t.relMu.Unlock()
 
 	ep, ok := book.Endpoint(key.node, key.plane)
@@ -488,7 +473,7 @@ func (t *Transport) sendAck(key peerKey) {
 		return
 	}
 	w := t.getFlush()
-	w.b = appendFrame(w.b[:0], af)
+	w.b = appendFrame(w.b[:0], frame{plane: key.plane, flags: flagAck, src: t.node, ack: ack, ackBits: bits})
 	t.reg.Counter("wire.tx.acks").Inc()
 	t.transmit(key.node, key.plane, ep, w.b)
 	t.putFlush(w)
@@ -507,7 +492,6 @@ func (t *Transport) resetReliability() {
 		for _, q := range tx.queue {
 			t.putFrameBuf(q.buf)
 		}
-		t.dropBatchLocked(tx)
 		tx.inflight = make(map[uint32]*pending)
 		tx.queue = nil
 	}

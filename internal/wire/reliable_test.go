@@ -168,10 +168,11 @@ func TestFragmentationAtSmallMTU(t *testing.T) {
 		From: types.Addr{Node: 0, Service: "cli"}, To: recvAddr(),
 		NIC: 0, Type: "bulk", Payload: lines,
 	}
-	size, err := codec.EncodedSize(msg)
+	body, err := codec.Encode(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	size := len(body)
 	if size <= 512 {
 		t.Fatalf("test payload encodes to %d bytes, too small to fragment", size)
 	}

@@ -103,7 +103,7 @@ func New(node types.NodeID, book *Book, opts ...Option) (*Transport, error) {
 	}
 
 	t := &Transport{
-		node: node, loop: o.loop, reg: o.reg, clk: clock.Real{}, opt: o,
+		node: node, loop: NewLoop(), reg: o.reg, clk: clock.Real{}, opt: o,
 		flushPooling: o.filter == nil,
 		handlers:     make(map[types.Addr]func(types.Message)),
 		up:           true,
@@ -299,9 +299,9 @@ func (t *Transport) rawWrite(plane int, ep *net.UDPAddr, data []byte) {
 // parsing, the reliability state machine and body decoding all run on
 // this goroutine (CPU-bound, loop-free); completed messages are
 // dispatched inside the loop, mirroring the delivery discipline of the
-// simulator. A datagram may carry several frames (the sender's batching
-// layer); it is validated as a whole — one malformed frame rejects the
-// entire datagram — before any frame is acted on.
+// simulator. The format lets a datagram carry several frames (this sender
+// never builds one); it is validated as a whole — one malformed frame
+// rejects the entire datagram — before any frame is acted on.
 func (t *Transport) readLoop(plane int, conn *net.UDPConn) {
 	defer t.wg.Done()
 	buf := make([]byte, maxFrameSize+1)
