@@ -8,13 +8,15 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race fuzz alloc admin-smoke chaos-smoke detect-soak overload-smoke bench bench-experiments loc
+.PHONY: ci vet build test race fuzz alloc admin-smoke chaos-smoke detect-soak overload-smoke bench loc
 
 ci: vet build test race fuzz alloc admin-smoke chaos-smoke detect-soak overload-smoke
 	@echo "ci: all gates passed"
 
+# Static analysis plus the format gate: any file gofmt would rewrite fails.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -61,20 +63,6 @@ alloc:
 # calibration and a checked-in baseline; see bench/README.md.
 bench:
 	$(GO) run ./bench -workload all
-
-# The scale benchmark: gossip traffic and convergence at 136/256/512
-# simulated nodes plus 64/128 loopback gossip engines; writes
-# BENCH_scale.json. The detect benchmark: false-positive rate and
-# detection latency at 0/10/20% liveness-plane loss, 136/256 simulated
-# nodes plus a 4-node real-socket cluster; writes BENCH_detect.json.
-# The cloud benchmark: SLO attainment of a service tenant under batch
-# overload at 0.5/1/2x capacity, shed ladder versus a no-backpressure
-# baseline; writes BENCH_cloud.json.
-# (Codec and transport numbers come from the repository benchmark, bench/.)
-bench-experiments:
-	$(GO) run ./cmd/phoenix-bench -exp scale
-	$(GO) run ./cmd/phoenix-bench -exp detect
-	$(GO) run ./cmd/phoenix-bench -exp cloud
 
 # Non-test Go lines outside bench/: the one number "less code" PRs quote.
 loc:

@@ -1,8 +1,8 @@
 // Command phoenix-bench regenerates the paper's evaluation: Tables 1-3
 // (fault tolerance of WD, GSD and ES), Table 4 (Linpack impact), the
 // meta-group succession walk (Figure 3/4), the data-bulletin federation
-// behaviour (Figure 5), the monitoring scalability sweep (Figure 6, §5.3)
-// and the PWS-versus-PBS comparison (§5.4).
+// behaviour (Figure 5), the monitoring scalability sweep (Figure 6, §5.3),
+// the PWS-versus-PBS comparison (§5.4) and the two ablations.
 //
 // Usage:
 //
@@ -22,11 +22,8 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|table2|table3|table4|fig3|fig5|fig6|pws|ablation-partition|ablation-interval|scale|detect|cloud|all")
-	quick := flag.Bool("quick", true, "shrink the Linpack problem sizes and scale/detect-bench windows for a fast run")
-	scaleOut := flag.String("scale-out", "BENCH_scale.json", "where -exp scale writes its JSON report")
-	detectOut := flag.String("detect-out", "BENCH_detect.json", "where -exp detect writes its JSON report")
-	cloudOut := flag.String("cloud-out", "BENCH_cloud.json", "where -exp cloud writes its JSON report")
+	exp := flag.String("exp", "all", "experiment: table1|table2|table3|table4|fig3|fig5|fig6|pws|ablation-partition|ablation-interval|all")
+	quick := flag.Bool("quick", true, "shrink the Linpack problem sizes (table4) for a fast run")
 	flag.Parse()
 
 	runners := map[string]func() error{
@@ -89,45 +86,9 @@ func main() {
 			fmt.Println(r.Render())
 			return nil
 		},
-		"scale": func() error {
-			r, err := experiments.RunScaleBench(*quick)
-			if err != nil {
-				return err
-			}
-			fmt.Println(r.Render())
-			if err := r.WriteJSON(*scaleOut); err != nil {
-				return err
-			}
-			fmt.Printf("scale bench report written to %s\n", *scaleOut)
-			return nil
-		},
-		"detect": func() error {
-			r, err := experiments.RunDetectBench(*quick)
-			if err != nil {
-				return err
-			}
-			fmt.Println(r.Render())
-			if err := r.WriteJSON(*detectOut); err != nil {
-				return err
-			}
-			fmt.Printf("detect bench report written to %s\n", *detectOut)
-			return nil
-		},
-		"cloud": func() error {
-			r, err := experiments.RunCloudBench(*quick)
-			if err != nil {
-				return err
-			}
-			fmt.Println(r.Render())
-			if err := r.WriteJSON(*cloudOut); err != nil {
-				return err
-			}
-			fmt.Printf("cloud bench report written to %s\n", *cloudOut)
-			return nil
-		},
 	}
 	order := []string{"table1", "table2", "table3", "table4", "fig3", "fig5", "fig6", "pws",
-		"ablation-partition", "ablation-interval", "scale", "detect", "cloud"}
+		"ablation-partition", "ablation-interval"}
 
 	var selected []string
 	if *exp == "all" {

@@ -25,10 +25,10 @@ type Client struct {
 	target func() (types.Addr, bool)
 
 	smap     shard.Map
-	rr       int                    // read round-robin over a key's copy holders
-	gets     map[uint64]*getCall    // in-flight keyed reads by token
+	rr       int                     // read round-robin over a key's copy holders
+	gets     map[uint64]*getCall     // in-flight keyed reads by token
 	servedBy map[types.NodeID]uint64 // successful reads per answering peer
-	rerouted uint64                 // wrong-shard refusals absorbed
+	rerouted uint64                  // wrong-shard refusals absorbed
 }
 
 // getCall is the per-call state of one keyed read.

@@ -17,13 +17,13 @@ type Step struct {
 	// heal, kill.
 	Op string
 
-	Plane  int            // nic-down/nic-up/drop/dup/delay/slow (AnyPlane = all)
-	Peer   types.NodeID   // drop/dup/delay/slow (AnyPeer = all)
-	Node   types.NodeID   // kill target
-	Dir    string         // drop/dup/delay/slow: out, in or both
-	Prob   float64        // drop/dup probability
-	Delay  time.Duration  // delay/slow: latency target
-	Ramp   time.Duration  // slow: time over which the latency ramps to Delay
+	Plane  int              // nic-down/nic-up/drop/dup/delay/slow (AnyPlane = all)
+	Peer   types.NodeID     // drop/dup/delay/slow (AnyPeer = all)
+	Node   types.NodeID     // kill target
+	Dir    string           // drop/dup/delay/slow: out, in or both
+	Prob   float64          // drop/dup probability
+	Delay  time.Duration    // delay/slow: latency target
+	Ramp   time.Duration    // slow: time over which the latency ramps to Delay
 	Groups [][]types.NodeID // partition groups
 }
 

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/bulletin"
+	"repro/internal/config"
 	"repro/internal/gsd"
 	"repro/internal/heartbeat"
 	"repro/internal/types"
@@ -81,6 +84,87 @@ func TestRefutationWithoutShardChurn(t *testing.T) {
 	}
 	if after := maxMapVersion(c); after != mapBefore {
 		t.Fatalf("shard map version churned %d -> %d on a refuted suspicion", mapBefore, after)
+	}
+}
+
+// detectorTotals sums the monitor stats and takeover counts of every GSD
+// instance in the cluster.
+func detectorTotals(c *Cluster) (st heartbeat.Stats, takeovers uint64) {
+	for _, h := range c.Hosts {
+		if d, ok := h.Proc(types.SvcGSD).(*gsd.Daemon); ok {
+			s := d.Monitor().Stats()
+			st.Suspects += s.Suspects
+			st.Refutations += s.Refutations
+			st.FailVerdicts += s.FailVerdicts
+			takeovers += d.Takeovers()
+		}
+	}
+	return st, takeovers
+}
+
+// TestNoFalseVerdictsUnderLivenessLoss holds the suspicion lifecycle to
+// its claim at the paper's testbed size and at 256 nodes: losing 10 or
+// 20 % of the liveness plane (heartbeats, suspect notices, indirect
+// probes and their acks) raises suspicions that are all refuted, never a
+// node-fail verdict or a GSD takeover, while a real power-off is still
+// diagnosed within two heartbeat intervals.
+func TestNoFalseVerdictsUnderLivenessLoss(t *testing.T) {
+	for _, tc := range []struct{ parts, size, lossPct int }{
+		{8, 17, 10}, {8, 17, 20}, {16, 16, 10}, {16, 16, 20},
+	} {
+		t.Run(fmt.Sprintf("%dx%d/loss%d", tc.parts, tc.size, tc.lossPct), func(t *testing.T) {
+			params := config.FastParams()
+			c, err := Build(Spec{Partitions: tc.parts, PartitionSize: tc.size, NICs: 3, Seed: 1, Params: params})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.WarmUp()
+			c.RunFor(5 * time.Second)
+
+			// Loss starts after boot: the claim is about steady state.
+			p := float64(tc.lossPct) / 100
+			rng := rand.New(rand.NewSource(int64(tc.lossPct)*7919 + int64(tc.parts)))
+			c.Net.Filter = func(m types.Message) bool {
+				switch m.Type {
+				case heartbeat.MsgHeartbeat, heartbeat.MsgSuspect,
+					heartbeat.MsgIndirectProbe, heartbeat.MsgIndirectAck:
+					return rng.Float64() >= p
+				}
+				return true
+			}
+			// Let the accrual windows adapt to the lossy arrivals first.
+			c.RunFor(10 * time.Second)
+
+			st0, tk0 := detectorTotals(c)
+			c.RunFor(20 * time.Second)
+			st1, tk1 := detectorTotals(c)
+			suspects, refuted := st1.Suspects-st0.Suspects, st1.Refutations-st0.Refutations
+			if fails := st1.FailVerdicts - st0.FailVerdicts; fails != 0 {
+				t.Fatalf("%d false fail verdicts with nothing failed", fails)
+			}
+			if tk := tk1 - tk0; tk != 0 {
+				t.Fatalf("%d GSD takeovers with nothing failed", tk)
+			}
+			if refuted != suspects {
+				t.Fatalf("%d suspicions, %d refuted", suspects, refuted)
+			}
+			if tc.lossPct >= 20 && suspects == 0 {
+				t.Fatal("no suspicions at 20% loss — the filter did not bite")
+			}
+
+			// A real failure is still diagnosed promptly through the loss.
+			part := c.Topo.Partitions[0]
+			victim := part.Members[len(part.Members)-1] // a computing node
+			d := partitionDaemon(t, c, part.Server)
+			c.Host(victim).PowerOff()
+			deadline := c.Engine.Elapsed() + 2*params.HeartbeatInterval
+			for d.Monitor().Status(victim) != heartbeat.StatusDown {
+				if c.Engine.Elapsed() >= deadline {
+					t.Fatalf("node %d power-off not diagnosed within %v", victim, 2*params.HeartbeatInterval)
+				}
+				c.RunFor(10 * time.Millisecond)
+			}
+		})
 	}
 }
 

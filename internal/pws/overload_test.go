@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/ppm"
 	"repro/internal/pws"
@@ -17,7 +18,12 @@ import (
 // overload thresholds).
 func rigSpec(t *testing.T, base pws.Spec) (*cluster.Cluster, *pws.Scheduler, *pws.Client) {
 	t.Helper()
-	spec := cluster.Small()
+	return rigOn(t, cluster.Small(), base)
+}
+
+// rigOn is rigSpec on a cluster of the given shape.
+func rigOn(t *testing.T, spec cluster.Spec, base pws.Spec) (*cluster.Cluster, *pws.Scheduler, *pws.Client) {
+	t.Helper()
 	spec.ExtraServices = map[types.PartitionID][]string{0: {types.SvcPWS}}
 	c, err := cluster.Build(spec)
 	if err != nil {
@@ -116,6 +122,100 @@ func TestShedLadderRefusesBatchAndRecovers(t *testing.T) {
 	}
 	if st := stat(t, c, client); st.Failed != 0 {
 		t.Fatalf("jobs quarantined by overload: %+v", st)
+	}
+}
+
+// Phoenix Cloud's claim: a service pool holds its SLO while a batch
+// tenant floods the cluster at twice the batch pool's drain rate. On
+// 2 partitions x 4 nodes (one service node, three batch nodes), a 2 s
+// service job every 4 s with a 4 s SLO runs beside 4 s batch jobs for
+// 60 s. Typed PoolService every service job makes its SLO; the same pool
+// typed PoolBatch gets no priority over the flood and misses, which
+// proves the flood bites.
+func TestServicePoolHoldsSLOUnderBatchFlood(t *testing.T) {
+	const slo, batchDur = 4 * time.Second, 4 * time.Second
+	for _, tc := range []struct {
+		name string
+		typ  pws.PoolType
+	}{{"service", pws.PoolService}, {"untyped", pws.PoolBatch}} {
+		t.Run(tc.name, func(t *testing.T) {
+			shape := cluster.Small()
+			shape.Partitions, shape.PartitionSize = 2, 4 // compute nodes 2, 3, 6, 7
+			batchNodes := []types.NodeID{3, 6, 7}
+			c, _, client := rigOn(t, shape, pws.Spec{
+				Pools: []pws.PoolSpec{
+					{Name: "service", Nodes: []types.NodeID{2}, Policy: pws.PolicyFIFO,
+						AllowLease: true, Type: tc.typ},
+					{Name: "batch", Nodes: batchNodes, Policy: pws.PolicyPriority,
+						AllowLease: true},
+				},
+				UseBulletin: true,
+				Overload:    pws.OverloadFromParams(config.FastParams()),
+			})
+
+			type svcJob struct {
+				id       types.JobID
+				at, took time.Duration // took stays 0 until seen completed
+			}
+			var jobs []*svcJob
+			// poll asks after every acked, unfinished service job at 1 s
+			// resolution and reports whether any is still outstanding.
+			poll := func() (outstanding bool) {
+				for _, j := range jobs {
+					if j.id == 0 || j.took != 0 {
+						continue
+					}
+					outstanding = true
+					client.JobStat(j.id, func(a pws.JobStatAck, ok bool) {
+						if ok && a.State == pws.StateCompleted && j.took == 0 {
+							j.took = c.Engine.Elapsed() - j.at
+						}
+					})
+				}
+				return outstanding
+			}
+			batchRate := 2 * float64(len(batchNodes)) / batchDur.Seconds()
+			var acc float64
+			for tick := 0; tick < 60; tick++ {
+				if tick%4 == 0 {
+					j := &svcJob{at: c.Engine.Elapsed()}
+					jobs = append(jobs, j)
+					client.Submit(pws.Job{Pool: "service", Duration: 2 * time.Second, Width: 1, SLO: slo},
+						func(a pws.SubmitAck) {
+							if a.OK {
+								j.id = a.ID
+							}
+						})
+				}
+				for acc += batchRate; acc >= 1; acc-- {
+					client.Submit(pws.Job{Pool: "batch", Duration: batchDur, Width: 1}, nil)
+				}
+				poll()
+				c.RunFor(time.Second)
+			}
+			for i := 0; i < 30 && poll(); i++ {
+				c.RunFor(time.Second)
+			}
+
+			missed := 0
+			for _, j := range jobs {
+				if j.took == 0 || j.took > slo {
+					missed++
+				}
+			}
+			if tc.typ == pws.PoolBatch {
+				if missed == 0 {
+					t.Fatalf("untyped pool kept all %d service jobs in SLO — the flood did not bite", len(jobs))
+				}
+				return
+			}
+			if missed != 0 {
+				t.Fatalf("service pool missed its SLO on %d of %d jobs", missed, len(jobs))
+			}
+			if st := stat(t, c, client); st.Failed != 0 {
+				t.Fatalf("jobs failed under the flood: %+v", st)
+			}
+		})
 	}
 }
 

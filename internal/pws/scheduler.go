@@ -230,7 +230,7 @@ type Scheduler struct {
 	// (arriving first, it would be refused — or worse, be the one killed).
 	cooling map[types.NodeID]bool
 	loads   map[types.NodeID]float64 // CPU load from the last bulletin query
-	utils       map[types.NodeID]float64 // folded utilisation from the last query
+	utils   map[types.NodeID]float64 // folded utilisation from the last query
 	// leasedTo maps a lent-out node to the pool borrowing it (live job or
 	// retained lease); home maps every pool node to its owning pool.
 	leasedTo map[types.NodeID]string

@@ -98,13 +98,13 @@ type Call struct {
 
 // callState tracks one in-flight resilient call.
 type callState struct {
-	call     Call
-	policy   Policy
-	deadline time.Time
-	attempts int
-	last     types.Addr // target of the newest attempt
-	multi    bool       // attempts went to more than one distinct target
-	sent     bool       // at least one attempt went out
+	call       Call
+	policy     Policy
+	deadline   time.Time
+	attempts   int
+	last       types.Addr // target of the newest attempt
+	multi      bool       // attempts went to more than one distinct target
+	sent       bool       // at least one attempt went out
 	timer      clock.Timer
 	rot        int                 // Spread rotation offset into the peer tail
 	rejected   map[types.Addr]bool // targets that answered with a refusal (Reject)

@@ -183,8 +183,8 @@ const (
 	EvServiceSuspect EventType = "service.suspect"
 	EvMemberSuspect  EventType = "member.suspect"
 
-	EvNodeFail       EventType = "node.fail"
-	EvNodeRecover    EventType = "node.recover"
+	EvNodeFail    EventType = "node.fail"
+	EvNodeRecover EventType = "node.recover"
 	// Quarantine events mark flap dampening: a node whose suspicion
 	// history crossed the flap threshold stays a federation member but is
 	// withdrawn from scheduling and shard ownership until its flap score

@@ -112,7 +112,7 @@ func TestFrameRejectsMalformed(t *testing.T) {
 		"empty data": encodeFrame(frame{
 			flags: flagData, seq: 1, fragCount: 1}),
 		"no data no ack": encodeFrame(frame{seq: 0}),
-		"ack with body": append(validAckFrame(), 'x'),
+		"ack with body":  append(validAckFrame(), 'x'),
 		"frag index beyond count": encodeFrame(frame{
 			flags: flagData | flagFrag, seq: 9, fragIndex: 3, fragCount: 3, payload: []byte("x")}),
 		"frag count 1": encodeFrame(frame{
