@@ -32,10 +32,13 @@ test:
 # because its immutable-map contract is what lets the data plane hand
 # shard maps across goroutines; internal/heartbeat because the suspicion
 # lifecycle (accrual windows, refutation, indirect probes) is driven from
-# both the daemon loop and timer callbacks; the cluster smoke test guards
-# the simulator path.
+# both the daemon loop and timer callbacks; internal/simhost because its
+# handles suppress timer callbacks of dead processes, the contract the
+# wire runtime shares; internal/bulletin because its replies and delta
+# batches decode on the wire's reader goroutines; the cluster smoke test
+# guards the simulator path.
 race:
-	$(GO) test -race ./internal/rpc/ ./internal/shard/ ./internal/gossip/ ./internal/heartbeat/ ./internal/wire/... ./internal/noded/...
+	$(GO) test -race ./internal/rpc/ ./internal/shard/ ./internal/gossip/ ./internal/heartbeat/ ./internal/simhost/ ./internal/bulletin/ ./internal/wire/... ./internal/noded/...
 	$(GO) test -race -run 'TestBootAllDaemonsUp|TestGSDKillTakeoverAndRejoin' ./internal/cluster/
 
 # The fuzz gate: a short engine run per fuzz target, starting from the

@@ -13,7 +13,6 @@ package bulletin
 import (
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/federation"
 	"repro/internal/gossip"
 	"repro/internal/rpc"
@@ -99,11 +98,6 @@ func (FetchReq) WireSize() int { return 8 }
 type FetchAck struct {
 	Token uint64
 	Snap  Snapshot
-}
-
-func init() {
-	codec.RegisterGob(QueryAck{})
-	codec.RegisterGob(FetchAck{})
 }
 
 // DefaultDeltaFlush is the delta-batch flush interval applied when a

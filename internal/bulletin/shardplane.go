@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/gossip"
 	"repro/internal/shard"
 	"repro/internal/types"
@@ -93,12 +92,6 @@ type DeltaBatch struct {
 	Seq        uint64 // per-source sequence; gaps trigger a sync
 	Res        []types.ResourceStats
 	Apps       []types.AppState
-}
-
-func init() {
-	codec.RegisterGob(PutAck{})
-	codec.RegisterGob(GetAck{})
-	codec.RegisterGob(SyncAck{})
 }
 
 // ShardStats is the data-plane section of an instance's observability

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bulletin"
 	"repro/internal/codec"
 	"repro/internal/heartbeat"
 	"repro/internal/types"
@@ -61,6 +62,13 @@ func TestDecodeWireZeroAllocs(t *testing.T) {
 		"event": {
 			data: types.Event{Type: types.EvNodeFail, Node: 7, Service: types.SvcWD, Detail: ""}.AppendWire(nil),
 			into: new(types.Event),
+		},
+		"bulletin read reply": {
+			data: bulletin.GetAck{
+				Token: 5, Found: true, Primary: true, MapVersion: 3,
+				Res: types.ResourceStats{Node: 7, CPUPct: 50, Collected: time.Unix(2, 3)},
+			}.AppendWire(nil),
+			into: new(bulletin.GetAck),
 		},
 	}
 	for name, tc := range cases {

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bulletin"
 	"repro/internal/codec"
+	"repro/internal/shard"
 	"repro/internal/types"
 )
 
@@ -36,13 +38,36 @@ func binaryExemplars(t testing.TB) []any {
 	return out
 }
 
+// nestedExemplars fills what fill leaves zero — slices of rows, shard-map
+// entries, the missing-partition list — for payloads whose codecs compose
+// nested parts.
+func nestedExemplars() []any {
+	at := time.Unix(1125532800, 5)
+	res := types.ResourceStats{Node: 3, CPUPct: 41.5, Collected: at, RunQ: 2}
+	app := types.AppState{Node: 3, Proc: 12, Name: "linpack", Alive: true, SLATag: "gold", Updated: at}
+	smap := shard.Map{Version: 4, Replicas: 2, VNodes: 16, Entries: []shard.Entry{{Part: 0, Node: 0}, {Part: 2, Node: 8}}}
+	return []any{
+		bulletin.QueryAck{
+			Token: 11,
+			Snapshots: []bulletin.Snapshot{
+				{Partition: 0, Res: []types.ResourceStats{res}, Apps: []types.AppState{app}},
+				{Partition: 2},
+			},
+			Missing:    []types.PartitionID{1, 3},
+			Stale:      true,
+			MapVersion: 4, HasMap: true, Map: smap,
+		},
+		bulletin.GetAck{Token: 12, Res: res, Apps: []types.AppState{app, app}, Found: true, MapVersion: 4, HasMap: true, Map: smap},
+	}
+}
+
 // TestBinaryGobDifferential encodes every binary payload through the
 // binary codec and through encoding/gob (the reference, and what the
 // fallback family puts on the wire) and requires both to deliver the same
 // value — the equivalence that lets gob stay the fallback without a
 // format fork.
 func TestBinaryGobDifferential(t *testing.T) {
-	for _, payload := range binaryExemplars(t) {
+	for _, payload := range append(binaryExemplars(t), nestedExemplars()...) {
 		msg := types.Message{
 			From: types.Addr{Node: 1, Service: types.SvcWD},
 			To:   types.Addr{Node: 2, Service: types.SvcGSD},

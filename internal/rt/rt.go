@@ -17,10 +17,10 @@ import (
 // and timers.
 //
 // Timer-cancellation contract: when the daemon shuts down (killed,
-// exited, node power-off, or Runtime closed), every timer armed through
-// After is cancelled, and a callback of an already-fired timer that has
-// not yet run is suppressed — it must never observe the daemon's state
-// after death. Daemon implementations therefore need no death checks in
+// exited, node power-off, or Runtime closed), the callback of every timer
+// armed through After is suppressed, whether the timer is still pending
+// or already fired — it must never observe the daemon's state after
+// death. Daemon implementations therefore need no death checks in
 // callbacks, and a wall-clock Runtime (internal/wire) is drop-in safe for
 // the simulator's: both guarantee that no After callback runs after
 // shutdown. The one intentional exception is rt.Fake, whose timers run on
@@ -38,6 +38,6 @@ type Runtime interface {
 	// Send transmits a message; delivery is best-effort (datagram
 	// semantics). nic selects the network plane, or types.AnyNIC.
 	Send(to types.Addr, nic int, typ string, payload any)
-	// After schedules a callback, cancelled automatically at daemon death.
+	// After schedules a callback, suppressed automatically at daemon death.
 	After(d time.Duration, f func()) clock.Timer
 }

@@ -9,21 +9,19 @@ import (
 )
 
 // Handle is a process's window onto its host: it sends messages, schedules
-// timers, and reads the clock. All timers armed through a handle are
-// cancelled automatically when the process dies, and late callbacks from
-// already-fired timers are suppressed, so daemon implementations cannot
-// leak activity past their own death.
+// timers, and reads the clock. Every timer armed through a handle checks
+// the dead flag before running its callback, so once the process dies no
+// callback runs — timers still pending fire into a no-op — and daemon
+// implementations cannot leak activity past their own death.
 type Handle struct {
 	host    *Host
 	service string
 	pid     types.ProcID
 	dead    bool
-	timers  map[int]clock.Timer
-	nextTID int
 }
 
 func newHandle(h *Host, service string, pid types.ProcID) *Handle {
-	return &Handle{host: h, service: service, pid: pid, timers: make(map[int]clock.Timer)}
+	return &Handle{host: h, service: service, pid: pid}
 }
 
 // Node returns the hosting node's ID.
@@ -64,17 +62,11 @@ func (hd *Handle) After(d time.Duration, f func()) clock.Timer {
 	if hd.dead {
 		return deadTimer{}
 	}
-	id := hd.nextTID
-	hd.nextTID++
-	t := hd.host.clk.AfterFunc(d, func() {
-		if hd.dead {
-			return
+	return hd.host.clk.AfterFunc(d, func() {
+		if !hd.dead {
+			f()
 		}
-		delete(hd.timers, id)
-		f()
 	})
-	hd.timers[id] = t
-	return t
 }
 
 // Every schedules f to run repeatedly at the given period until the process
@@ -101,14 +93,9 @@ func (hd *Handle) Exit() {
 	hd.host.exit(hd.service, hd.pid)
 }
 
-// shutdown cancels all pending timers and marks the handle dead.
-func (hd *Handle) shutdown() {
-	hd.dead = true
-	for _, t := range hd.timers {
-		t.Stop()
-	}
-	hd.timers = nil
-}
+// shutdown marks the handle dead, suppressing every later callback of
+// its timers.
+func (hd *Handle) shutdown() { hd.dead = true }
 
 type deadTimer struct{}
 

@@ -49,8 +49,9 @@ type Fabric interface {
 // Process is a daemon or job hosted on a node. Implementations are
 // event-driven: Start registers timers and the host routes incoming
 // messages to Receive. OnStop is called exactly once when the process is
-// killed, exits, or its node powers off; handle timers are cancelled
-// automatically, so OnStop only needs to release external resources.
+// killed, exits, or its node powers off; handle timer callbacks are
+// suppressed automatically, so OnStop only needs to release external
+// resources.
 type Process interface {
 	Service() string
 	Start(h *Handle)
@@ -395,7 +396,7 @@ func (h *Host) SpawnService(service string, spec any) (types.ProcID, error) {
 }
 
 // Kill removes a process immediately (SIGKILL semantics): no exec latency,
-// no goodbye messages, timers cancelled, watchers notified.
+// no goodbye messages, timer callbacks suppressed, watchers notified.
 func (h *Host) Kill(service string) error {
 	e, ok := h.procs[service]
 	if !ok {

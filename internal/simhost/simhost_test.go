@@ -1,6 +1,7 @@
 package simhost
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -139,6 +140,34 @@ func TestHandleTimersDieWithProcess(t *testing.T) {
 	eng.RunFor(time.Minute)
 	if fired != firedBeforeKill {
 		t.Fatalf("timers fired after death: %d -> %d", firedBeforeKill, fired)
+	}
+}
+
+// TestHandleStoppedTimersAreFreed is the leak regression test: a timer
+// armed through After and stopped before it fires must leave nothing
+// behind in the handle.
+func TestHandleStoppedTimersAreFreed(t *testing.T) {
+	eng, _, hosts := testRig(t, 1)
+	var hd *Handle
+	if _, err := hosts[0].Spawn(&testProc{svc: "d", onStart: func(h *Handle) { hd = h }}); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(time.Second)
+	if hd == nil {
+		t.Fatal("process never started")
+	}
+	const n = 50_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		hd.After(time.Hour, func() {}).Stop()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(hd) // the live handle is what must not retain them
+	if grew := int64(after.HeapInuse) - int64(before.HeapInuse); grew >= 16*n {
+		t.Fatalf("heap grew %d B over %d stopped timers (%d B each), want < 16 B each", grew, n, grew/n)
 	}
 }
 

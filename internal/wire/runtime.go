@@ -15,11 +15,12 @@ import (
 // joining the event federation. (Full kernel daemons instead run inside
 // simhost.Host, which sits on the same transport via simhost.Fabric.)
 //
-// It honours the rt.Runtime timer-cancellation contract: Close stops
-// every pending timer and suppresses callbacks of timers that fired but
-// have not run yet, so no After callback ever observes post-shutdown
-// state. Callbacks and inbound messages run inside the transport's Loop;
-// so does all Runtime state, which therefore needs no locking of its own.
+// It honours the rt.Runtime timer-cancellation contract by suppression:
+// every After callback checks the dead flag Close sets, so no callback
+// ever observes post-shutdown state; timers still pending at Close fire
+// into a no-op. Callbacks and inbound messages run inside the
+// transport's Loop; so does all Runtime state, which therefore needs no
+// locking of its own.
 type Runtime struct {
 	tr   *Transport
 	loop *Loop
@@ -27,22 +28,18 @@ type Runtime struct {
 	self types.Addr
 	rng  *rand.Rand
 
-	// loop-confined state
-	dead    bool
-	timers  map[int]clock.Timer
-	nextTID int
+	dead bool // loop-confined
 }
 
 // NewRuntime creates a runtime at the given service name on the
 // transport's node. seed fixes the Rand stream.
 func NewRuntime(tr *Transport, service string, seed int64) *Runtime {
 	return &Runtime{
-		tr:     tr,
-		loop:   tr.Loop(),
-		clk:    NewLoopClock(tr.Loop(), clock.Real{}),
-		self:   types.Addr{Node: tr.Node(), Service: service},
-		rng:    rand.New(rand.NewSource(seed)),
-		timers: make(map[int]clock.Timer),
+		tr:   tr,
+		loop: tr.Loop(),
+		clk:  NewLoopClock(tr.Loop(), clock.Real{}),
+		self: types.Addr{Node: tr.Node(), Service: service},
+		rng:  rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -85,36 +82,21 @@ func (r *Runtime) After(d time.Duration, f func()) clock.Timer {
 	if r.dead {
 		return deadTimer{}
 	}
-	id := r.nextTID
-	r.nextTID++
-	t := r.clk.AfterFunc(d, func() {
-		if r.dead {
-			return
+	return r.clk.AfterFunc(d, func() {
+		if !r.dead {
+			f()
 		}
-		delete(r.timers, id)
-		f()
 	})
-	r.timers[id] = t
-	return t
 }
 
 // Do runs f inside the node's Loop — the only safe way for outside
 // goroutines (main, tests) to call protocol code bound to this runtime.
 func (r *Runtime) Do(f func()) { r.loop.Run(f) }
 
-// Close unregisters the runtime and cancels all pending timers. It must
-// be called from outside the Loop.
+// Close unregisters the runtime and suppresses every later callback of
+// its timers. It must be called from outside the Loop.
 func (r *Runtime) Close() {
-	r.loop.Run(func() {
-		if r.dead {
-			return
-		}
-		r.dead = true
-		for _, t := range r.timers {
-			t.Stop()
-		}
-		r.timers = nil
-	})
+	r.loop.Run(func() { r.dead = true })
 	r.tr.Unregister(r.self)
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -100,6 +101,28 @@ func TestRuntimeCloseCancelsTimers(t *testing.T) {
 	time.Sleep(30 * time.Millisecond)
 	if fired.Load() != atClose {
 		t.Fatal("After armed on a closed runtime fired")
+	}
+}
+
+// TestRuntimeStoppedTimersAreFreed is the leak regression test: a timer
+// armed through After and stopped before it fires (rpc.Caller's attempt
+// timer, on every reply) must leave nothing behind in the runtime.
+func TestRuntimeStoppedTimersAreFreed(t *testing.T) {
+	r, _ := testRuntime(t)
+	defer r.Close()
+	const n = 50_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r.Do(func() {
+		for i := 0; i < n; i++ {
+			r.After(time.Hour, func() {}).Stop()
+		}
+	})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapInuse) - int64(before.HeapInuse); grew >= 16*n {
+		t.Fatalf("heap grew %d B over %d stopped timers (%d B each), want < 16 B each", grew, n, grew/n)
 	}
 }
 
