@@ -55,12 +55,13 @@ fuzz:
 	$(GO) test -fuzz '^FuzzGossipWire$$' -fuzztime 10s -run '^$$' ./internal/gossip/
 
 # The allocation gate: the binary codec's hot paths (AppendMessage into a
-# warm buffer, DecodeWire into a reused value, Size of a binary payload)
-# must stay at zero allocations — the regression fence behind the
-# benchmark's codec.allocs_per_roundtrip. Runs without the race detector:
-# the race runtime adds its own allocations.
+# warm buffer, DecodeWire into a reused value, Size of a binary or gob
+# payload) and the simulated network's per-message accounting must stay
+# at zero allocations — the regression fence behind the benchmark's
+# codec.allocs_per_roundtrip and sim.allocs_per_step. Runs without the
+# race detector: the race runtime adds its own allocations.
 alloc:
-	$(GO) test -run 'ZeroAllocs' -count=1 ./internal/codec/
+	$(GO) test -run 'ZeroAllocs' -count=1 ./internal/codec/ ./internal/simnet/
 
 # The repository benchmark (BENCHMARK.json): four workloads with bounds,
 # calibration and a checked-in baseline; see bench/README.md.

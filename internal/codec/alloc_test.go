@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/bulletin"
+	"repro/internal/checkpoint"
 	"repro/internal/codec"
 	"repro/internal/heartbeat"
 	"repro/internal/types"
@@ -91,5 +92,18 @@ func TestSizeZeroAllocsForBinary(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() { codec.Size(msg) })
 	if allocs != 0 {
 		t.Fatalf("Size allocates %v/op for binary payloads, want 0", allocs)
+	}
+}
+
+func TestSizeGobZeroAllocs(t *testing.T) {
+	// A gob-family payload is weighed by walking its fields, never by
+	// encoding it: a 1 MiB checkpoint replica costs no allocation.
+	msg := types.Message{Type: checkpoint.MsgRepl, Payload: checkpoint.Repl{Owner: "pws/part0", Seq: 1, Data: make([]byte, 1<<20)}}
+	if got := codec.Size(msg); got < 1<<20 {
+		t.Fatalf("Size of a 1 MiB replica = %d, want at least 1 MiB", got)
+	}
+	allocs := testing.AllocsPerRun(200, func() { codec.Size(msg) })
+	if allocs != 0 {
+		t.Fatalf("Size allocates %v/op for gob payloads, want 0", allocs)
 	}
 }

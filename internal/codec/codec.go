@@ -19,6 +19,9 @@
 // binary family, RegisterGob for the gob family. Registered() exposes one
 // exemplar per type from both families, which the registry-wide
 // round-trip test walks so nothing reaches a real socket unencodable.
+//
+// Size weighs a message for the simulated network without encoding it; gob
+// payloads by a bounded reflection walk over their exported fields.
 package codec
 
 import (
@@ -27,9 +30,11 @@ import (
 	"encoding/gob"
 	"fmt"
 	"log"
+	"maps"
 	"reflect"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/types"
 	"repro/internal/wirebin"
@@ -87,8 +92,13 @@ type payloadEntry struct {
 // registry is the immutable snapshot the hot paths read lock-free;
 // registration (init-time) copies on write under regMu.
 type registry struct {
-	payloads map[uint16]payloadEntry // binary family, by wire ID
-	binTypes map[reflect.Type]uint16 // value type -> wire ID
+	payloads map[uint16]payloadEntry   // binary family, by wire ID
+	binTypes map[reflect.Type]uint16   // value type -> wire ID
+	gobTypes map[reflect.Type]struct{} // both families, pointers stripped
+}
+
+func (r *registry) clone() *registry {
+	return &registry{payloads: maps.Clone(r.payloads), binTypes: maps.Clone(r.binTypes), gobTypes: maps.Clone(r.gobTypes)}
 }
 
 var (
@@ -97,11 +107,16 @@ var (
 	reg        atomic.Pointer[registry]
 )
 
-func loadRegistry() *registry {
-	if r := reg.Load(); r != nil {
-		return r
+func init() {
+	reg.Store(&registry{payloads: map[uint16]payloadEntry{}, binTypes: map[reflect.Type]uint16{}, gobTypes: map[reflect.Type]struct{}{}})
+}
+
+// baseType strips t's pointers: to gob, *T and T are one registration.
+func baseType(t reflect.Type) reflect.Type {
+	for t.Kind() == reflect.Pointer {
+		t = t.Elem()
 	}
-	return &registry{}
+	return t
 }
 
 // RegisterPayload records a binary payload type under a wire ID. fn must
@@ -124,22 +139,13 @@ func RegisterPayload(id uint16, fn func() Payload) {
 	gob.Register(exemplar) // gob payloads carry binary types behind interface fields (a spawn request's Spec)
 	regMu.Lock()
 	defer regMu.Unlock()
-	old := loadRegistry()
-	if prev, dup := old.payloads[id]; dup {
+	if prev, dup := reg.Load().payloads[id]; dup {
 		panic(fmt.Sprintf("codec: wire ID %d registered twice: %v and %v", id, prev.typ, rv.Elem().Type()))
 	}
-	next := &registry{
-		payloads: make(map[uint16]payloadEntry, len(old.payloads)+1),
-		binTypes: make(map[reflect.Type]uint16, len(old.binTypes)+1),
-	}
-	for k, v := range old.payloads {
-		next.payloads[k] = v
-	}
-	for k, v := range old.binTypes {
-		next.binTypes[k] = v
-	}
+	next := reg.Load().clone()
 	next.payloads[id] = payloadEntry{fn: fn, typ: rv.Elem().Type()}
 	next.binTypes[rv.Elem().Type()] = id
+	next.gobTypes[rv.Elem().Type()] = struct{}{}
 	reg.Store(next)
 	registered = append(registered, exemplar)
 }
@@ -151,8 +157,11 @@ func RegisterPayload(id uint16, fn func() Payload) {
 func RegisterGob(v any) {
 	gob.Register(v)
 	regMu.Lock()
+	defer regMu.Unlock()
+	next := reg.Load().clone()
+	next.gobTypes[baseType(reflect.TypeOf(v))] = struct{}{}
+	reg.Store(next)
 	registered = append(registered, v)
-	regMu.Unlock()
 }
 
 // Registered returns one exemplar value per payload type passed to
@@ -186,7 +195,7 @@ func registerBuiltins() {
 // lookupBinary resolves the wire ID of a payload value's type, if the
 // type is binary-registered. Lock-free: hot paths call it per message.
 func lookupBinary(v any) (uint16, bool) {
-	id, ok := loadRegistry().binTypes[reflect.TypeOf(v)]
+	id, ok := reg.Load().binTypes[reflect.TypeOf(v)]
 	return id, ok
 }
 
@@ -274,7 +283,7 @@ func DecodeMessage(data []byte) (types.Message, error) {
 		}
 		msg.Payload = p
 	default:
-		e, ok := loadRegistry().payloads[id]
+		e, ok := reg.Load().payloads[id]
 		if !ok {
 			return types.Message{}, fmt.Errorf("codec: unknown payload wire ID %d", id)
 		}
@@ -325,10 +334,10 @@ func Decode(data []byte) (types.Message, error) {
 	return DecodeMessage(data)
 }
 
-// sizeErrors counts messages whose payload failed to encode during Size
-// accounting; such messages are reported as envelope-only, so a nonzero
-// count means the bandwidth figures are an undercount. The first
-// occurrence is also logged, so the lie cannot stay quiet.
+// sizeErrors counts messages whose payload type was never registered
+// during Size accounting; such messages are reported as envelope-only, so
+// a nonzero count means the bandwidth figures are an undercount. The
+// first occurrence is also logged, so the lie cannot stay quiet.
 var (
 	sizeErrors  atomic.Uint64
 	sizeErrOnce sync.Once
@@ -337,18 +346,17 @@ var (
 
 type sizeBuf struct{ b []byte }
 
-// SizeErrors reports how many Size calls hit an unencodable payload
-// since process start. Surfaced as the codec_size_errors metric on
-// /statusz and /metrics.
+// SizeErrors reports how many Size calls hit an unregistered payload type
+// since process start.
 func SizeErrors() uint64 { return sizeErrors.Load() }
 
-// Size reports the approximate wire size of a message in bytes. Payloads
-// implementing Sizer are measured directly; binary-family payloads are
-// measured exactly through their hand-rolled codec (into a pooled
-// scratch buffer — no steady-state allocation); nil payloads cost only
-// the envelope; everything else is gob-encoded (correct but slower —
-// keep such payloads off hot paths). Unencodable payloads still occupy
-// the envelope, are counted in SizeErrors, and log once.
+// Size reports the approximate wire size of a message in bytes without
+// encoding it: Sizer payloads report it themselves, binary payloads are
+// measured exactly through their codec (into a pooled scratch buffer),
+// nil payloads cost only the envelope, and gob payloads are weighed by
+// walkSize in O(fields), not O(bytes), without gob's type description.
+// Payloads of an unregistered type count as the envelope alone, add to
+// SizeErrors, and log once. Only a walk through a map allocates.
 func Size(msg types.Message) int {
 	registerOnce.Do(registerBuiltins)
 	switch p := msg.Payload.(type) {
@@ -366,14 +374,61 @@ func Size(msg types.Message) int {
 			return EnvelopeOverhead + n
 		}
 	}
-	data, err := Encode(msg)
-	if err != nil {
+	if _, ok := reg.Load().gobTypes[baseType(reflect.TypeOf(msg.Payload))]; !ok {
 		sizeErrors.Add(1)
 		sizeErrOnce.Do(func() {
-			log.Printf("codec: Size: unencodable %T payload in %q message counted as envelope-only (first of possibly many; see codec_size_errors): %v",
-				msg.Payload, msg.Type, err)
+			log.Printf("codec: Size: unregistered %T payload in %q message counted as envelope-only (first of possibly many; see codec.SizeErrors)",
+				msg.Payload, msg.Type)
 		})
 		return EnvelopeOverhead
 	}
-	return len(data)
+	return EnvelopeOverhead + walkSize(reflect.ValueOf(msg.Payload), 0)
+}
+
+const (
+	maxWalkDepth = 16 // only self-referential types nest deeper; what lies below is not counted
+	gobTimeSize  = 15 // a time.Time's gob (MarshalBinary) length
+)
+
+var timeType = reflect.TypeOf(time.Time{})
+
+// walkSize approximates the gob-encoded size of v's data: fixed-width
+// kinds count their width, strings and byte slices their length plus
+// one, containers the sum of their elements, pointers and interfaces what
+// they point to, and a time.Time its gob length. Unexported fields are
+// skipped and channels and funcs count nothing, as gob sends none of them.
+func walkSize(v reflect.Value, depth int) int {
+	t, k := v.Type(), v.Kind()
+	switch {
+	case depth > maxWalkDepth:
+	case k >= reflect.Bool && k <= reflect.Complex128:
+		return int(t.Size())
+	case k == reflect.String || k == reflect.Slice && t.Elem().Kind() == reflect.Uint8:
+		return v.Len() + 1
+	case k == reflect.Slice || k == reflect.Array:
+		n := 0
+		for i := 0; i < v.Len(); i++ {
+			n += walkSize(v.Index(i), depth+1)
+		}
+		return n
+	case k == reflect.Map:
+		n := 0
+		for it := v.MapRange(); it.Next(); {
+			n += walkSize(it.Key(), depth+1) + walkSize(it.Value(), depth+1)
+		}
+		return n
+	case (k == reflect.Pointer || k == reflect.Interface) && !v.IsNil():
+		return walkSize(v.Elem(), depth+1)
+	case t == timeType:
+		return gobTimeSize
+	case k == reflect.Struct:
+		n := 0
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.CanInterface() { // exported
+				n += walkSize(f, depth+1)
+			}
+		}
+		return n
+	}
+	return 0
 }

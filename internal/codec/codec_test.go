@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -64,17 +65,47 @@ func TestSizeNilPayload(t *testing.T) {
 }
 
 func TestSizeGobFallback(t *testing.T) {
-	msg := types.Message{Type: "x", Payload: types.ResourceStats{Node: 1, CPUPct: 42}}
-	got := Size(msg)
-	if got <= EnvelopeOverhead {
-		t.Fatalf("gob fallback size = %d, want > envelope", got)
+	// map[string]string is one of codec's own gob registrations: two
+	// entries of 1-byte strings weigh 2 × (2 + 2) bytes.
+	msg := types.Message{Type: "x", Payload: map[string]string{"a": "b", "c": "d"}}
+	if got := Size(msg); got != EnvelopeOverhead+8 {
+		t.Fatalf("gob fallback size = %d, want %d", got, EnvelopeOverhead+8)
 	}
 }
 
 func TestSizeUnencodablePayloadFallsBack(t *testing.T) {
-	msg := types.Message{Type: "x", Payload: func() {}} // funcs are not gob-encodable
-	if got := Size(msg); got != EnvelopeOverhead {
-		t.Fatalf("unencodable payload size = %d, want envelope only", got)
+	type unregistered struct{ N int }
+	for _, p := range []any{unregistered{N: 1}, func() {}} {
+		before := SizeErrors()
+		if got := Size(types.Message{Type: "x", Payload: p}); got != EnvelopeOverhead {
+			t.Fatalf("%T payload size = %d, want envelope only", p, got)
+		}
+		if got := SizeErrors(); got != before+1 {
+			t.Fatalf("%T payload: SizeErrors went %d -> %d, want +1", p, before, got)
+		}
+	}
+}
+
+// TestSizeSkipsUnexportedFields registers, for this test only, a struct
+// whose fields are all unexported: gob sends none of them, so it weighs
+// the envelope alone.
+func TestSizeSkipsUnexportedFields(t *testing.T) {
+	type opaque struct {
+		n int
+		s string
+		b []byte
+	}
+	saved := reg.Load()
+	defer reg.Store(saved)
+	next := saved.clone()
+	next.gobTypes[reflect.TypeOf(opaque{})] = struct{}{}
+	reg.Store(next)
+	before := SizeErrors()
+	if got := Size(types.Message{Type: "x", Payload: opaque{1, "xyz", make([]byte, 64)}}); got != EnvelopeOverhead {
+		t.Fatalf("unexported-only struct size = %d, want envelope only", got)
+	}
+	if SizeErrors() != before {
+		t.Fatal("registered payload counted as a size error")
 	}
 }
 

@@ -5,7 +5,11 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/codec"
+	"repro/internal/gsd"
+	"repro/internal/membership"
+	"repro/internal/simhost"
 	"repro/internal/types"
 
 	// Pull in every package that registers wire payloads, so Registered()
@@ -102,4 +106,61 @@ func TestRegisteredPayloadsRoundTrip(t *testing.T) {
 		})
 	}
 	t.Logf("%d payload types round-tripped", len(exemplars))
+}
+
+// TestSizeWalksEveryRegisteredPayload weighs every registered payload
+// type — filled, plus the nested exemplars and the payloads that carry an
+// interface or a pointer — and requires at least the envelope, no panic
+// and no size error. On gob-family types without a Sizer, growing a
+// top-level string or []byte field by n bytes must grow the size by
+// exactly n.
+func TestSizeWalksEveryRegisteredPayload(t *testing.T) {
+	payloads := append([]any{
+		simhost.SpawnReq{Service: types.SvcGSD, Spec: gsd.SpawnSpec{Partition: 1}, Token: 2},
+		membership.ViewMsg{View: membership.NewView(map[types.PartitionID]types.NodeID{0: 0, 1: 4})},
+		checkpoint.Repl{Owner: "pws/part0", Seq: 3, Data: []byte("state")},
+	}, nestedExemplars()...)
+	for _, ex := range codec.Registered() {
+		payloads = append(payloads, fill(ex))
+	}
+	size := func(p any) int { return codec.Size(types.Message{Type: "size", Payload: p}) }
+	before := codec.SizeErrors()
+	grown := 0
+	for _, p := range payloads {
+		if got := size(p); got < codec.EnvelopeOverhead {
+			t.Errorf("%T: size %d is below the envelope", p, got)
+		}
+		_, bin := p.(binaryPayload)
+		_, sizer := p.(codec.Sizer)
+		if bin || sizer || reflect.TypeOf(p).Kind() != reflect.Struct {
+			continue
+		}
+		base := size(p)
+		v := reflect.New(reflect.TypeOf(p)).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			v.Set(reflect.ValueOf(p))
+			f := v.Field(i)
+			switch {
+			case !f.CanSet():
+				continue
+			case f.Kind() == reflect.String:
+				f.SetString(f.String() + "12345")
+			case f.Kind() == reflect.Slice && f.Type().Elem().Kind() == reflect.Uint8:
+				f.SetBytes(append(f.Bytes(), "12345"...))
+			default:
+				continue
+			}
+			grown++
+			if got := size(v.Interface()); got != base+5 {
+				t.Errorf("%T.%s: 5 more bytes moved the size %d -> %d", p, v.Type().Field(i).Name, base, got)
+			}
+		}
+	}
+	if got := codec.SizeErrors(); got != before {
+		t.Fatalf("registered payloads counted %d size errors", got-before)
+	}
+	if grown < 20 {
+		t.Fatalf("only %d string or []byte fields grown; gob payloads are missing", grown)
+	}
+	t.Logf("%d payloads weighed, %d fields grown", len(payloads), grown)
 }

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/bulletin"
 	"repro/internal/clock"
-	"repro/internal/codec"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/gossip"
@@ -438,7 +437,6 @@ func (n *Node) Status() opshttp.Status {
 		st.Peers = len(book.Nodes())
 	}
 	st.Wire = n.tr.Stats()
-	st.CodecSizeErrors = codec.SizeErrors()
 	st.RPC = rpc.ReadStats(n.tr.Metrics())
 	st.Breakers = n.breakers.Snapshot()
 	st.BreakersOpen = n.breakers.OpenCount()

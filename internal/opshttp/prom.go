@@ -200,7 +200,6 @@ func writeStatusProm(w io.Writer, st Status) {
 	fmt.Fprintf(w, "# TYPE phoenix_rpc_shed_total counter\nphoenix_rpc_shed_total %d\n", st.RPC.Shed)
 	fmt.Fprintf(w, "# TYPE phoenix_rpc_failures_total counter\nphoenix_rpc_failures_total %d\n", st.RPC.Failures)
 	fmt.Fprintf(w, "# TYPE phoenix_breaker_open gauge\nphoenix_breaker_open %d\n", st.BreakersOpen)
-	fmt.Fprintf(w, "# TYPE phoenix_codec_size_errors_total counter\nphoenix_codec_size_errors_total %d\n", st.CodecSizeErrors)
 	if len(st.Wire.Planes) > 0 {
 		fmt.Fprintf(w, "# TYPE phoenix_plane_healthy gauge\n")
 		for _, p := range st.Wire.Planes {

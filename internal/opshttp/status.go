@@ -96,12 +96,6 @@ type Status struct {
 	// per plane.
 	Wire wire.Stats `json:"wire"`
 
-	// CodecSizeErrors counts codec.Size calls that hit an unencodable
-	// payload since process start (the cost model then bills the
-	// envelope only, so a non-zero value means simulated costs are
-	// understated for some message type).
-	CodecSizeErrors uint64 `json:"codec_size_errors"`
-
 	// RPC totals the node's resilient kernel calls: issued, retried, shed
 	// and failed across every client on the node.
 	RPC rpc.CallStats `json:"rpc"`

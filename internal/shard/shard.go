@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 
 	"repro/internal/federation"
 	"repro/internal/types"
@@ -113,7 +114,7 @@ func FromView(v federation.View, replicas, vnodes int) Map {
 
 // NodeKey is the shard key under which one node's bulletin rows
 // (resource sample plus its application states) are stored.
-func NodeKey(n types.NodeID) string { return fmt.Sprintf("n%d", int(n)) }
+func NodeKey(n types.NodeID) string { return "n" + strconv.Itoa(int(n)) }
 
 func hashKey(key string) uint64 {
 	h := fnv.New64a()

@@ -191,3 +191,17 @@ func TestEmptyAndDefaultedMap(t *testing.T) {
 		t.Fatalf("owners = %d, want %d", got, shard.DefaultReplicas)
 	}
 }
+
+// TestIdentifierStrings pins the hot identifier strings, built without fmt.
+func TestIdentifierStrings(t *testing.T) {
+	for _, tc := range []struct{ got, want string }{
+		{shard.NodeKey(7), "n7"},
+		{types.NodeID(7).String(), "node7"},
+		{types.NodeID(-1).String(), "node-1"},
+		{types.PartitionID(3).String(), "part3"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("got %q, want %q", tc.got, tc.want)
+		}
+	}
+}

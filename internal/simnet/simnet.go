@@ -6,7 +6,9 @@
 //
 // The network delivers messages by scheduling callbacks on the simulation
 // clock, so delivery order is deterministic for a fixed seed. Per-message
-// byte accounting feeds the bandwidth comparisons of paper §5.4.
+// byte accounting feeds the bandwidth comparisons of paper §5.4: codec.Size
+// weighs each message without encoding it, into counters resolved once per
+// message type and destination node.
 package simnet
 
 import (
@@ -67,6 +69,11 @@ type Network struct {
 	planeUp  []bool
 	cuts     map[pair]bool
 
+	// Totals resolved in New, per type and destination on first sight.
+	msgs, bytes, lost, delivered *metrics.Counter
+	byType                       map[string][2]*metrics.Counter // net.msgs.<type>, net.bytes.<type>
+	rx                           map[types.NodeID]*metrics.Counter
+
 	// Trace, when non-nil, observes every successfully delivered message.
 	Trace func(msg types.Message)
 	// Filter, when non-nil, vets every otherwise-deliverable message;
@@ -94,15 +101,21 @@ func New(clk clock.Clock, rng *rand.Rand, nodes int, params Params, reg *metrics
 		reg = metrics.NewRegistry()
 	}
 	n := &Network{
-		clk:      clk,
-		rng:      rng,
-		params:   params,
-		reg:      reg,
-		handlers: make(map[types.Addr]Handler),
-		nicUp:    make(map[types.NodeID][]bool, nodes),
-		nodeUp:   make(map[types.NodeID]bool, nodes),
-		planeUp:  make([]bool, params.NICs),
-		cuts:     make(map[pair]bool),
+		clk:       clk,
+		rng:       rng,
+		params:    params,
+		reg:       reg,
+		handlers:  make(map[types.Addr]Handler),
+		nicUp:     make(map[types.NodeID][]bool, nodes),
+		nodeUp:    make(map[types.NodeID]bool, nodes),
+		planeUp:   make([]bool, params.NICs),
+		cuts:      make(map[pair]bool),
+		msgs:      reg.Counter("net.msgs"),
+		bytes:     reg.Counter("net.bytes"),
+		lost:      reg.Counter("net.lost"),
+		delivered: reg.Counter("net.delivered"),
+		byType:    make(map[string][2]*metrics.Counter),
+		rx:        make(map[types.NodeID]*metrics.Counter, nodes),
 	}
 	for i := range n.planeUp {
 		n.planeUp[i] = true
@@ -222,7 +235,7 @@ func (n *Network) Send(msg types.Message) error {
 			if !n.NICUp(msg.From.Node, 0) {
 				return fmt.Errorf("simnet: no usable NIC on %v", msg.From.Node)
 			}
-			n.account(msg, 0, false)
+			n.account(msg, false)
 			return nil
 		}
 	} else if nic < 0 || nic >= n.params.NICs {
@@ -238,7 +251,7 @@ func (n *Network) Send(msg types.Message) error {
 	if deliverable && n.Filter != nil && !n.Filter(msg) {
 		deliverable = false
 	}
-	n.account(msg, nic, deliverable)
+	n.account(msg, deliverable)
 	if !deliverable {
 		// The sender's NIC must at least be up to put bits on the wire;
 		// otherwise the send fails locally.
@@ -271,22 +284,31 @@ func (n *Network) deliver(msg types.Message) {
 	if n.Trace != nil {
 		n.Trace(msg)
 	}
-	n.reg.Counter("net.delivered").Inc()
+	n.delivered.Inc()
 	// Per-destination accounting lets experiments find the busiest node
 	// (the scalability ablation compares the partitioned design against a
 	// flat master, whose receive rate grows with the cluster).
-	n.reg.Counter("net.rx." + msg.To.Node.String()).Inc()
+	rx, ok := n.rx[msg.To.Node]
+	if !ok {
+		rx = n.reg.Counter("net.rx." + msg.To.Node.String())
+		n.rx[msg.To.Node] = rx
+	}
+	rx.Inc()
 	h(msg)
 }
 
-func (n *Network) account(msg types.Message, nic int, deliverable bool) {
-	size := codec.Size(msg)
-	n.reg.Counter("net.msgs").Inc()
-	n.reg.Counter("net.bytes").Add(float64(size))
-	n.reg.Counter("net.msgs." + msg.Type).Inc()
-	n.reg.Counter("net.bytes." + msg.Type).Add(float64(size))
-	if !deliverable {
-		n.reg.Counter("net.lost").Inc()
+func (n *Network) account(msg types.Message, deliverable bool) {
+	size := float64(codec.Size(msg))
+	tc, ok := n.byType[msg.Type]
+	if !ok {
+		tc = [2]*metrics.Counter{n.reg.Counter("net.msgs." + msg.Type), n.reg.Counter("net.bytes." + msg.Type)}
+		n.byType[msg.Type] = tc
 	}
-	_ = nic
+	n.msgs.Inc()
+	n.bytes.Add(size)
+	tc[0].Inc()
+	tc[1].Add(size)
+	if !deliverable {
+		n.lost.Inc()
+	}
 }

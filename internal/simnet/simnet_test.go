@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/types"
@@ -207,22 +208,36 @@ func TestRegisterReplaceAndUnregister(t *testing.T) {
 	}
 }
 
+// sized is a payload that reports its own wire size.
+type sized struct{ n int }
+
+func (s sized) WireSize() int { return s.n }
+
 func TestByteAccounting(t *testing.T) {
-	eng, net := newNet(t, 2)
+	eng, net := newNet(t, 3)
 	net.Register(addr(1, "x"), func(types.Message) {})
-	if err := net.Send(types.Message{From: addr(0, "x"), To: addr(1, "x"), NIC: 0, Type: "hb"}); err != nil {
-		t.Fatal(err)
+	net.Register(addr(2, "x"), func(types.Message) {})
+	for _, m := range []types.Message{
+		{From: addr(0, "x"), To: addr(1, "x"), Type: "hb"},
+		{From: addr(0, "x"), To: addr(2, "x"), Type: "hb"},
+		{From: addr(0, "x"), To: addr(2, "x"), Type: "ack", Payload: sized{n: 8}},
+		{From: addr(1, "x"), To: addr(1, "x"), Type: "ack", Payload: sized{n: 8}},
+	} {
+		if err := net.Send(m); err != nil {
+			t.Fatal(err)
+		}
 	}
 	eng.Run()
-	m := net.Metrics()
-	if m.Counter("net.msgs").Value() != 1 {
-		t.Fatal("net.msgs not counted")
-	}
-	if m.Counter("net.msgs.hb").Value() != 1 {
-		t.Fatal("per-type counter not counted")
-	}
-	if m.Counter("net.bytes").Value() <= 0 {
-		t.Fatal("net.bytes not counted")
+	const env = codec.EnvelopeOverhead
+	for name, want := range map[string]float64{
+		"net.msgs": 4, "net.bytes": 4*env + 16, "net.delivered": 4, "net.lost": 0,
+		"net.msgs.hb": 2, "net.bytes.hb": 2 * env,
+		"net.msgs.ack": 2, "net.bytes.ack": 2 * (env + 8),
+		"net.rx.node1": 2, "net.rx.node2": 2,
+	} {
+		if got := net.Metrics().Counter(name).Value(); got != want {
+			t.Errorf("%s = %g, want %g", name, got, want)
+		}
 	}
 }
 

@@ -11,20 +11,21 @@ package types
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
 // NodeID identifies a node in the cluster. IDs are dense, starting at 0.
 type NodeID int
 
-func (n NodeID) String() string { return fmt.Sprintf("node%d", int(n)) }
+func (n NodeID) String() string { return "node" + strconv.Itoa(int(n)) }
 
 // PartitionID identifies a cluster partition. In Phoenix the cluster is
 // divided into partitions, each composed of one server node, at least one
 // backup server node, and computing nodes.
 type PartitionID int
 
-func (p PartitionID) String() string { return fmt.Sprintf("part%d", int(p)) }
+func (p PartitionID) String() string { return "part" + strconv.Itoa(int(p)) }
 
 // ProcID identifies a process within a simulated host's process table.
 type ProcID int64
