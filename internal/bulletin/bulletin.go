@@ -109,11 +109,7 @@ type Config struct {
 	FetchTimeout time.Duration // per-peer scatter-gather deadline
 	CacheTTL     time.Duration // how long a cached partition snapshot is served
 	EntryTTL     time.Duration // samples older than this are dropped from results; 0 = keep all
-
-	// Sharded data plane.
-	Replicas   int           // copies per key range, primary included (0 = shard.DefaultReplicas)
-	VNodes     int           // virtual nodes per partition on the ring (0 = shard.DefaultVNodes)
-	DeltaFlush time.Duration // delta-batch flush interval (0 = DefaultDeltaFlush)
+	DeltaFlush   time.Duration // sharded data plane's delta-batch flush interval (0 = DefaultDeltaFlush)
 }
 
 // cachedSnap is one partition's home snapshot in the read-through cache.
@@ -178,7 +174,7 @@ func (s *Service) Service() string { return types.SvcDB }
 func (s *Service) Start(h *simhost.Handle) {
 	s.rt = h
 	s.pending = rpc.NewPending(h)
-	s.smap = shard.FromView(s.view, s.cfg.Replicas, s.cfg.VNodes)
+	s.smap = shard.FromView(s.view, shard.DefaultReplicas, shard.DefaultVNodes)
 	// A (re)started instance begins empty: pull the shard stores of every
 	// mapped peer.
 	for _, e := range s.smap.Entries {

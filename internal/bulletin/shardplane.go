@@ -176,7 +176,7 @@ func (s *Service) AppliedSeq(src types.PartitionID) uint64 { return s.applied[sr
 // promoted primary starts receiving its new ranges), pull a sync from every
 // peer, and invalidate the query cache.
 func (s *Service) rebuildMap() {
-	nm := shard.FromView(s.view, s.cfg.Replicas, s.cfg.VNodes)
+	nm := shard.FromView(s.view, shard.DefaultReplicas, shard.DefaultVNodes)
 	if nm.Version == s.smap.Version && len(nm.Entries) == len(s.smap.Entries) {
 		return
 	}

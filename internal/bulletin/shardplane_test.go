@@ -28,8 +28,6 @@ func (p *pusherProc) push(to types.Addr, v federation.View) {
 
 func shardCfg() bulletin.Config {
 	c := cfg()
-	c.Replicas = 2
-	c.VNodes = 64
 	c.DeltaFlush = 100 * time.Millisecond
 	return c
 }

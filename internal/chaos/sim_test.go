@@ -106,9 +106,9 @@ func TestPartitionHealConverges256(t *testing.T) {
 	// The fanout bound held throughout, partition and heal included.
 	for p, e := range engines {
 		st := e.Stats()
-		if st.MaxFanout > spec.Params.GossipFanout {
+		if st.MaxFanout > gossip.DefaultFanout {
 			t.Fatalf("partition %v contacted %d peers in one round, fanout %d",
-				p, st.MaxFanout, spec.Params.GossipFanout)
+				p, st.MaxFanout, gossip.DefaultFanout)
 		}
 		if st.Rounds == 0 {
 			t.Fatalf("partition %v ran no gossip rounds", p)

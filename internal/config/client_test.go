@@ -114,17 +114,12 @@ func TestClientBudgetExhaustion(t *testing.T) {
 
 func TestServiceRecoveryDeadline(t *testing.T) {
 	p := DefaultParams()
-	// Unset grace derives the historical 3*RPCTimeout+5s recovery window.
+	// The recovery window derives from the RPC budget: 3*RPCTimeout+5s.
 	if got, want := p.ServiceRecoveryDeadline(), 3*p.RPCTimeout+5*time.Second; got != want {
 		t.Fatalf("derived deadline = %v, want %v", got, want)
 	}
 	p.RPCTimeout = 2 * time.Second
 	if got, want := p.ServiceRecoveryDeadline(), 11*time.Second; got != want {
 		t.Fatalf("derived deadline after RPCTimeout change = %v, want %v", got, want)
-	}
-	// An explicit grace overrides the derivation.
-	p.ServiceRecoveryGrace = 42 * time.Second
-	if got := p.ServiceRecoveryDeadline(); got != 42*time.Second {
-		t.Fatalf("explicit grace = %v, want 42s", got)
 	}
 }

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -110,6 +111,30 @@ func TestPropertyUniformConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParamsVariedOrDeployment keeps Params to what is actually set: every
+// field must differ between the two presets, unless it is a deployment
+// setting that real-socket tests and examples change. A value both presets
+// share and nothing overrides belongs in a constant beside its reader.
+func TestParamsVariedOrDeployment(t *testing.T) {
+	deployment := map[string]bool{
+		"HeartbeatGrace":       true, // the wire and noded integration tests widen it to 300 ms
+		"BulletinFetchTimeout": true, // the wire integration test doubles it
+		"BulletinCacheTTL":     true, // the wire integration test and examples/realnet shorten it
+		"RPCTimeout":           true, // the socket tests shorten it; bench/ sizes its waits from it
+	}
+	def, fast := reflect.ValueOf(DefaultParams()), reflect.ValueOf(FastParams())
+	var shared []string
+	for i := 0; i < def.NumField(); i++ {
+		name := def.Type().Field(i).Name
+		if reflect.DeepEqual(def.Field(i).Interface(), fast.Field(i).Interface()) && !deployment[name] {
+			shared = append(shared, name)
+		}
+	}
+	if len(shared) > 0 {
+		t.Fatalf("Params fields equal in both presets and not deployment settings: %v", shared)
 	}
 }
 

@@ -181,10 +181,11 @@ func (t *Topology) ComputeNodes() []types.NodeID {
 	return out
 }
 
-// Params are the kernel's tunable timing constants. Defaults reproduce the
-// paper's testbed configuration (30-second heartbeats) and the latency
-// shape of its Tables 1-3; experiments shrink the heartbeat interval when
-// only relative behaviour matters.
+// Params are the kernel's settings that a preset or a deployment varies.
+// Defaults reproduce the paper's testbed configuration (30-second
+// heartbeats) and the latency shape of its Tables 1-3; experiments shrink
+// the intervals when only relative behaviour matters. Values that no
+// preset varies are constants beside the code that reads them.
 type Params struct {
 	// HeartbeatInterval is the WD -> GSD heartbeat period (paper: 30 s,
 	// configurable as a system parameter).
@@ -206,12 +207,6 @@ type Params struct {
 	// services against the host process table (paper Table 3: detection
 	// is one heartbeat interval).
 	LocalCheckPeriod time.Duration
-	// LocalCheckCost models the process-table lookup that diagnoses a
-	// local service death (paper Table 3: ~12 µs).
-	LocalCheckCost time.Duration
-	// MatrixAnalysisCost models the receipt-matrix analysis that
-	// diagnoses a NIC failure (paper Tables 1-2: ~350 µs).
-	MatrixAnalysisCost time.Duration
 	// DetectorSampleInterval is the physical-resource detector's period.
 	DetectorSampleInterval time.Duration
 	// BulletinFetchTimeout bounds one federation peer fetch during a
@@ -220,12 +215,6 @@ type Params struct {
 	// BulletinCacheTTL is how long a bulletin instance serves a cached
 	// cluster snapshot before re-fetching.
 	BulletinCacheTTL time.Duration
-	// BulletinReplicas is the copy count per key range on the bulletin's
-	// sharded data plane, primary included.
-	BulletinReplicas int
-	// BulletinVNodes is the virtual-node count each partition contributes
-	// to the bulletin shard ring.
-	BulletinVNodes int
 	// BulletinDeltaFlush is how long a shard primary batches writes
 	// before gossiping them to its replicas as one delta batch.
 	BulletinDeltaFlush time.Duration
@@ -233,69 +222,9 @@ type Params struct {
 	// time a resilient call may spend across all retry attempts, not a
 	// per-attempt timer (attempts divide the budget; see internal/rpc).
 	RPCTimeout time.Duration
-	// ServiceRecoveryGrace is how long a GSD waits for a restarted local
-	// service to report ready before re-detecting it as dead. Zero
-	// derives 3*RPCTimeout + 5s: three restore-call budgets for the
-	// checkpoint restore plus exec/announce slack.
-	ServiceRecoveryGrace time.Duration
-	// GossipFanout is the number of random peers each gossip round
-	// contacts on the epidemic dissemination plane (0 = gossip.DefaultFanout).
-	GossipFanout int
 	// GossipInterval is the gossip round period; each round is jittered
 	// by up to ±1/8 of it so partitions do not synchronize into bursts.
 	GossipInterval time.Duration
-	// GossipDigestCap bounds the per-source delta suffix a gossip
-	// instance retains for push repair; peers further behind fall back
-	// to the bulletin's requestSync full pull.
-	GossipDigestCap int
-	// HeartbeatJitter is the per-beat random offset on WD heartbeats
-	// (uniform in ±HeartbeatJitter). It must stay safely below
-	// HeartbeatGrace or the partition monitor declares false misses.
-	HeartbeatJitter time.Duration
-	// SuspicionThreshold is the phi-accrual suspicion level at which the
-	// partition monitor declares a miss. When positive, the per-node
-	// deadline adapts to the observed heartbeat inter-arrival
-	// distribution — never below HeartbeatInterval+HeartbeatGrace (the
-	// paper's fixed deadline stays the floor, so clean-network detection
-	// latency is unchanged) and never above SuspicionMaxFactor times it.
-	// Zero keeps the paper's fixed deadline.
-	SuspicionThreshold float64
-	// SuspicionWindow is the per-node inter-arrival sample window backing
-	// the accrual estimate.
-	SuspicionWindow int
-	// SuspicionMaxFactor caps the adaptive deadline at this multiple of
-	// the fixed deadline. Zero derives 6.
-	SuspicionMaxFactor float64
-	// IndirectProbes is how many partition peers the GSD asks to probe a
-	// suspect through their own interfaces before escalating a silent
-	// direct probe to a node-fail verdict. Zero disables indirect probing.
-	IndirectProbes int
-	// FlapThreshold is the decaying per-node flap score at which a node
-	// is quarantined: still a member, still monitored, but excluded from
-	// shard ownership and PWS scheduling until the score halves. Zero
-	// disables quarantine.
-	FlapThreshold float64
-	// FlapHalfLife is the exponential-decay half-life of the flap score.
-	// Zero derives 20 heartbeat intervals.
-	FlapHalfLife time.Duration
-	// JobRequeueBudget bounds how many times PWS requeues one job after
-	// slice crashes or dispatch failures before quarantining it in the
-	// terminal failed state. Zero derives 3.
-	JobRequeueBudget int
-	// UtilPauseAt, UtilPreemptAt and UtilRefuseAt are the cluster
-	// utilisation thresholds of the PWS shed ladder: at PauseAt new batch
-	// dispatch is held, at PreemptAt the lowest-priority running batch job
-	// is preempted and requeued, at RefuseAt batch submits are refused at
-	// admission. Service pools are never shed. Zero derives
-	// 0.85/0.92/0.97.
-	UtilPauseAt   float64
-	UtilPreemptAt float64
-	UtilRefuseAt  float64
-	// UtilHysteresis is the margin below a rung's threshold the
-	// utilisation must fall before the ladder steps down one level, so a
-	// cluster hovering on a threshold does not flap between shedding and
-	// dispatching. Zero derives 0.15.
-	UtilHysteresis float64
 	// LeaseReturnDelay is how long a service pool retains a node borrowed
 	// from a batch pool after the borrowing job finishes, provided the
 	// cluster stayed hot; the node returns to its lender only after the
@@ -304,12 +233,11 @@ type Params struct {
 	LeaseReturnDelay time.Duration
 }
 
-// ServiceRecoveryDeadline is the effective restart-grace window:
-// ServiceRecoveryGrace, or its derived default when unset.
+// ServiceRecoveryDeadline is how long a GSD waits for a restarted local
+// service to report ready before re-detecting it as dead: three
+// restore-call budgets for the checkpoint restore plus exec/announce
+// slack.
 func (p Params) ServiceRecoveryDeadline() time.Duration {
-	if p.ServiceRecoveryGrace > 0 {
-		return p.ServiceRecoveryGrace
-	}
 	return 3*p.RPCTimeout + 5*time.Second
 }
 
@@ -322,46 +250,14 @@ func DefaultParams() Params {
 		MetaHeartbeatInterval:  30 * time.Second,
 		MetaProbeTimeout:       300 * time.Millisecond,
 		LocalCheckPeriod:       30 * time.Second,
-		LocalCheckCost:         12 * time.Microsecond,
-		MatrixAnalysisCost:     350 * time.Microsecond,
 		DetectorSampleInterval: 5 * time.Second,
 		BulletinFetchTimeout:   250 * time.Millisecond,
 		BulletinCacheTTL:       2 * time.Second,
-		BulletinReplicas:       2,
-		BulletinVNodes:         64,
 		BulletinDeltaFlush:     250 * time.Millisecond,
 		RPCTimeout:             3 * time.Second,
-		GossipFanout:           3,
 		GossipInterval:         2 * time.Second,
-		GossipDigestCap:        32,
-		// Zero: the paper's Tables 1-3 measure detection latency against a
-		// phase-aligned beat schedule, so the evaluation config keeps WD
-		// beats deterministic. Deployments that want to avoid synchronized
-		// beat bursts opt in by setting a value below HeartbeatGrace.
-		HeartbeatJitter: 0,
-		// Suspicion level 8 ≈ one-in-10^8 odds the node is still alive
-		// under the observed arrival distribution; with a clean network
-		// the adaptive deadline sits on the fixed-deadline floor.
-		SuspicionThreshold: 8,
-		SuspicionWindow:    64,
-		IndirectProbes:     2,
-		FlapThreshold:      3,
-		JobRequeueBudget:   3,
-		UtilPauseAt:        0.85,
-		UtilPreemptAt:      0.92,
-		UtilRefuseAt:       0.97,
-		UtilHysteresis:     0.15,
-		LeaseReturnDelay:   10 * time.Second,
+		LeaseReturnDelay:       10 * time.Second,
 	}
-}
-
-// FlapHalfLifeOrDefault returns FlapHalfLife, deriving 20 heartbeat
-// intervals when unset.
-func (p Params) FlapHalfLifeOrDefault() time.Duration {
-	if p.FlapHalfLife > 0 {
-		return p.FlapHalfLife
-	}
-	return 20 * p.HeartbeatInterval
 }
 
 // FastParams scales every interval down for experiments where absolute

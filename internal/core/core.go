@@ -259,11 +259,9 @@ func (k *Kernel) spawnServerDaemons(server *simhost.Host, p config.PartitionInfo
 // whole-cluster runs stay reproducible.
 func gossipConfig(params config.Params, p types.PartitionID) gossip.Config {
 	return gossip.Config{
-		Part:      p,
-		Fanout:    params.GossipFanout,
-		Interval:  params.GossipInterval,
-		DigestCap: params.GossipDigestCap,
-		Seed:      int64(p) + 1,
+		Part:     p,
+		Interval: params.GossipInterval,
+		Seed:     int64(p) + 1,
 	}
 }
 
@@ -285,7 +283,6 @@ func (k *Kernel) spawnNodeDaemons(host *simhost.Host, id types.NodeID, opts Opti
 		Partition: part.ID, GSDNode: part.Server,
 		Interval: params.HeartbeatInterval, NICs: k.Topo.NICs,
 		Supervise: true, DetectorSample: params.DetectorSampleInterval,
-		Jitter: params.HeartbeatJitter,
 	})
 	wd.UseStore(opts.IncarnationStore)
 	if _, err := host.Spawn(wd); err != nil {
@@ -308,8 +305,6 @@ func bulletinConfig(params config.Params) bulletin.Config {
 		FetchTimeout: params.BulletinFetchTimeout,
 		CacheTTL:     params.BulletinCacheTTL,
 		EntryTTL:     4 * params.DetectorSampleInterval,
-		Replicas:     params.BulletinReplicas,
-		VNodes:       params.BulletinVNodes,
 		DeltaFlush:   params.BulletinDeltaFlush,
 	}
 }

@@ -147,6 +147,16 @@ type metaFlapState struct {
 	at    time.Time
 }
 
+const (
+	// metaFlapThreshold quarantines a meta-group slot whose decaying flap
+	// score reaches it, and clears the slot at half of it: the partition
+	// monitor's node threshold, applied to the ring.
+	metaFlapThreshold float64 = 3
+	// metaFlapHalfLifeBeats is the slot flap-score half-life in meta ring
+	// heartbeat intervals.
+	metaFlapHalfLifeBeats = 20
+)
+
 // New builds a GSD.
 func New(spec Spec) *Daemon {
 	// The gossip instance is a supervised partition service like the other
@@ -220,17 +230,8 @@ func (g *Daemon) Start(h *simhost.Handle) {
 		Interval:     p.HeartbeatInterval,
 		Grace:        p.HeartbeatGrace,
 		ProbeTimeout: p.PartitionProbeTimeout,
-		AnalysisCost: p.MatrixAnalysisCost,
 		NICs:         g.spec.Topo.NICs,
-		WatchService: types.SvcWD,
-
-		SuspicionThreshold: p.SuspicionThreshold,
-		SuspicionWindow:    p.SuspicionWindow,
-		MaxDeadlineFactor:  p.SuspicionMaxFactor,
-		IndirectProbes:     p.IndirectProbes,
-		Peers:              g.indirectPeers,
-		FlapThreshold:      p.FlapThreshold,
-		FlapHalfLife:       p.FlapHalfLifeOrDefault(),
+		Peers:        g.indirectPeers,
 	}, heartbeat.Callbacks{
 		OnSuspect:      g.onNodeSuspect,
 		OnNICSuspect:   g.onNICSuspect,
@@ -609,7 +610,6 @@ func (g *Daemon) respawnWD(node types.NodeID) {
 		Interval:  g.spec.Params.HeartbeatInterval,
 		NICs:      g.spec.Topo.NICs,
 		Supervise: true, DetectorSample: g.spec.Params.DetectorSampleInterval,
-		Jitter: g.spec.Params.HeartbeatJitter,
 	}
 	tok := g.pending.New(g.spec.Params.RPCTimeout,
 		func(payload any) {
@@ -666,7 +666,6 @@ func (g *Daemon) reseedNode(node types.NodeID) {
 		Partition: g.spec.Partition, GSDNode: g.h.Node(),
 		Interval: g.spec.Params.HeartbeatInterval, NICs: g.spec.Topo.NICs,
 		Supervise: true, DetectorSample: g.spec.Params.DetectorSampleInterval,
-		Jitter: g.spec.Params.HeartbeatJitter,
 	}
 	send := func(service string, spec any) {
 		tok := g.pending.New(g.spec.Params.RPCTimeout, func(any) {}, nil)
@@ -706,6 +705,10 @@ func (g *Daemon) armRecovering(svc string) {
 	g.recovering[svc] = g.h.Now().Add(g.spec.Params.ServiceRecoveryDeadline())
 }
 
+// localCheckCost models the process-table lookup that diagnoses a local
+// service death (paper Table 3: ~12 µs).
+const localCheckCost = 12 * time.Microsecond
+
 func (g *Daemon) localCheck() {
 	// Re-stamp the partition's liveness summary each check period: the
 	// periodic push re-seeds a restarted gossip instance and keeps the
@@ -719,7 +722,7 @@ func (g *Daemon) localCheck() {
 		}
 		g.armRecovering(svc)
 		g.publish(types.Event{Type: types.EvServiceSuspect, Service: svc, Node: g.h.Node()})
-		g.h.After(g.spec.Params.LocalCheckCost, func() {
+		g.h.After(localCheckCost, func() {
 			g.publish(types.Event{Type: types.EvServiceFail, Service: svc, Node: g.h.Node()})
 			g.restartLocalService(svc)
 		})
@@ -804,10 +807,6 @@ func (g *Daemon) onMemberSuspect(part types.PartitionID, node types.NodeID) {
 // view (shard ownership moves to stable partitions, membership and
 // monitoring continue).
 func (g *Daemon) bumpMetaFlap(part types.PartitionID) {
-	p := g.spec.Params
-	if p.FlapThreshold <= 0 {
-		return
-	}
 	fs, ok := g.metaFlap[part]
 	if !ok {
 		fs = &metaFlapState{}
@@ -816,7 +815,7 @@ func (g *Daemon) bumpMetaFlap(part types.PartitionID) {
 	now := g.h.Now()
 	fs.score = fs.decayed(now, g.metaHalfLife()) + 1
 	fs.at = now
-	if fs.score >= p.FlapThreshold && !g.member.View().Quarantined(part) {
+	if fs.score >= metaFlapThreshold && !g.member.View().Quarantined(part) {
 		g.member.SetQuarantined(part, true)
 		g.publish(types.Event{Type: types.EvNodeQuarantine, Service: types.SvcGSD,
 			Detail: part.String()})
@@ -827,10 +826,6 @@ func (g *Daemon) bumpMetaFlap(part types.PartitionID) {
 // half the threshold; only the slot's current ring monitor acts, so there
 // is a single writer per slot.
 func (g *Daemon) metaFlapSweep() {
-	p := g.spec.Params
-	if p.FlapThreshold <= 0 {
-		return
-	}
 	v := g.member.View()
 	now := g.h.Now()
 	for part, fs := range g.metaFlap {
@@ -840,7 +835,7 @@ func (g *Daemon) metaFlapSweep() {
 		if succ, ok := v.Successor(part); !ok || succ != g.spec.Partition {
 			continue
 		}
-		if fs.decayed(now, g.metaHalfLife()) <= p.FlapThreshold/2 {
+		if fs.decayed(now, g.metaHalfLife()) <= metaFlapThreshold/2 {
 			g.member.SetQuarantined(part, false)
 			g.publish(types.Event{Type: types.EvNodeStable, Service: types.SvcGSD,
 				Detail: part.String()})
@@ -850,10 +845,7 @@ func (g *Daemon) metaFlapSweep() {
 
 // metaHalfLife scales the flap decay to the meta ring's cadence.
 func (g *Daemon) metaHalfLife() time.Duration {
-	if g.spec.Params.FlapHalfLife > 0 {
-		return g.spec.Params.FlapHalfLife
-	}
-	return 20 * g.spec.Params.MetaHeartbeatInterval
+	return metaFlapHalfLifeBeats * g.spec.Params.MetaHeartbeatInterval
 }
 
 func (fs *metaFlapState) decayed(now time.Time, halfLife time.Duration) float64 {

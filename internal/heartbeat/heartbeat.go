@@ -175,37 +175,40 @@ type Callbacks struct {
 	OnQuarantine func(node types.NodeID, on bool)
 }
 
+// Detection constants: the paper makes only the heartbeat interval a
+// system parameter.
+const (
+	// analysisCost models the receipt-matrix analysis that diagnoses a
+	// NIC failure (paper Tables 1-2: ~350 µs).
+	analysisCost = 350 * time.Microsecond
+	// suspicionThreshold is the accrual suspicion level at which a miss is
+	// declared: level 8 ≈ one-in-10^8 odds the node is still alive under
+	// the observed arrival distribution. With a clean network the adaptive
+	// deadline sits on the fixed Interval+Grace floor.
+	suspicionThreshold float64 = 8
+	// maxDeadlineFactor caps the adaptive deadline at this multiple of the
+	// fixed deadline.
+	maxDeadlineFactor = 6
+	// indirectProbes is how many peers are asked to probe a suspect over
+	// their own interfaces before silence escalates to a node-fail verdict.
+	indirectProbes = 2
+	// flapThreshold quarantines a node whose decaying flap score reaches
+	// it; the node is cleared when the score falls to half of it.
+	flapThreshold float64 = 3
+	// flapHalfLifeBeats is the flap-score decay half-life in heartbeat
+	// intervals.
+	flapHalfLifeBeats = 20
+)
+
 // Config tunes the monitor.
 type Config struct {
 	Interval     time.Duration // expected heartbeat period
 	Grace        time.Duration // slack before declaring a miss
 	ProbeTimeout time.Duration // agent-probe deadline for node-fault diagnosis
-	AnalysisCost time.Duration // receipt-matrix analysis cost (NIC diagnosis)
 	NICs         int
-	WatchService string // daemon whose liveness the probe queries (SvcWD)
-
-	// SuspicionThreshold enables adaptive accrual detection: the per-node
-	// deadline follows the observed inter-arrival distribution, floored
-	// at the fixed Interval+Grace deadline and capped at
-	// MaxDeadlineFactor times it. Zero keeps the fixed deadline.
-	SuspicionThreshold float64
-	// SuspicionWindow is the inter-arrival sample window size (default 64).
-	SuspicionWindow int
-	// MaxDeadlineFactor caps the adaptive deadline (default 6x).
-	MaxDeadlineFactor float64
-	// IndirectProbes is how many peers are asked to probe a suspect over
-	// their own interfaces before silence escalates to a node-fail
-	// verdict. Zero disables indirect probing.
-	IndirectProbes int
 	// Peers supplies candidate indirect-probe relays (healthy partition
-	// members, excluding the suspect).
+	// members, excluding the suspect); nil sends no indirect probes.
 	Peers func(exclude types.NodeID) []types.NodeID
-	// FlapThreshold quarantines a node whose decaying flap score reaches
-	// it; the node is cleared when the score falls to half the threshold.
-	// Zero disables quarantine.
-	FlapThreshold float64
-	// FlapHalfLife is the flap-score decay half-life (default 20 intervals).
-	FlapHalfLife time.Duration
 }
 
 type nodeTrack struct {
@@ -218,7 +221,7 @@ type nodeTrack struct {
 	diagnosing      bool
 	nicCheckPending bool
 
-	window      *arrivalWindow // inter-arrival samples (accrual mode)
+	window      *arrivalWindow // inter-arrival samples
 	lastSeq     uint64         // highest heartbeat seq seen
 	lastArrival time.Time      // first-copy arrival time of lastSeq
 	inc         uint64         // node's current incarnation
@@ -261,9 +264,6 @@ type Monitor struct {
 // NewMonitor builds a monitor; the owner must route agent probe acks to
 // HandleProbeAck and heartbeats to HandleHeartbeat.
 func NewMonitor(r rt.Runtime, cfg Config, cb Callbacks) *Monitor {
-	if cfg.WatchService == "" {
-		cfg.WatchService = types.SvcWD
-	}
 	return &Monitor{
 		rt: r, cfg: cfg, cb: cb,
 		pending: rpc.NewPending(r),
@@ -281,9 +281,7 @@ func (m *Monitor) Watch(node types.NodeID) {
 		lastSeen:   m.rt.Now(),
 		lastPerNIC: make([]time.Time, m.cfg.NICs),
 		nicDown:    make([]bool, m.cfg.NICs),
-	}
-	if m.cfg.SuspicionThreshold > 0 {
-		tr.window = newArrivalWindow(m.cfg.SuspicionWindow)
+		window:     newArrivalWindow(),
 	}
 	now := m.rt.Now()
 	for i := range tr.lastPerNIC {
@@ -377,18 +375,11 @@ func (m *Monitor) armDeadline(node types.NodeID, tr *nodeTrack) {
 // configured period.
 func (m *Monitor) deadlineFor(tr *nodeTrack) time.Duration {
 	base := m.cfg.Interval + m.cfg.Grace
-	if m.cfg.SuspicionThreshold <= 0 || tr.window == nil {
-		return base
-	}
-	ad, ok := tr.window.deadlineFor(m.cfg.SuspicionThreshold, m.minStd())
+	ad, ok := tr.window.deadlineFor(suspicionThreshold, m.minStd())
 	if !ok || ad <= base {
 		return base
 	}
-	factor := m.cfg.MaxDeadlineFactor
-	if factor <= 0 {
-		factor = 6
-	}
-	if lim := time.Duration(factor * float64(base)); ad > lim {
+	if lim := maxDeadlineFactor * base; ad > lim {
 		return lim
 	}
 	return ad
@@ -406,10 +397,7 @@ func (m *Monitor) minStd() time.Duration {
 }
 
 func (m *Monitor) flapHalfLife() time.Duration {
-	if m.cfg.FlapHalfLife > 0 {
-		return m.cfg.FlapHalfLife
-	}
-	return 20 * m.cfg.Interval
+	return flapHalfLifeBeats * m.cfg.Interval
 }
 
 // HandleHeartbeat processes one received heartbeat. nic is the interface
@@ -425,7 +413,7 @@ func (m *Monitor) HandleHeartbeat(hb Heartbeat, nic int) {
 	// sibling copies a beat fans out over the other NICs must not count,
 	// and a reordered duplicate of an old beat carries no new timing.
 	if hb.Seq > tr.lastSeq || !hb.Boot.Equal(tr.lastBoot) {
-		if tr.window != nil && tr.status == StatusHealthy && !tr.lastArrival.IsZero() {
+		if tr.status == StatusHealthy && !tr.lastArrival.IsZero() {
 			if gap := now.Sub(tr.lastArrival); gap > 0 {
 				tr.window.add(gap)
 			}
@@ -505,17 +493,14 @@ func (m *Monitor) HandleHeartbeat(hb Heartbeat, nic int) {
 // evalQuarantine applies the flap hysteresis: quarantine at the
 // threshold, clear at half of it.
 func (m *Monitor) evalQuarantine(node types.NodeID, tr *nodeTrack, now time.Time) {
-	if m.cfg.FlapThreshold <= 0 {
-		return
-	}
 	score := tr.flap.decayed(now, m.flapHalfLife())
 	switch {
-	case !tr.quarantined && score >= m.cfg.FlapThreshold:
+	case !tr.quarantined && score >= flapThreshold:
 		tr.quarantined = true
 		if m.cb.OnQuarantine != nil {
 			m.cb.OnQuarantine(node, true)
 		}
-	case tr.quarantined && score <= m.cfg.FlapThreshold/2:
+	case tr.quarantined && score <= flapThreshold/2:
 		tr.quarantined = false
 		if m.cb.OnQuarantine != nil {
 			m.cb.OnQuarantine(node, false)
@@ -544,7 +529,7 @@ func (m *Monitor) siblingCheck(node types.NodeID) {
 		if m.cb.OnNICSuspect != nil {
 			m.cb.OnNICSuspect(node, k)
 		}
-		m.rt.After(m.cfg.AnalysisCost, func() {
+		m.rt.After(analysisCost, func() {
 			if m.cb.OnDiagnosed != nil {
 				m.cb.OnDiagnosed(Verdict{Node: node, Kind: types.FaultNIC, NIC: k})
 			}
@@ -572,14 +557,14 @@ func (m *Monitor) deadlineExpired(node types.NodeID) {
 	// Give the node itself the chance to refute: a live WD bumps its
 	// incarnation and beats back immediately.
 	for nic := 0; nic < m.cfg.NICs; nic++ {
-		m.rt.Send(types.Addr{Node: node, Service: m.cfg.WatchService}, nic,
+		m.rt.Send(types.Addr{Node: node, Service: types.SvcWD}, nic,
 			MsgSuspect, SuspectNotice{Node: node, Inc: tr.inc})
 	}
 	m.probe(node, tr)
 }
 
 // probe performs diagnosis: ProbeReq on every interface plus indirect
-// probes through up to IndirectProbes peer WDs; the first answer —
+// probes through up to indirectProbes peer WDs; the first answer —
 // direct or relayed — settles process-vs-node, silence until the timeout
 // means node failure.
 func (m *Monitor) probe(node types.NodeID, tr *nodeTrack) {
@@ -621,18 +606,18 @@ func (m *Monitor) probe(node types.NodeID, tr *nodeTrack) {
 	tr.probeToken = token
 	for nic := 0; nic < m.cfg.NICs; nic++ {
 		m.rt.Send(types.Addr{Node: node, Service: types.SvcAgent}, nic,
-			simhost.MsgProbe, simhost.ProbeReq{Service: m.cfg.WatchService, Token: token})
+			simhost.MsgProbe, simhost.ProbeReq{Service: types.SvcWD, Token: token})
 	}
-	if m.cfg.IndirectProbes <= 0 || m.cfg.Peers == nil {
+	if m.cfg.Peers == nil {
 		return
 	}
 	peers := m.cfg.Peers(node)
 	for i, peer := range peers {
-		if i >= m.cfg.IndirectProbes {
+		if i >= indirectProbes {
 			break
 		}
-		m.rt.Send(types.Addr{Node: peer, Service: m.cfg.WatchService}, i%m.cfg.NICs,
-			MsgIndirectProbe, IndirectProbeReq{Target: node, Service: m.cfg.WatchService, Token: token})
+		m.rt.Send(types.Addr{Node: peer, Service: types.SvcWD}, i%m.cfg.NICs,
+			MsgIndirectProbe, IndirectProbeReq{Target: node, Service: types.SvcWD, Token: token})
 	}
 }
 
@@ -685,7 +670,7 @@ func (m *Monitor) Snapshot() []NodeInfo {
 			Flap:        tr.flap.decayed(now, m.flapHalfLife()),
 			Quarantined: tr.quarantined,
 		}
-		if tr.window != nil && tr.status == StatusHealthy {
+		if tr.status == StatusHealthy {
 			since := tr.lastArrival
 			if since.IsZero() {
 				since = tr.lastSeen

@@ -18,6 +18,7 @@ import (
 type gsdStub struct {
 	cfg heartbeat.Config
 	mon *heartbeat.Monitor
+	h   *simhost.Handle
 
 	suspects      []types.NodeID
 	nicSuspects   [][2]int
@@ -27,11 +28,14 @@ type gsdStub struct {
 	suspectTimes  []time.Time
 	verdictTimes  []time.Time
 	recoveryTimes []time.Time
+	quarantines   []bool    // OnQuarantine's on argument, in order
+	lastBeat      time.Time // arrival of the latest heartbeat copy
 }
 
 func (g *gsdStub) Service() string { return types.SvcGSD }
 func (g *gsdStub) OnStop()         {}
 func (g *gsdStub) Start(h *simhost.Handle) {
+	g.h = h
 	g.mon = heartbeat.NewMonitor(h, g.cfg, heartbeat.Callbacks{
 		OnSuspect: func(n types.NodeID) {
 			g.suspects = append(g.suspects, n)
@@ -51,13 +55,21 @@ func (g *gsdStub) Start(h *simhost.Handle) {
 		OnNICRecovered: func(n types.NodeID, nic int) {
 			g.nicRecovered = append(g.nicRecovered, [2]int{int(n), nic})
 		},
+		OnQuarantine: func(n types.NodeID, on bool) {
+			g.quarantines = append(g.quarantines, on)
+		},
 	})
 }
 func (g *gsdStub) Receive(msg types.Message) {
 	switch msg.Type {
 	case heartbeat.MsgHeartbeat:
 		if hb, ok := msg.Payload.(heartbeat.Heartbeat); ok {
+			g.lastBeat = g.h.Now()
 			g.mon.HandleHeartbeat(hb, msg.NIC)
+		}
+	case heartbeat.MsgIndirectAck:
+		if ack, ok := msg.Payload.(heartbeat.IndirectProbeAck); ok {
+			g.mon.HandleIndirectAck(ack)
 		}
 	case simhost.MsgProbeAck:
 		if ack, ok := msg.Payload.(simhost.ProbeAck); ok {
@@ -82,8 +94,7 @@ func rig(t *testing.T) (*sim.Engine, *simnet.Network, []*simhost.Host, *gsdStub,
 		simhost.New(1, net, eng, eng.Rand(), simhost.DefaultCosts()),
 	}
 	g := &gsdStub{cfg: heartbeat.Config{
-		Interval: tInterval, Grace: tGrace, ProbeTimeout: tProbeTO,
-		AnalysisCost: 350 * time.Microsecond, NICs: 3,
+		Interval: tInterval, Grace: tGrace, ProbeTimeout: tProbeTO, NICs: 3,
 	}}
 	if _, err := hosts[0].Spawn(g); err != nil {
 		t.Fatal(err)

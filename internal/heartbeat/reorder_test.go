@@ -12,8 +12,7 @@ import (
 	"repro/internal/types"
 )
 
-// reorderRig hosts a monitor with the suspicion lifecycle enabled and no
-// real WD: the test itself is the beat source, so it can craft duplicated
+// reorderRig hosts a monitor and no real WD: the test itself is the beat source, so it can craft duplicated
 // and reordered heartbeat streams the network would never admit to.
 func reorderRig(t *testing.T) (*sim.Engine, *simnet.Network, *gsdStub) {
 	t.Helper()
@@ -24,10 +23,7 @@ func reorderRig(t *testing.T) (*sim.Engine, *simnet.Network, *gsdStub) {
 		simhost.New(1, net, eng, eng.Rand(), simhost.DefaultCosts()),
 	}
 	g := &gsdStub{cfg: heartbeat.Config{
-		Interval: tInterval, Grace: tGrace, ProbeTimeout: tProbeTO,
-		AnalysisCost: 350 * time.Microsecond, NICs: 3,
-		WatchService:       types.SvcWD,
-		SuspicionThreshold: 8, SuspicionWindow: 64,
+		Interval: tInterval, Grace: tGrace, ProbeTimeout: tProbeTO, NICs: 3,
 	}}
 	if _, err := hosts[0].Spawn(g); err != nil {
 		t.Fatal(err)

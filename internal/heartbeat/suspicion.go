@@ -25,11 +25,11 @@ type arrivalWindow struct {
 // the adaptive estimate replaces the fixed deadline.
 const minAccrualSamples = 8
 
-func newArrivalWindow(capacity int) *arrivalWindow {
-	if capacity <= 0 {
-		capacity = 64
-	}
-	return &arrivalWindow{samples: make([]time.Duration, capacity)}
+// suspicionWindow is the per-node inter-arrival sample window.
+const suspicionWindow = 64
+
+func newArrivalWindow() *arrivalWindow {
+	return &arrivalWindow{samples: make([]time.Duration, suspicionWindow)}
 }
 
 func (w *arrivalWindow) add(d time.Duration) {

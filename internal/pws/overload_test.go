@@ -268,17 +268,18 @@ func TestPreemptionFreesServiceCapacity(t *testing.T) {
 }
 
 // Poison-job quarantine: a job whose slices keep dying lands in the
-// terminal failed state once its requeue budget is gone, with the reason
-// reported, instead of churning the cluster forever.
+// terminal failed state once its requeue budget of three is gone, with the
+// reason reported, instead of churning the cluster forever.
 func TestPoisonJobQuarantined(t *testing.T) {
 	pools := []pws.PoolSpec{{Name: "p", Nodes: []types.NodeID{3, 4}, Policy: pws.PolicyFIFO}}
-	c, _, client := rigSpec(t, pws.Spec{Pools: pools, Overload: pws.Overload{JobRequeueBudget: 2}})
+	c, _, client := rigSpec(t, pws.Spec{Pools: pools})
 	var id types.JobID
 	client.Submit(pws.Job{Pool: "p", Name: "poison", Duration: time.Hour, Width: 1},
 		func(a pws.SubmitAck) { id = a.ID })
 	c.RunFor(time.Second)
-	// Crash the job process wherever it lands, once per requeue attempt.
-	for i := 0; i < 3; i++ {
+	// Crash the job process wherever it lands: three requeues, then the
+	// fourth crash exhausts the budget.
+	for i := 0; i < 4; i++ {
 		killed := false
 		for _, n := range []types.NodeID{3, 4} {
 			if c.Host(n).Present("job/1") {

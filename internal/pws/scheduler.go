@@ -69,56 +69,33 @@ func shedName(level int) string {
 	return ShedNames[level]
 }
 
-// Overload configures the scheduler's overload machinery: the shed
-// ladder's utilisation thresholds, the step-down hysteresis, the
-// poison-job requeue budget and the lease-return delay. The zero value
-// derives every threshold; Enabled is forced on when the spec has a
-// service pool (a mixed-regime scheduler must protect its service
-// traffic), and the requeue budget applies whether or not the ladder is
-// enabled.
+// shedAt holds each rung's cluster utilisation threshold. Service pools
+// are never shed.
+var shedAt = [...]float64{shedPause: 0.85, shedPreempt: 0.92, shedRefuse: 0.97}
+
+const (
+	// hysteresis is how far below a rung's threshold the utilisation must
+	// fall before the ladder steps down one level, so a cluster hovering
+	// on a threshold does not flap between shedding and dispatching.
+	hysteresis = 0.15
+	// jobRequeueBudget bounds how many times one job is requeued after
+	// slice crashes or dispatch failures before it is quarantined in the
+	// terminal failed state.
+	jobRequeueBudget = 3
+)
+
+// Overload configures the scheduler's overload machinery beyond its fixed
+// ladder: how long a service pool keeps a borrowed node (zero derives
+// DefaultParams' delay). The ladder runs when the spec has a service pool
+// (a mixed-regime scheduler must protect its service traffic); the
+// requeue budget applies either way.
 type Overload struct {
-	Enabled          bool
-	PauseAt          float64
-	PreemptAt        float64
-	RefuseAt         float64
-	Hysteresis       float64
-	JobRequeueBudget int
 	LeaseReturnDelay time.Duration
 }
 
 // OverloadFromParams lifts the kernel parameters' overload knobs.
 func OverloadFromParams(p config.Params) Overload {
-	return Overload{
-		PauseAt:          p.UtilPauseAt,
-		PreemptAt:        p.UtilPreemptAt,
-		RefuseAt:         p.UtilRefuseAt,
-		Hysteresis:       p.UtilHysteresis,
-		JobRequeueBudget: p.JobRequeueBudget,
-		LeaseReturnDelay: p.LeaseReturnDelay,
-	}
-}
-
-func (o Overload) withDefaults() Overload {
-	def := config.DefaultParams()
-	if o.PauseAt <= 0 {
-		o.PauseAt = def.UtilPauseAt
-	}
-	if o.PreemptAt <= 0 {
-		o.PreemptAt = def.UtilPreemptAt
-	}
-	if o.RefuseAt <= 0 {
-		o.RefuseAt = def.UtilRefuseAt
-	}
-	if o.Hysteresis <= 0 {
-		o.Hysteresis = def.UtilHysteresis
-	}
-	if o.JobRequeueBudget <= 0 {
-		o.JobRequeueBudget = def.JobRequeueBudget
-	}
-	if o.LeaseReturnDelay <= 0 {
-		o.LeaseReturnDelay = def.LeaseReturnDelay
-	}
-	return o
+	return Overload{LeaseReturnDelay: p.LeaseReturnDelay}
 }
 
 // Spec configures the PWS scheduler daemon.
@@ -209,8 +186,9 @@ const noNode = types.NodeID(-1)
 // the basis of group service with high availability guaranteed").
 type Scheduler struct {
 	spec Spec
-	ov   Overload
 	h    *simhost.Handle
+	// shedding runs the shed ladder: on when the spec has a service pool.
+	shedding bool
 
 	caller   *rpc.Caller // PPM load/kill/query calls
 	events   *events.Client
@@ -256,15 +234,11 @@ func New(spec Spec) *Scheduler {
 	if spec.CkptTimeout == 0 {
 		spec.CkptTimeout = 2 * time.Second
 	}
-	ov := spec.Overload.withDefaults()
-	for _, p := range spec.Pools {
-		if p.Type == PoolService {
-			ov.Enabled = true
-		}
+	if spec.Overload.LeaseReturnDelay <= 0 {
+		spec.Overload.LeaseReturnDelay = config.DefaultParams().LeaseReturnDelay
 	}
 	s := &Scheduler{
 		spec:        spec,
-		ov:          ov,
 		busy:        make(map[types.NodeID]types.JobID),
 		down:        make(map[types.NodeID]bool),
 		quarantined: make(map[types.NodeID]bool),
@@ -285,6 +259,9 @@ func New(spec Spec) *Scheduler {
 		},
 	}
 	for _, p := range spec.Pools {
+		if p.service() {
+			s.shedding = true
+		}
 		s.st.Queues[p.Name] = nil
 		for _, n := range p.Nodes {
 			s.home[n] = p.Name
@@ -311,8 +288,8 @@ func (s *Scheduler) Start(h *simhost.Handle) {
 		callerOpts.Pressure = rpc.NewGauge()
 	}
 	s.gauge = callerOpts.Pressure
-	if s.ov.Enabled {
-		callerOpts.ShedAt = s.ov.RefuseAt
+	if s.shedding {
+		callerOpts.ShedAt = shedAt[shedRefuse]
 	}
 	s.caller = rpc.NewCaller(h, callerOpts.WithBudget(3*time.Second))
 	local := func(svc string) func() (types.Addr, bool) {
@@ -471,7 +448,7 @@ func (s *Scheduler) submit(from types.Addr, req SubmitReq) {
 	// Admission control, the refuse rung: batch work is turned away while
 	// the cluster is overloaded. Service submits are never refused — the
 	// service path must stay open exactly when the cluster is hottest.
-	if s.ov.Enabled && !pool.service() && s.st.Shed >= shedRefuse {
+	if s.shedding && !pool.service() && s.st.Shed >= shedRefuse {
 		s.st.AdmissionRejects++
 		s.st.ShedTotal++
 		s.h.Send(from, types.AnyNIC, MsgSubmitAck, SubmitAck{
@@ -604,18 +581,6 @@ func (s *Scheduler) batchBacklog() int {
 	return total
 }
 
-func (s *Scheduler) threshold(level int) float64 {
-	switch level {
-	case shedPause:
-		return s.ov.PauseAt
-	case shedPreempt:
-		return s.ov.PreemptAt
-	case shedRefuse:
-		return s.ov.RefuseAt
-	}
-	return 0
-}
-
 // updateShed recomputes the utilisation signal and moves the shed ladder.
 // Escalation is immediate; de-escalation is one rung per cycle and only
 // once the utilisation clears the current rung's threshold by the
@@ -624,19 +589,19 @@ func (s *Scheduler) updateShed() {
 	util := s.clusterUtil()
 	s.lastUtil = util
 	s.gauge.Set(util)
-	if !s.ov.Enabled {
+	if !s.shedding {
 		return
 	}
 	backlog := s.batchBacklog()
 	sched := s.schedulable()
 	target := shedNone
-	if util >= s.ov.PauseAt {
+	if util >= shedAt[shedPause] {
 		target = shedPause
 	}
-	if util >= s.ov.PreemptAt && (s.pendingService > 0 || (sched > 0 && backlog >= sched)) {
+	if util >= shedAt[shedPreempt] && (s.pendingService > 0 || (sched > 0 && backlog >= sched)) {
 		target = shedPreempt
 	}
-	if util >= s.ov.RefuseAt && sched > 0 && backlog >= sched {
+	if util >= shedAt[shedRefuse] && sched > 0 && backlog >= sched {
 		target = shedRefuse
 	}
 	switch {
@@ -644,7 +609,7 @@ func (s *Scheduler) updateShed() {
 		s.st.Shed = target
 		s.events.Publish(types.Event{Type: types.EvConfigChange, Partition: s.spec.Partition,
 			Detail: fmt.Sprintf("pws shed ladder -> %s (util %.2f)", shedName(target), util)})
-	case target < s.st.Shed && util <= s.threshold(s.st.Shed)-s.ov.Hysteresis:
+	case target < s.st.Shed && util <= shedAt[s.st.Shed]-hysteresis:
 		s.st.Shed--
 		s.events.Publish(types.Event{Type: types.EvConfigChange, Partition: s.spec.Partition,
 			Detail: fmt.Sprintf("pws shed ladder -> %s (util %.2f)", shedName(s.st.Shed), util)})
@@ -658,7 +623,7 @@ func (s *Scheduler) sweepRetained() {
 	if len(s.st.Retained) == 0 {
 		return
 	}
-	if s.lastUtil >= s.ov.PauseAt-s.ov.Hysteresis {
+	if s.lastUtil >= shedAt[shedPause]-hysteresis {
 		for n, r := range s.st.Retained {
 			r.FreedAt = s.h.Now()
 			s.st.Retained[n] = r
@@ -667,7 +632,7 @@ func (s *Scheduler) sweepRetained() {
 	}
 	changed := false
 	for n, r := range s.st.Retained {
-		if s.h.Now().Sub(r.FreedAt) < s.ov.LeaseReturnDelay {
+		if s.h.Now().Sub(r.FreedAt) < s.spec.Overload.LeaseReturnDelay {
 			continue
 		}
 		delete(s.st.Retained, n)
@@ -722,10 +687,10 @@ func (s *Scheduler) dispatchAll() {
 	// freed node can serve; with no service waiting, preemption would be
 	// pure churn (the requeued job could not dispatch anyway while the
 	// ladder holds batch).
-	if s.ov.Enabled && s.st.Shed >= shedPreempt && s.pendingService > 0 {
+	if s.shedding && s.st.Shed >= shedPreempt && s.pendingService > 0 {
 		changed = s.preemptOne() || changed
 	}
-	paused := s.ov.Enabled && s.st.Shed >= shedPause
+	paused := s.shedding && s.st.Shed >= shedPause
 	for i := range s.spec.Pools {
 		pool := &s.spec.Pools[i]
 		if pool.service() {
@@ -936,7 +901,7 @@ func (s *Scheduler) releaseNode(n types.NodeID, rj *RunJob) {
 		return
 	}
 	pool := s.poolByName(rj.Job.Pool)
-	if s.ov.Enabled && pool != nil && pool.service() && !s.down[n] {
+	if s.shedding && pool != nil && pool.service() && !s.down[n] {
 		s.st.Retained[n] = retainedLease{From: lender, By: pool.Name, FreedAt: s.h.Now()}
 		s.leasedTo[n] = pool.Name
 		return
@@ -1065,7 +1030,7 @@ func (s *Scheduler) requeue(id types.JobID, failedNode types.NodeID, countAttemp
 	}
 	if countAttempt {
 		s.st.Attempts[id]++
-		if s.st.Attempts[id] > s.ov.JobRequeueBudget {
+		if s.st.Attempts[id] > jobRequeueBudget {
 			s.quarantineJob(id, reason)
 			return
 		}
@@ -1082,7 +1047,7 @@ func (s *Scheduler) requeue(id types.JobID, failedNode types.NodeID, countAttemp
 
 // quarantineJob moves a poison job to the terminal failed state.
 func (s *Scheduler) quarantineJob(id types.JobID, reason string) {
-	full := fmt.Sprintf("%s (requeue budget %d exhausted)", reason, s.ov.JobRequeueBudget)
+	full := fmt.Sprintf("%s (requeue budget %d exhausted)", reason, jobRequeueBudget)
 	s.st.Failed++
 	s.st.Outcomes[id] = StateFailed
 	s.st.FailReasons[id] = full

@@ -42,13 +42,6 @@ type Spec struct {
 	// DetectorSample is the sampling period used when respawning the
 	// detector.
 	DetectorSample time.Duration
-	// Jitter offsets each beat by a uniform random duration in ±Jitter,
-	// drawn from the host's deterministic RNG, so the WDs of a large
-	// cluster drift out of phase instead of bursting at the GSD in
-	// lockstep. It must stay safely below the monitor's grace (the
-	// deadline is Interval+Grace from the previous beat). Zero keeps the
-	// fixed-period ticker.
-	Jitter time.Duration
 }
 
 // WD is the watch daemon process.
@@ -88,30 +81,11 @@ func (w *WD) Start(h *simhost.Handle) {
 	w.boot = h.Now()
 	w.prober = heartbeat.NewProber(h, w.spec.NICs)
 	w.beat()
-	if w.spec.Jitter <= 0 {
-		h.Every(w.spec.Interval, func() { w.tick() })
-		return
-	}
-	w.schedule()
-}
-
-func (w *WD) tick() {
-	w.beat()
-	if w.spec.Supervise {
-		w.checkLocalDaemons()
-	}
-}
-
-// schedule arms the next beat relative to the current one at Interval
-// plus a fresh ±Jitter offset. Because the monitor re-arms its deadline
-// from each beat it receives, the inter-beat gap — never above
-// Interval+Jitter — is what must stay under Interval+Grace; the absolute
-// phase meanwhile random-walks, which is the point.
-func (w *WD) schedule() {
-	j := time.Duration(w.h.Rand().Int63n(int64(2*w.spec.Jitter)+1)) - w.spec.Jitter
-	w.h.After(w.spec.Interval+j, func() {
-		w.tick()
-		w.schedule()
+	h.Every(w.spec.Interval, func() {
+		w.beat()
+		if w.spec.Supervise {
+			w.checkLocalDaemons()
+		}
 	})
 }
 

@@ -23,8 +23,7 @@ func (s Spec) AppendWire(buf []byte) []byte {
 	buf = wirebin.AppendDuration(buf, s.Interval)
 	buf = wirebin.AppendVarint(buf, int64(s.NICs))
 	buf = wirebin.AppendBool(buf, s.Supervise)
-	buf = wirebin.AppendDuration(buf, s.DetectorSample)
-	return wirebin.AppendDuration(buf, s.Jitter)
+	return wirebin.AppendDuration(buf, s.DetectorSample)
 }
 
 // DecodeWire implements codec.Payload.
@@ -36,6 +35,5 @@ func (s *Spec) DecodeWire(data []byte) error {
 	s.NICs = int(r.Varint())
 	s.Supervise = r.Bool()
 	s.DetectorSample = r.Duration()
-	s.Jitter = r.Duration()
 	return r.Close()
 }
