@@ -2,8 +2,10 @@ package pws
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -1115,13 +1117,14 @@ func (s *Scheduler) notifyDrain(n types.NodeID, draining bool) {
 // pressure the next period re-issues them. It also re-asserts active
 // drain marks.
 func (s *Scheduler) reconcile() {
-	for n, draining := range s.st.Draining {
-		if draining && !s.down[n] {
+	// Sorted, so a failover replays the same sends in the same order.
+	for _, n := range sortedKeys(s.st.Draining) {
+		if s.st.Draining[n] && !s.down[n] {
 			s.notifyDrain(n, true)
 		}
 	}
-	for id, rj := range s.st.Running {
-		id, rj := id, rj
+	for _, id := range sortedKeys(s.st.Running) {
+		id, rj := id, s.st.Running[id]
 		gen := rj.Gen
 		for _, n := range rj.Nodes {
 			n := n
@@ -1298,3 +1301,12 @@ func decodeState(data []byte) (state, error) {
 }
 
 var _ simhost.Process = (*Scheduler)(nil)
+
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
