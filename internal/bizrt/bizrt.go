@@ -34,9 +34,6 @@ type Request struct {
 	Hops     []types.NodeID
 }
 
-// WireSize implements codec.Sizer.
-func (r Request) WireSize() int { return 40 + 8*len(r.Hops) }
-
 // Response answers a request.
 type Response struct {
 	ID       uint64
@@ -45,9 +42,6 @@ type Response struct {
 	IssuedAt time.Time      // echoed from the request
 	Hops     []types.NodeID // instance nodes that served each tier
 }
-
-// WireSize implements codec.Sizer.
-func (r Response) WireSize() int { return 24 + 8*len(r.Hops) }
 
 func init() {
 	codec.RegisterGob(Request{})

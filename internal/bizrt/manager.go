@@ -26,9 +26,6 @@ type LatencyReport struct {
 	OK      bool
 }
 
-// WireSize implements codec.Sizer.
-func (LatencyReport) WireSize() int { return 32 }
-
 // FrontendsReq asks for the current frontend replica set.
 type FrontendsReq struct {
 	Token uint64

@@ -53,19 +53,12 @@ type PutReq struct {
 	Fwd        bool
 }
 
-// WireSize implements codec.Sizer: detector exports are the bulletin's hot
-// path.
-func (PutReq) WireSize() int { return 96 }
-
 // QueryReq asks for resource and application state.
 type QueryReq struct {
 	Token      uint64
 	Scope      Scope
 	MapVersion uint64 // requester's shard-map version, for the piggyback
 }
-
-// WireSize implements codec.Sizer.
-func (QueryReq) WireSize() int { return 16 }
 
 // Snapshot is one partition's worth of bulletin data.
 type Snapshot struct {
@@ -90,9 +83,6 @@ type QueryAck struct {
 
 // FetchReq asks a peer for its partition snapshot.
 type FetchReq struct{ Token uint64 }
-
-// WireSize implements codec.Sizer.
-func (FetchReq) WireSize() int { return 8 }
 
 // FetchAck answers a fetch.
 type FetchAck struct {

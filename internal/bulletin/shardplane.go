@@ -51,9 +51,6 @@ type GetReq struct {
 	MapVersion uint64 // requester's shard-map version
 }
 
-// WireSize implements codec.Sizer: keyed reads are the data plane's hot path.
-func (GetReq) WireSize() int { return 24 }
-
 // GetAck answers a keyed read.
 type GetAck struct {
 	Token      uint64
@@ -70,9 +67,6 @@ type GetAck struct {
 // SyncReq asks a peer for its full shard store (anti-entropy after a map
 // change or a detected delta gap).
 type SyncReq struct{ Token uint64 }
-
-// WireSize implements codec.Sizer.
-func (SyncReq) WireSize() int { return 8 }
 
 // SyncAck carries the peer's shard rows and its delta sequence.
 type SyncAck struct {

@@ -85,8 +85,8 @@ func TestDecodeWireZeroAllocs(t *testing.T) {
 }
 
 func TestSizeZeroAllocsForBinary(t *testing.T) {
-	// Size of a binary payload without a Sizer goes through the pooled
-	// scratch buffer — steady-state it must not allocate either.
+	// Size of a binary payload encodes into the pooled scratch buffer —
+	// steady-state it must not allocate either.
 	msg := types.Message{Type: "x", Payload: types.AppState{Node: 1, Name: "a"}}
 	codec.Size(msg) // warm the scratch pool
 	allocs := testing.AllocsPerRun(200, func() { codec.Size(msg) })

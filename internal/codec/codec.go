@@ -20,8 +20,9 @@
 // exemplar per type from both families, which the registry-wide
 // round-trip test walks so nothing reaches a real socket unencodable.
 //
-// Size weighs a message for the simulated network without encoding it; gob
-// payloads by a bounded reflection walk over their exported fields.
+// Size weighs a message for the simulated network by one rule per family:
+// a binary payload by its encoding, a gob payload by a bounded reflection
+// walk over its exported fields.
 package codec
 
 import (
@@ -71,12 +72,6 @@ const (
 	// 48+ bulletin, 64+ events, 80+ watchd, 96+ gossip.
 	FirstPayloadID = 16
 )
-
-// Sizer lets a payload report its wire size directly, bypassing the
-// encoder on hot size-accounting paths (the simulated network).
-type Sizer interface {
-	WireSize() int
-}
 
 // EnvelopeOverhead approximates the per-message framing cost on a real
 // wire: addresses, message type tag, and length framing.
@@ -350,11 +345,11 @@ type sizeBuf struct{ b []byte }
 // since process start.
 func SizeErrors() uint64 { return sizeErrors.Load() }
 
-// Size reports the approximate wire size of a message in bytes without
-// encoding it: Sizer payloads report it themselves, binary payloads are
-// measured exactly through their codec (into a pooled scratch buffer),
-// nil payloads cost only the envelope, and gob payloads are weighed by
-// walkSize in O(fields), not O(bytes), without gob's type description.
+// Size reports the approximate wire size of a message in bytes: the
+// envelope plus the payload. A binary payload is measured exactly through
+// its codec (into a pooled scratch buffer), a nil payload costs nothing,
+// and a gob payload is weighed without encoding it, by walkSize in
+// O(fields), not O(bytes), without gob's type description.
 // Payloads of an unregistered type count as the envelope alone, add to
 // SizeErrors, and log once. Only a walk through a map allocates.
 func Size(msg types.Message) int {
@@ -362,8 +357,6 @@ func Size(msg types.Message) int {
 	switch p := msg.Payload.(type) {
 	case nil:
 		return EnvelopeOverhead
-	case Sizer:
-		return EnvelopeOverhead + p.WireSize()
 	case wireAppender:
 		if _, ok := lookupBinary(msg.Payload); ok {
 			sb := sizeScratch.Get().(*sizeBuf)

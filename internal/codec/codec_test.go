@@ -46,17 +46,6 @@ func TestDecodeGarbage(t *testing.T) {
 	}
 }
 
-type fixedSize struct{ n int }
-
-func (f fixedSize) WireSize() int { return f.n }
-
-func TestSizeSizerFastPath(t *testing.T) {
-	msg := types.Message{Type: "hb", Payload: fixedSize{n: 40}}
-	if got := Size(msg); got != EnvelopeOverhead+40 {
-		t.Fatalf("Size with Sizer = %d, want %d", got, EnvelopeOverhead+40)
-	}
-}
-
 func TestSizeNilPayload(t *testing.T) {
 	msg := types.Message{Type: "probe"}
 	if got := Size(msg); got != EnvelopeOverhead {

@@ -111,9 +111,9 @@ func TestRegisteredPayloadsRoundTrip(t *testing.T) {
 // TestSizeWalksEveryRegisteredPayload weighs every registered payload
 // type — filled, plus the nested exemplars and the payloads that carry an
 // interface or a pointer — and requires at least the envelope, no panic
-// and no size error. On gob-family types without a Sizer, growing a
-// top-level string or []byte field by n bytes must grow the size by
-// exactly n.
+// and no size error. A binary payload must weigh exactly the envelope
+// plus its encoding. On gob-family types, growing a top-level string or
+// []byte field by n bytes must grow the size by exactly n.
 func TestSizeWalksEveryRegisteredPayload(t *testing.T) {
 	payloads := append([]any{
 		simhost.SpawnReq{Service: types.SvcGSD, Spec: gsd.SpawnSpec{Partition: 1}, Token: 2},
@@ -130,9 +130,13 @@ func TestSizeWalksEveryRegisteredPayload(t *testing.T) {
 		if got := size(p); got < codec.EnvelopeOverhead {
 			t.Errorf("%T: size %d is below the envelope", p, got)
 		}
-		_, bin := p.(binaryPayload)
-		_, sizer := p.(codec.Sizer)
-		if bin || sizer || reflect.TypeOf(p).Kind() != reflect.Struct {
+		if bin, ok := p.(binaryPayload); ok {
+			if got, want := size(p), codec.EnvelopeOverhead+len(bin.AppendWire(nil)); got != want {
+				t.Errorf("%T: size %d, want the envelope plus its %d-byte encoding = %d", p, got, want-codec.EnvelopeOverhead, want)
+			}
+			continue
+		}
+		if reflect.TypeOf(p).Kind() != reflect.Struct {
 			continue
 		}
 		base := size(p)

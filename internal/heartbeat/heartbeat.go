@@ -60,9 +60,6 @@ type GSDAnnounce struct {
 	Epoch     uint64
 }
 
-// WireSize implements codec.Sizer.
-func (GSDAnnounce) WireSize() int { return 24 }
-
 // Heartbeat is the periodic liveness report. The boot time lets the
 // monitor recognise a restarted watch daemon; the incarnation number
 // (persisted in the node's state dir) rises when the node refutes a
@@ -75,9 +72,6 @@ type Heartbeat struct {
 	Inc      uint64
 }
 
-// WireSize implements codec.Sizer; heartbeats dominate kernel traffic.
-func (Heartbeat) WireSize() int { return 56 }
-
 // SuspectNotice tells a node it is under suspicion at the given
 // incarnation.
 type SuspectNotice struct {
@@ -85,18 +79,12 @@ type SuspectNotice struct {
 	Inc  uint64
 }
 
-// WireSize implements codec.Sizer.
-func (SuspectNotice) WireSize() int { return 16 }
-
 // IndirectProbeReq asks a peer WD to probe Target's agent about Service.
 type IndirectProbeReq struct {
 	Target  types.NodeID
 	Service string
 	Token   uint64
 }
-
-// WireSize implements codec.Sizer.
-func (r IndirectProbeReq) WireSize() int { return 24 + len(r.Service) }
 
 // IndirectProbeAck reports a peer WD's probe outcome for Target.
 type IndirectProbeAck struct {
@@ -106,9 +94,6 @@ type IndirectProbeAck struct {
 	Running bool
 }
 
-// WireSize implements codec.Sizer.
-func (IndirectProbeAck) WireSize() int { return 24 }
-
 // Fenced is a WD's stale-primary rejection: the WD follows Epoch, which
 // is higher than the announcer's.
 type Fenced struct {
@@ -116,9 +101,6 @@ type Fenced struct {
 	Node      types.NodeID
 	Epoch     uint64
 }
-
-// WireSize implements codec.Sizer.
-func (Fenced) WireSize() int { return 24 }
 
 // NodeStatus is the monitor's belief about one node.
 type NodeStatus int

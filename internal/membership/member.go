@@ -24,9 +24,6 @@ type MetaHB struct {
 	Version uint64
 }
 
-// WireSize implements codec.Sizer.
-func (MetaHB) WireSize() int { return 16 }
-
 // ViewMsg broadcasts a mutated view.
 type ViewMsg struct{ View *View }
 
@@ -35,9 +32,6 @@ type JoinMsg struct {
 	Part types.PartitionID
 	Node types.NodeID
 }
-
-// WireSize implements codec.Sizer.
-func (JoinMsg) WireSize() int { return 16 }
 
 func init() {
 	codec.RegisterGob(MetaHB{})

@@ -53,9 +53,6 @@ type SubmitAck struct {
 // StatusReq polls a mom.
 type StatusReq struct{ Token uint64 }
 
-// WireSize implements codec.Sizer (polling is the hot path under study).
-func (StatusReq) WireSize() int { return 8 }
-
 // StatusAck reports a node's load.
 type StatusAck struct {
 	Token uint64
@@ -63,9 +60,6 @@ type StatusAck struct {
 	Usage types.ResourceStats
 	Jobs  int
 }
-
-// WireSize implements codec.Sizer.
-func (StatusAck) WireSize() int { return 104 }
 
 // RunReq starts one job slice on a mom's node.
 type RunReq struct {
@@ -86,9 +80,6 @@ type DoneMsg struct {
 	Job  types.JobID
 	Node types.NodeID
 }
-
-// WireSize implements codec.Sizer.
-func (DoneMsg) WireSize() int { return 16 }
 
 func init() {
 	codec.RegisterGob(SubmitReq{})

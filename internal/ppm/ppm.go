@@ -41,18 +41,12 @@ type QueryReq struct {
 	Job   types.JobID
 }
 
-// WireSize implements codec.Sizer.
-func (QueryReq) WireSize() int { return 16 }
-
 // QueryAck answers a job query.
 type QueryAck struct {
 	Token   uint64
 	Job     types.JobID
 	Running bool
 }
-
-// WireSize implements codec.Sizer.
-func (QueryAck) WireSize() int { return 24 }
 
 // JobSpec describes one job process to load.
 type JobSpec struct {
@@ -111,9 +105,6 @@ type JobDone struct {
 	Normal bool // true: ran to completion; false: killed or node-reaped
 	Gen    uint64
 }
-
-// WireSize implements codec.Sizer.
-func (JobDone) WireSize() int { return 32 }
 
 // DrainReq marks the node draining (or clears the mark): the scheduler
 // has taken it out of placement, and the node's readiness surface should

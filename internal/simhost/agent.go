@@ -25,9 +25,6 @@ type ProbeReq struct {
 	Token   uint64 // correlates request and reply at the prober
 }
 
-// WireSize implements codec.Sizer (probes are on diagnosis hot paths).
-func (ProbeReq) WireSize() int { return 24 }
-
 // ProbeAck is the agent's answer: the agent being able to answer at all
 // proves the node is alive; Running reports the queried daemon's status.
 type ProbeAck struct {
@@ -37,9 +34,6 @@ type ProbeAck struct {
 	OS      string // host OS/architecture label (heterogeneity inventory)
 	Token   uint64
 }
-
-// WireSize implements codec.Sizer.
-func (a ProbeAck) WireSize() int { return 32 + len(a.OS) }
 
 // SpawnReq asks the agent to start a service from the host's factory
 // registry.

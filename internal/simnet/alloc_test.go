@@ -10,12 +10,13 @@ import (
 
 // TestAccountZeroAllocs pins the per-message accounting at zero
 // allocations once a message type and a destination have been seen: no
-// counter name is built and no payload is encoded. Excluded from race
-// builds, whose runtime adds allocations of its own.
+// counter name is built, and a binary payload is weighed in the codec's
+// pooled scratch buffer. Excluded from race builds, whose runtime adds
+// allocations of its own.
 func TestAccountZeroAllocs(t *testing.T) {
 	_, net := newNet(t, 2)
 	net.Register(addr(1, "x"), func(types.Message) {})
-	msg := types.Message{From: addr(0, "x"), To: addr(1, "x"), Type: "hb", Payload: sized{n: 40}}
+	msg := types.Message{From: addr(0, "x"), To: addr(1, "x"), Type: "hb", Payload: types.AppState{Node: 1, Name: "web", Alive: true}}
 	net.account(msg, true) // first sight resolves the counters
 	net.deliver(msg)
 	allocs := testing.AllocsPerRun(200, func() {

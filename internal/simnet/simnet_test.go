@@ -208,20 +208,17 @@ func TestRegisterReplaceAndUnregister(t *testing.T) {
 	}
 }
 
-// sized is a payload that reports its own wire size.
-type sized struct{ n int }
-
-func (s sized) WireSize() int { return s.n }
-
 func TestByteAccounting(t *testing.T) {
 	eng, net := newNet(t, 3)
 	net.Register(addr(1, "x"), func(types.Message) {})
 	net.Register(addr(2, "x"), func(types.Message) {})
+	// A registered binary payload weighs the envelope plus its encoding.
+	app := types.AppState{Node: 1, Name: "web", Alive: true}
 	for _, m := range []types.Message{
 		{From: addr(0, "x"), To: addr(1, "x"), Type: "hb"},
 		{From: addr(0, "x"), To: addr(2, "x"), Type: "hb"},
-		{From: addr(0, "x"), To: addr(2, "x"), Type: "ack", Payload: sized{n: 8}},
-		{From: addr(1, "x"), To: addr(1, "x"), Type: "ack", Payload: sized{n: 8}},
+		{From: addr(0, "x"), To: addr(2, "x"), Type: "ack", Payload: app},
+		{From: addr(1, "x"), To: addr(1, "x"), Type: "ack", Payload: app},
 	} {
 		if err := net.Send(m); err != nil {
 			t.Fatal(err)
@@ -229,10 +226,11 @@ func TestByteAccounting(t *testing.T) {
 	}
 	eng.Run()
 	const env = codec.EnvelopeOverhead
+	ack := float64(env + len(app.AppendWire(nil)))
 	for name, want := range map[string]float64{
-		"net.msgs": 4, "net.bytes": 4*env + 16, "net.delivered": 4, "net.lost": 0,
+		"net.msgs": 4, "net.bytes": 2*env + 2*ack, "net.delivered": 4, "net.lost": 0,
 		"net.msgs.hb": 2, "net.bytes.hb": 2 * env,
-		"net.msgs.ack": 2, "net.bytes.ack": 2 * (env + 8),
+		"net.msgs.ack": 2, "net.bytes.ack": 2 * ack,
 		"net.rx.node1": 2, "net.rx.node2": 2,
 	} {
 		if got := net.Metrics().Counter(name).Value(); got != want {
