@@ -46,13 +46,15 @@ race:
 # internal/codec/testdata/fuzz/ and internal/gossip/testdata/fuzz/). The
 # engine accepts one -fuzz target per invocation, hence one run each: the
 # wire frame parser, the address-book parser, the codec envelope decoder,
-# every hot payload's DecodeWire, and the gossip plane's wire codecs.
+# every hot payload's DecodeWire, the gossip plane's wire codecs, and the
+# chaos scenario parser (seeded from its tests' scripts).
 fuzz:
 	$(GO) test -fuzz '^FuzzDecode$$' -fuzztime 10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz '^FuzzParseBook$$' -fuzztime 10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s -run '^$$' ./internal/codec/
 	$(GO) test -fuzz '^FuzzPayloadDecode$$' -fuzztime 10s -run '^$$' ./internal/codec/
 	$(GO) test -fuzz '^FuzzGossipWire$$' -fuzztime 10s -run '^$$' ./internal/gossip/
+	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 10s -run '^$$' ./internal/chaos/
 
 # The allocation gate: the binary codec's hot paths (AppendMessage into a
 # warm buffer, DecodeWire into a reused value, Size of a binary or gob

@@ -24,12 +24,6 @@ func trace(inj *Injector, lanes []laneKey, n int) []Action {
 // TestDeterministicSameSeed is the chaos contract: same seed + same
 // scenario ⇒ same fault sequence, datagram for datagram.
 func TestDeterministicSameSeed(t *testing.T) {
-	scenario := `
-seed 7
-at 0s drop p=0.3 peer=1 dir=out
-at 0s dup p=0.2 peer=2 dir=out
-at 0s delay d=1ms plane=1 dir=in
-`
 	lanes := []laneKey{
 		{peer: 1, plane: 0, dir: DirOut},
 		{peer: 2, plane: 0, dir: DirOut},
@@ -37,7 +31,7 @@ at 0s delay d=1ms plane=1 dir=in
 		{peer: 3, plane: 1, dir: DirOut},
 	}
 	run := func() []Action {
-		sc, err := Parse(scenario)
+		sc, err := Parse(ruleScript)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,15 +153,7 @@ func TestDelayPostponesDelivery(t *testing.T) {
 }
 
 func TestParseScenario(t *testing.T) {
-	sc, err := Parse(`
-# fault schedule
-seed 99
-at 2s nic-down plane=0
-at 500ms drop p=0.25 peer=3 dir=in
-at 4s partition 0,1|2,3
-at 6s heal
-at 8s kill node=2
-`)
+	sc, err := Parse(mixedScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,18 +180,7 @@ at 8s kill node=2
 }
 
 func TestParseRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{
-		"at 2s explode",
-		"at two-seconds heal",
-		"at 1s drop", // missing p=
-		"at 1s drop p=1.5",
-		"at 1s nic-down",
-		"at 1s kill",
-		"at 1s partition 0,1",
-		"at 1s drop p=0.1 dir=sideways",
-		"at 1s heal extra=arg",
-		"seed many",
-	} {
+	for _, bad := range garbageScripts {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted garbage", bad)
 		}
@@ -213,7 +188,7 @@ func TestParseRejectsGarbage(t *testing.T) {
 }
 
 func TestRunnerKillTargetsSelfOnly(t *testing.T) {
-	sc, err := Parse("at 1ms kill node=3\nat 1ms nic-down plane=0")
+	sc, err := Parse(killScript)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func (st Step) matchSuffix() string {
 	if st.Plane != AnyPlane {
 		fmt.Fprintf(&sb, " plane=%d", st.Plane)
 	}
-	if st.Dir != "" && st.Dir != DirBoth {
+	if st.Dir != "" { // slow's default is out, so both is printed too
 		fmt.Fprintf(&sb, " dir=%s", st.Dir)
 	}
 	return sb.String()
@@ -152,7 +152,7 @@ func Parse(text string) (*Scenario, error) {
 			if st.Prob, err = args.floatArg("p"); err != nil {
 				return fail("%s wants p=<prob>: %v", st.Op, err)
 			}
-			if st.Prob < 0 || st.Prob > 1 {
+			if !(st.Prob >= 0 && st.Prob <= 1) { // NaN too
 				return fail("probability %g out of [0,1]", st.Prob)
 			}
 			if err := args.match(&st); err != nil {
