@@ -25,8 +25,6 @@ type Spec struct {
 	NICs          int // network interfaces per node (paper: 3)
 	Seed          int64
 	Params        config.Params
-	NetParams     simnet.Params
-	Costs         simhost.Costs
 	Authority     *security.Authority
 	EnforceAuth   bool
 	// ExtraServices lists additional GSD-supervised services per
@@ -79,13 +77,6 @@ func Build(spec Spec) (*Cluster, error) {
 	if spec.Params.HeartbeatInterval == 0 {
 		spec.Params = config.DefaultParams()
 	}
-	if spec.NetParams.NICs == 0 {
-		spec.NetParams = simnet.DefaultParams()
-		spec.NetParams.NICs = spec.NICs
-	}
-	if spec.Costs.DefaultExec == 0 {
-		spec.Costs = simhost.DefaultCosts()
-	}
 
 	topo, err := config.Uniform(spec.Partitions, spec.PartitionSize, spec.NICs)
 	if err != nil {
@@ -93,10 +84,13 @@ func Build(spec Spec) (*Cluster, error) {
 	}
 	eng := sim.New(spec.Seed)
 	reg := metrics.NewRegistry()
-	net := simnet.New(eng, eng.Rand(), topo.NumNodes(), spec.NetParams, reg)
+	netParams := simnet.DefaultParams()
+	netParams.NICs = spec.NICs
+	net := simnet.New(eng, eng.Rand(), topo.NumNodes(), netParams, reg)
 	hosts := make(map[types.NodeID]*simhost.Host, topo.NumNodes())
+	costs := simhost.DefaultCosts()
 	for _, ni := range topo.Nodes {
-		hosts[ni.ID] = simhost.New(ni.ID, net, eng, eng.Rand(), spec.Costs)
+		hosts[ni.ID] = simhost.New(ni.ID, net, eng, eng.Rand(), costs)
 	}
 	boot := core.Boot
 	if spec.Bare {

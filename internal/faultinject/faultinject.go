@@ -20,6 +20,7 @@ import (
 	"repro/internal/heartbeat"
 	"repro/internal/membership"
 	"repro/internal/metrics"
+	"repro/internal/simhost"
 	"repro/internal/types"
 )
 
@@ -188,7 +189,7 @@ func alignTo(c *cluster.Cluster, comp Component, kind types.FaultKind, part conf
 	// latency); there is no message to observe, so compute the next tick.
 	if comp == CompES && kind == types.FaultProcess {
 		period := c.Spec.Params.LocalCheckPeriod
-		gsdStart := c.Spec.Costs.ExecLatency[types.SvcGSD]
+		gsdStart := simhost.DefaultCosts().ExecLatency[types.SvcGSD]
 		now := c.Engine.Elapsed()
 		k := (now-gsdStart)/period + 1
 		c.Engine.RunUntil(gsdStart + k*period + 10*time.Millisecond)
