@@ -46,7 +46,7 @@ race:
 # internal/codec/testdata/fuzz/ and internal/gossip/testdata/fuzz/). The
 # engine accepts one -fuzz target per invocation, hence one run each: the
 # wire frame parser, the address-book parser, the codec envelope decoder,
-# every hot payload's DecodeWire, the gossip plane's wire codecs, and the
+# every registered payload type's plan, the gossip payloads, and the
 # chaos scenario parser (seeded from its tests' scripts).
 fuzz:
 	$(GO) test -fuzz '^FuzzDecode$$' -fuzztime 10s -run '^$$' ./internal/wire/
@@ -56,10 +56,10 @@ fuzz:
 	$(GO) test -fuzz '^FuzzGossipWire$$' -fuzztime 10s -run '^$$' ./internal/gossip/
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 10s -run '^$$' ./internal/chaos/
 
-# The allocation gate: the binary codec's hot paths (AppendMessage into a
-# warm buffer, DecodeWire into a reused value, Size of a binary or gob
-# payload) and the simulated network's per-message accounting must stay
-# at zero allocations — the regression fence behind the benchmark's
+# The allocation gate: the codec's hot paths (AppendMessage into a warm
+# buffer, DecodePayload into a reused value, Size of any payload, a 1 MiB
+# checkpoint replica included) and the simulated network's per-message
+# accounting must stay at zero allocations — the regression fence behind the benchmark's
 # codec.allocs_per_roundtrip and sim.allocs_per_step. Runs without the
 # race detector: the race runtime adds its own allocations.
 alloc:

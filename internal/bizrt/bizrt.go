@@ -44,8 +44,8 @@ type Response struct {
 }
 
 func init() {
-	codec.RegisterGob(Request{})
-	codec.RegisterGob(Response{})
+	codec.Register(288, Request{})
+	codec.Register(289, Response{})
 }
 
 // TierSpec describes one tier of a business application.
@@ -110,7 +110,7 @@ type Routes struct {
 	Next []types.Addr
 }
 
-func init() { codec.RegisterGob(Routes{}) }
+func init() { codec.Register(290, Routes{}) }
 
 // Receive implements simhost.Process.
 func (in *Instance) Receive(msg types.Message) {

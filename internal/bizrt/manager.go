@@ -39,9 +39,9 @@ type FrontendsAck struct {
 }
 
 func init() {
-	codec.RegisterGob(FrontendsReq{})
-	codec.RegisterGob(FrontendsAck{})
-	codec.RegisterGob(LatencyReport{})
+	codec.Register(291, FrontendsReq{})
+	codec.Register(292, FrontendsAck{})
+	codec.Register(293, LatencyReport{})
 }
 
 // ManagerSpec configures the runtime manager.
@@ -200,7 +200,7 @@ type InstanceSpawnSpec struct {
 	Manager types.NodeID
 }
 
-func init() { codec.RegisterGob(InstanceSpawnSpec{}) }
+func init() { codec.Register(294, InstanceSpawnSpec{}) }
 
 // RegisterInstanceFactory installs the tier-instance factory on a host;
 // instances of every app share it (the spawn spec carries the app).

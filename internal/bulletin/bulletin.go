@@ -13,6 +13,7 @@ package bulletin
 import (
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/federation"
 	"repro/internal/gossip"
 	"repro/internal/rpc"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/simhost"
 	"repro/internal/types"
+	"repro/internal/wirebin"
 )
 
 // Message types of the data bulletin service.
@@ -30,6 +32,24 @@ const (
 	MsgFetch    = "db.fetch"
 	MsgFetchAck = "db.fetch.ack"
 )
+
+func init() {
+	wirebin.Intern(
+		"db.put", "db.query", "db.result", "db.fetch", "db.get", "db.sync",
+		"res", "app", // PutReq.Kind vocabulary
+	)
+	codec.Register(48, PutReq{})
+	codec.Register(49, QueryReq{})
+	codec.Register(50, FetchReq{})
+	codec.Register(51, GetReq{})
+	codec.Register(52, SyncReq{})
+	codec.Register(53, DeltaBatch{})
+	codec.Register(54, GetAck{})
+	codec.Register(55, PutAck{})
+	codec.Register(56, SyncAck{})
+	codec.Register(57, QueryAck{})
+	codec.Register(58, FetchAck{})
+}
 
 // Scope selects how much of the cluster a query covers.
 type Scope int

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/gossip"
 	"repro/internal/shard"
 	"repro/internal/types"
@@ -423,8 +424,12 @@ func (s *Service) flushDeltas() {
 	s.pendingSince = time.Time{}
 	s.sstats.DeltaBatchesOut++
 	s.sstats.DeltaRowsOut += uint64(rows)
+	data, err := codec.AppendPayload(nil, batch)
+	if err != nil {
+		panic(err) // DeltaBatch is registered and has no interface field
+	}
 	s.rt.Send(types.Addr{Node: s.rt.Node(), Service: types.SvcGossip},
-		types.AnyNIC, gossip.MsgSubmit, gossip.SubmitMsg{Seq: s.deltaSeq, Data: batch.AppendWire(nil)})
+		types.AnyNIC, gossip.MsgSubmit, gossip.SubmitMsg{Seq: s.deltaSeq, Data: data})
 }
 
 // onGossipDelta applies a peer primary's delta batch delivered by the
@@ -435,7 +440,7 @@ func (s *Service) flushDeltas() {
 // requestSync full pull.
 func (s *Service) onGossipDelta(d gossip.DeliverMsg) {
 	var batch DeltaBatch
-	if len(d.Data) == 0 || batch.DecodeWire(d.Data) != nil {
+	if len(d.Data) == 0 || codec.DecodePayload(d.Data, &batch) != nil {
 		return
 	}
 	if batch.Part == s.part {

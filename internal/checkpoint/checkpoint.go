@@ -97,15 +97,16 @@ type FetchAck struct {
 }
 
 func init() {
-	codec.RegisterGob(SaveReq{})
-	codec.RegisterGob(SaveAck{})
-	codec.RegisterGob(RestoreReq{})
-	codec.RegisterGob(RestoreAck{})
-	codec.RegisterGob(DeleteReq{})
-	codec.RegisterGob(DeleteAck{})
-	codec.RegisterGob(Repl{})
-	codec.RegisterGob(FetchReq{})
-	codec.RegisterGob(FetchAck{})
+	codec.Register(128, SaveReq{})
+	codec.Register(129, SaveAck{})
+	codec.Register(130, RestoreReq{})
+	codec.Register(131, RestoreAck{})
+	codec.Register(132, DeleteReq{})
+	codec.Register(133, DeleteAck{})
+	codec.Register(134, Repl{})
+	codec.Register(135, FetchReq{})
+	codec.Register(136, FetchAck{})
+	codec.Register(137, diskRecord{})
 }
 
 type record struct {

@@ -2,7 +2,6 @@ package checkpoint
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
@@ -10,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"repro/internal/codec"
 )
 
 // DiskStore persists checkpoint records, one file per owner, so a node
@@ -27,10 +28,13 @@ type DiskStore struct {
 	dir string
 }
 
-// storeMagic identifies (and versions) checkpoint files.
-const storeMagic = "PXCKPT1\n"
+// storeMagic identifies (and versions) checkpoint files. Version 1 was
+// gob; a version-1 file fails the magic check and is skipped like any
+// other unreadable snapshot.
+const storeMagic = "PXCKPT2\n"
 
-// diskRecord is the on-disk form of one owner's record.
+// diskRecord is the on-disk form of one owner's record, encoded by its
+// payload plan.
 type diskRecord struct {
 	Owner   string
 	Seq     uint64
@@ -67,9 +71,8 @@ func fileName(owner string) string {
 func (d *DiskStore) Put(owner string, seq uint64, data []byte, deleted bool) error {
 	rec := diskRecord{Owner: owner, Seq: seq, Deleted: deleted, Data: data}
 	rec.Sum = rec.checksum()
-	var buf bytes.Buffer
-	buf.WriteString(storeMagic)
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+	buf, err := codec.AppendPayload([]byte(storeMagic), rec)
+	if err != nil {
 		return fmt.Errorf("checkpoint: encode %q: %w", owner, err)
 	}
 
@@ -79,7 +82,7 @@ func (d *DiskStore) Put(owner string, seq uint64, data []byte, deleted bool) err
 	if err != nil {
 		return fmt.Errorf("checkpoint: write %q: %w", owner, err)
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
+	if _, err := f.Write(buf); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("checkpoint: write %q: %w", owner, err)
@@ -113,7 +116,7 @@ func (d *DiskStore) syncDir() {
 }
 
 // Load reads every record in the store. Corrupt or torn files — bad magic,
-// truncated gob, checksum mismatch — are skipped with a logged warning so
+// truncated record, checksum mismatch — are skipped with a logged warning so
 // one bad snapshot never fails a boot; leftover temp files are ignored.
 func (d *DiskStore) Load() map[string]record {
 	out := make(map[string]record)
@@ -149,7 +152,7 @@ func readRecord(path string) (record, string, error) {
 		return record{}, "", fmt.Errorf("bad magic")
 	}
 	var rec diskRecord
-	if err := gob.NewDecoder(bytes.NewReader(raw[len(storeMagic):])).Decode(&rec); err != nil {
+	if err := codec.DecodePayload(raw[len(storeMagic):], &rec); err != nil {
 		return record{}, "", fmt.Errorf("decode: %w", err)
 	}
 	if rec.Sum != rec.checksum() {

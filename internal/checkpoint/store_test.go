@@ -1,6 +1,8 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"testing"
@@ -58,7 +60,7 @@ func TestDiskStoreOverwriteKeepsLatest(t *testing.T) {
 }
 
 // TestDiskStoreSkipsCorrupt proves a damaged directory never fails a load:
-// bad magic, truncation mid-gob, a flipped payload byte (checksum) and a
+// bad magic, truncation mid-record, a flipped payload byte (checksum) and a
 // leftover temp file are each skipped; intact records still load.
 func TestDiskStoreSkipsCorrupt(t *testing.T) {
 	dir := t.TempDir()
@@ -109,6 +111,41 @@ func TestDiskStoreSkipsCorrupt(t *testing.T) {
 	}
 	if g := got["good"]; g.seq != 5 || string(g.data) != "survives" {
 		t.Fatalf("intact record damaged by load: %+v", g)
+	}
+}
+
+// TestParentFormatFileSkipped boots a persistent service over a directory
+// holding a version-1 (gob) checkpoint file next to a current one: the
+// old file is skipped like any unreadable snapshot, and boot goes on.
+func TestParentFormatFileSkipped(t *testing.T) {
+	dir := t.TempDir()
+	d, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put("es/0", 4, []byte("current"), false); err != nil {
+		t.Fatal(err)
+	}
+	old := diskRecord{Owner: "gsd/0", Seq: 7, Data: []byte("gob era")}
+	old.Sum = old.checksum()
+	buf := bytes.NewBufferString("PXCKPT1\n")
+	if err := gob.NewEncoder(buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, fileName(old.Owner)), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := NewPersistentService(0, federation.NewView(nil), time.Second, dir)
+	s.initDisk()
+	if s.Len() != 1 {
+		t.Fatalf("booted with %d records, want only the current-format one", s.Len())
+	}
+	if _, ok := s.store["gsd/0"]; ok {
+		t.Fatal("version-1 record loaded")
+	}
+	if rec := s.store["es/0"]; rec.seq != 4 || string(rec.data) != "current" {
+		t.Fatalf("current record = %+v", rec)
 	}
 }
 

@@ -5,42 +5,44 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bizrt"
 	"repro/internal/bulletin"
+	"repro/internal/checkpoint"
 	"repro/internal/codec"
+	"repro/internal/detector"
+	"repro/internal/federation"
+	"repro/internal/gsd"
+	"repro/internal/membership"
+	"repro/internal/ppm"
 	"repro/internal/shard"
+	"repro/internal/simhost"
 	"repro/internal/types"
+	"repro/internal/watchd"
+	"repro/internal/wirebin"
 )
 
-// binaryPayload is the exported half of the codec.Payload method set a
-// value exemplar exposes — how these tests recognise the binary family
-// among codec.Registered().
-type binaryPayload interface {
-	WireID() uint16
-	AppendWire(buf []byte) []byte
-}
-
-// binaryExemplars returns one filled value per binary-registered payload
-// type.
-func binaryExemplars(t testing.TB) []any {
+// exemplars returns one filled value per registered payload type plus
+// the hand-built ones that fill leaves out (nested rows, maps, pointers,
+// interface contents).
+func exemplars(t testing.TB) []any {
 	t.Helper()
 	var out []any
 	for _, ex := range codec.Registered() {
-		if _, ok := ex.(binaryPayload); ok {
-			out = append(out, fill(ex))
-		}
+		out = append(out, fill(ex))
 	}
-	if len(out) < 10 {
-		t.Fatalf("only %d binary payload types registered; hot kernel payloads are missing", len(out))
+	if len(out) < 100 {
+		t.Fatalf("only %d payload types registered; kernel protocols are missing", len(out))
 	}
-	return out
+	return append(append(out, nestedExemplars()...), spawnRequests()...)
 }
 
 // nestedExemplars fills what fill leaves zero — slices of rows, shard-map
-// entries, the missing-partition list — for payloads whose codecs compose
-// nested parts.
+// entries, the missing-partition list, a view behind a pointer — for
+// payloads whose plans compose nested parts.
 func nestedExemplars() []any {
 	at := time.Unix(1125532800, 5)
 	res := types.ResourceStats{Node: 3, CPUPct: 41.5, Collected: at, RunQ: 2}
@@ -58,16 +60,38 @@ func nestedExemplars() []any {
 			MapVersion: 4, HasMap: true, Map: smap,
 		},
 		bulletin.GetAck{Token: 12, Res: res, Apps: []types.AppState{app, app}, Found: true, MapVersion: 4, HasMap: true, Map: smap},
+		membership.ViewMsg{View: membership.NewView(map[types.PartitionID]types.NodeID{0: 0, 1: 4})},
+		checkpoint.Repl{Owner: "pws/part0", Seq: 3, Data: []byte("state")},
 	}
 }
 
-// TestBinaryGobDifferential encodes every binary payload through the
-// binary codec and through encoding/gob (the reference, and what the
-// fallback family puts on the wire) and requires both to deliver the same
-// value — the equivalence that lets gob stay the fallback without a
-// format fork.
+// spawnRequests carries every spawn spec that travels behind
+// simhost.SpawnReq's interface field.
+func spawnRequests() []any {
+	view := membership.NewView(map[types.PartitionID]types.NodeID{0: 0, 1: 4})
+	specs := []any{
+		ppm.JobSpec{ID: 9, Name: "linpack", Duration: time.Second, Submitter: types.Addr{Node: 2, Service: types.SvcPWS}, Gen: 3},
+		gsd.SpawnSpec{Partition: 1, View: view, Migrated: true, Epoch: 5},
+		gsd.ServiceSpawnSpec{Partition: 1, View: federation.NewView(map[types.PartitionID]types.NodeID{0: 0, 1: 4}), Restart: true},
+		detector.Spec{Partition: 1, GSDNode: 4, SampleInterval: time.Second, SLATag: "gold"},
+		watchd.Spec{Partition: 1, GSDNode: 4, Interval: time.Second, NICs: 2, Supervise: true, DetectorSample: time.Second},
+		bizrt.InstanceSpawnSpec{App: bizrt.AppSpec{Name: "shop", Tiers: []bizrt.TierSpec{{Name: "web", Replicas: 2}}, SLA: time.Second}, Tier: 1, Idx: 2, Manager: 3},
+	}
+	var out []any
+	for i, spec := range specs {
+		out = append(out, simhost.SpawnReq{Service: "svc", Spec: spec, Token: uint64(i + 1)})
+	}
+	return out
+}
+
+// TestBinaryGobDifferential sends every payload exemplar through its
+// plan and through encoding/gob, the reference, and requires both to
+// deliver the same value — and the plan's encoding to be the smaller.
 func TestBinaryGobDifferential(t *testing.T) {
-	for _, payload := range append(binaryExemplars(t), nestedExemplars()...) {
+	for _, ex := range codec.Registered() {
+		gob.Register(ex) // gob carries interface contents by registered name
+	}
+	for _, payload := range exemplars(t) {
 		msg := types.Message{
 			From: types.Addr{Node: 1, Service: types.SvcWD},
 			To:   types.Addr{Node: 2, Service: types.SvcGSD},
@@ -130,6 +154,37 @@ func TestUnknownWireIDRejected(t *testing.T) {
 	}
 }
 
+// TestUnknownInterfaceIDRejected does the same inside a payload: a spawn
+// request whose spec names an unassigned wire ID is an error, not a nil
+// spec or a panic.
+func TestUnknownInterfaceIDRejected(t *testing.T) {
+	req := simhost.SpawnReq{Service: "x", Token: 4}
+	data, err := codec.AppendPayload(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := wirebin.AppendString(nil, req.Service)
+	if data[len(prefix)] != 0 {
+		t.Fatalf("nil spec encoded as %#x, want wire ID 0", data[len(prefix)])
+	}
+	for _, id := range []uint64{1, 0x7fff, 1 << 20} {
+		patched := wirebin.AppendUvarint(append([]byte(nil), prefix...), id)
+		patched = append(patched, data[len(prefix)+1:]...)
+		var out simhost.SpawnReq
+		if err := codec.DecodePayload(patched, &out); err == nil {
+			t.Errorf("spec wire ID %d accepted as %#v", id, out)
+		}
+		body, err := codec.Encode(types.Message{Type: "spawn", Payload: req})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = append(body[:len(body)-len(data)], patched...)
+		if _, err := codec.Decode(body); err == nil {
+			t.Errorf("message with spec wire ID %d accepted", id)
+		}
+	}
+}
+
 // TestNilPayloadStrict pins the nil-payload envelope: it round-trips, and
 // trailing bytes after it are rejected rather than ignored.
 func TestNilPayloadStrict(t *testing.T) {
@@ -154,26 +209,31 @@ func TestNilPayloadStrict(t *testing.T) {
 }
 
 // TestRegisterPayloadPanics pins the init-time guard rails: reserved IDs,
-// ID mismatches, non-pointer factories and duplicate registrations all
-// panic with the offender named.
+// duplicate IDs, a type registered twice and a field the plan cannot
+// carry all panic with the offender named.
 func TestRegisterPayloadPanics(t *testing.T) {
-	codec.Registered() // force builtin registration so ID 16 is taken
-	expectPanic := func(name string, fn func()) {
+	type withChan struct {
+		N    int
+		Feed chan int
+	}
+	type withFunc struct {
+		Rows []struct{ Done func() }
+	}
+	expectPanic := func(name, want string, fn func()) {
 		t.Helper()
 		defer func() {
-			if recover() == nil {
+			rec := recover()
+			if rec == nil {
 				t.Errorf("%s: no panic", name)
+			} else if msg, _ := rec.(string); !strings.Contains(msg, want) {
+				t.Errorf("%s: panic %q does not name %q", name, rec, want)
 			}
 		}()
 		fn()
 	}
-	expectPanic("reserved id", func() {
-		codec.RegisterPayload(1, func() codec.Payload { return new(types.Event) })
-	})
-	expectPanic("id mismatch", func() {
-		codec.RegisterPayload(200, func() codec.Payload { return new(types.Event) })
-	})
-	expectPanic("duplicate id", func() {
-		codec.RegisterPayload(16, func() codec.Payload { return new(types.Event) })
-	})
+	expectPanic("reserved id", "Register(1)", func() { codec.Register(1, struct{ A int }{}) })
+	expectPanic("duplicate id", "wire ID 16", func() { codec.Register(16, struct{ B int }{}) })
+	expectPanic("duplicate type", "types.Event registered twice", func() { codec.Register(0x7ff0, types.Event{}) })
+	expectPanic("chan field", "withChan.Feed", func() { codec.Register(0x7ff1, withChan{}) })
+	expectPanic("func field", "withFunc.Rows[].Done", func() { codec.Register(0x7ff2, withFunc{}) })
 }

@@ -4,72 +4,41 @@
 // measurements.
 //
 // A message body is the envelope (addresses, plane, type tag, send time)
-// followed by the payload. Payloads come in two families:
+// followed by the payload. Every payload type registers once, from an
+// init function, with Register(id, T{}): a uint16 wire ID in its
+// package's range and an exemplar. Registration compiles the type's plan
+// — one encoding rule for every payload (see plan.go and DESIGN §3f):
+// exported fields in declaration order, integers as varints, strings and
+// byte slices length-prefixed, slices and maps as a count then elements
+// (map keys sorted), pointers behind a presence byte, nested structs
+// inline, and an interface field as its content's wire ID then body.
+// A type the plan cannot carry panics at registration.
 //
-//   - Hot payloads implement Payload: a hand-rolled, reflection-free
-//     binary codec identified by a uint16 wire ID. The steady-state
-//     encode path (AppendMessage into a pooled buffer, AppendWire for
-//     the payload) allocates nothing; DecodeWire into a reused value
-//     allocates nothing either.
-//   - Every other registered payload falls back to gob (wire ID 1), so
-//     no registered type is ever unencodable — cold control-plane
-//     payloads keep riding reflection at reflection prices.
-//
-// Payload types register from init functions: RegisterPayload for the
-// binary family, RegisterGob for the gob family. Registered() exposes one
-// exemplar per type from both families, which the registry-wide
-// round-trip test walks so nothing reaches a real socket unencodable.
-//
-// Size weighs a message for the simulated network by one rule per family:
-// a binary payload by its encoding, a gob payload by a bounded reflection
-// walk over its exported fields.
+// The steady-state paths allocate nothing: AppendMessage into a buffer
+// with capacity, DecodePayload into a reused value, and Size, which
+// measures a payload's encoding without producing it.
 package codec
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"log"
 	"maps"
 	"reflect"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/types"
 	"repro/internal/wirebin"
 )
 
-// Payload is the hand-rolled binary codec of one hot payload type,
-// implemented with pointer receivers for DecodeWire. AppendWire appends
-// the payload's encoding to buf and returns it (append-style, so pooled
-// buffers absorb the bytes); DecodeWire overwrites the receiver from
-// exactly data, reusing the receiver's slice capacity where it can, and
-// must return an error — never panic — on malformed input.
-type Payload interface {
-	WireID() uint16
-	AppendWire(buf []byte) []byte
-	DecodeWire(data []byte) error
-}
-
-// wireAppender is the encode half of Payload: the methods in the value
-// method set, which is what a payload stored by value in Message.Payload
-// exposes.
-type wireAppender interface {
-	WireID() uint16
-	AppendWire(buf []byte) []byte
-}
-
 // Reserved wire IDs of the envelope's payload field. IDs below
 // FirstPayloadID belong to the format itself.
 const (
 	idNil = 0 // no payload
-	idGob = 1 // gob-encoded payload (the automatic fallback family)
 
-	// FirstPayloadID is the lowest wire ID RegisterPayload accepts.
-	// Assigned ranges (see DESIGN §3f): 16+ types, 32+ heartbeat,
-	// 48+ bulletin, 64+ events, 80+ watchd, 96+ gossip.
+	// FirstPayloadID is the lowest wire ID Register accepts. Each
+	// package owns a range of 16 (see DESIGN §3f).
 	FirstPayloadID = 16
 )
 
@@ -77,146 +46,166 @@ const (
 // wire: addresses, message type tag, and length framing.
 const EnvelopeOverhead = 32
 
-var registerOnce sync.Once
-
-type payloadEntry struct {
-	fn  func() Payload
-	typ reflect.Type // element (value) type behind the factory's pointer
+// payloadType is one registered payload type: its wire ID and its plan,
+// whose typ is the registered type.
+type payloadType struct {
+	id uint16
+	*node
 }
 
 // registry is the immutable snapshot the hot paths read lock-free;
 // registration (init-time) copies on write under regMu.
 type registry struct {
-	payloads map[uint16]payloadEntry   // binary family, by wire ID
-	binTypes map[reflect.Type]uint16   // value type -> wire ID
-	gobTypes map[reflect.Type]struct{} // both families, pointers stripped
-}
-
-func (r *registry) clone() *registry {
-	return &registry{payloads: maps.Clone(r.payloads), binTypes: maps.Clone(r.binTypes), gobTypes: maps.Clone(r.gobTypes)}
+	byID   map[uint16]*payloadType
+	byType map[reflect.Type]*payloadType
 }
 
 var (
 	regMu      sync.Mutex
-	registered []any // one exemplar per type, both families
+	registered []any // one exemplar per type, in registration order
 	reg        atomic.Pointer[registry]
 )
 
 func init() {
-	reg.Store(&registry{payloads: map[uint16]payloadEntry{}, binTypes: map[reflect.Type]uint16{}, gobTypes: map[reflect.Type]struct{}{}})
-}
-
-// baseType strips t's pointers: to gob, *T and T are one registration.
-func baseType(t reflect.Type) reflect.Type {
-	for t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
-	return t
-}
-
-// RegisterPayload records a binary payload type under a wire ID. fn must
-// return a fresh pointer-shaped Payload whose WireID matches id.
-// Duplicate or reserved IDs panic at init time with a message naming the
-// offender — a silently shadowed ID would misdecode every frame.
-func RegisterPayload(id uint16, fn func() Payload) {
-	p := fn()
-	rv := reflect.ValueOf(p)
-	if rv.Kind() != reflect.Pointer || rv.IsNil() {
-		panic(fmt.Sprintf("codec: RegisterPayload(%d): factory must return a non-nil pointer, got %T", id, p))
-	}
-	if id < FirstPayloadID {
-		panic(fmt.Sprintf("codec: RegisterPayload(%d) for %T: IDs below %d are reserved for the wire format", id, p, FirstPayloadID))
-	}
-	if got := p.WireID(); got != id {
-		panic(fmt.Sprintf("codec: RegisterPayload(%d) for %T, but its WireID() is %d", id, p, got))
-	}
-	exemplar := rv.Elem().Interface()
-	gob.Register(exemplar) // gob payloads carry binary types behind interface fields (a spawn request's Spec)
-	regMu.Lock()
-	defer regMu.Unlock()
-	if prev, dup := reg.Load().payloads[id]; dup {
-		panic(fmt.Sprintf("codec: wire ID %d registered twice: %v and %v", id, prev.typ, rv.Elem().Type()))
-	}
-	next := reg.Load().clone()
-	next.payloads[id] = payloadEntry{fn: fn, typ: rv.Elem().Type()}
-	next.binTypes[rv.Elem().Type()] = id
-	next.gobTypes[rv.Elem().Type()] = struct{}{}
-	reg.Store(next)
-	registered = append(registered, exemplar)
-}
-
-// RegisterGob records a payload type with the gob fallback encoder —
-// the right registration for cold control-plane payloads that do not
-// justify a hand-rolled codec. Packages that define payload structs call
-// it from an init function.
-func RegisterGob(v any) {
-	gob.Register(v)
-	regMu.Lock()
-	defer regMu.Unlock()
-	next := reg.Load().clone()
-	next.gobTypes[baseType(reflect.TypeOf(v))] = struct{}{}
-	reg.Store(next)
-	registered = append(registered, v)
-}
-
-// Registered returns one exemplar value per payload type passed to
-// RegisterPayload or RegisterGob, in registration order. The wire-format
-// round-trip test walks this list so no payload type — of either family —
-// can reach a real socket unencodable.
-func Registered() []any {
-	registerOnce.Do(registerBuiltins)
-	regMu.Lock()
-	defer regMu.Unlock()
-	return append([]any(nil), registered...)
-}
-
-// registerBuiltins registers the leaf payload types owned by
-// internal/types (which cannot import codec) plus the plain-container
-// payloads used by tooling.
-func registerBuiltins() {
-	RegisterPayload(16, func() Payload { return new(types.Event) })
-	RegisterPayload(17, func() Payload { return new(types.ResourceStats) })
-	RegisterPayload(18, func() Payload { return new(types.AppState) })
-	RegisterGob(map[string]string{})
-	RegisterGob([]string{})
+	reg.Store(&registry{byID: map[uint16]*payloadType{}, byType: map[reflect.Type]*payloadType{}})
+	// The leaf payload types of internal/types, which cannot import codec.
+	Register(16, types.Event{})
+	Register(17, types.ResourceStats{})
+	Register(18, types.AppState{})
 	wirebin.Intern(
 		types.SvcAgent, types.SvcWD, types.SvcGSD, types.SvcES, types.SvcDB,
 		types.SvcCkpt, types.SvcConfig, types.SvcSecurity, types.SvcPPM,
 		types.SvcDetector, types.SvcPWS, types.SvcPBS, types.SvcPBSMom,
 		types.SvcGridView, types.SvcJobRuntime, types.SvcGossip,
+		// Event type tags are a closed vocabulary too.
+		string(types.EvNodeSuspect), string(types.EvNetSuspect), string(types.EvServiceSuspect),
+		string(types.EvMemberSuspect), string(types.EvNodeFail), string(types.EvNodeRecover),
+		string(types.EvNetFail), string(types.EvNetRecover), string(types.EvProcFail),
+		string(types.EvProcRecover), string(types.EvServiceFail), string(types.EvServiceRecover),
+		string(types.EvMemberFail), string(types.EvMemberRecover), string(types.EvJobStart),
+		string(types.EvJobFinish), string(types.EvJobFail), string(types.EvConfigChange),
 	)
 }
 
-// lookupBinary resolves the wire ID of a payload value's type, if the
-// type is binary-registered. Lock-free: hot paths call it per message.
-func lookupBinary(v any) (uint16, bool) {
-	id, ok := reg.Load().binTypes[reflect.TypeOf(v)]
-	return id, ok
+// Register records exemplar's type under a wire ID and compiles its
+// plan. Reserved or duplicate IDs, a type registered twice, and a field
+// the plan cannot carry all panic at init time, naming the offender — a
+// silently shadowed ID would misdecode every frame.
+func Register(id uint16, exemplar any) {
+	t := reflect.TypeOf(exemplar)
+	if t == nil {
+		panic(fmt.Sprintf("codec: Register(%d): nil exemplar", id))
+	}
+	if id < FirstPayloadID {
+		panic(fmt.Sprintf("codec: Register(%d) for %v: IDs below %d are reserved for the wire format", id, t, FirstPayloadID))
+	}
+	pt := &payloadType{id, compile(t, t.String(), map[reflect.Type]*node{})}
+	regMu.Lock()
+	defer regMu.Unlock()
+	if prev := reg.Load().byID[id]; prev != nil {
+		panic(fmt.Sprintf("codec: wire ID %d registered twice: %v and %v", id, prev.typ, t))
+	}
+	if prev := reg.Load().byType[t]; prev != nil {
+		panic(fmt.Sprintf("codec: %v registered twice: IDs %d and %d", t, prev.id, id))
+	}
+	next := &registry{byID: maps.Clone(reg.Load().byID), byType: maps.Clone(reg.Load().byType)}
+	next.byID[id] = pt
+	next.byType[t] = pt
+	reg.Store(next)
+	registered = append(registered, exemplar)
+}
+
+// Registered returns one exemplar value per registered payload type, in
+// registration order. The wire-format tests walk this list so no payload
+// type can reach a real socket unencodable.
+func Registered() []any {
+	regMu.Lock()
+	defer regMu.Unlock()
+	return append([]any(nil), registered...)
+}
+
+// lookup resolves a payload value's registered type, nil if none.
+// Lock-free: hot paths call it per message.
+func lookup(v any) *payloadType { return reg.Load().byType[reflect.TypeOf(v)] }
+
+// appendTo runs the plan's encoder, turning its one failure (an
+// interface field holding an unregistered type) into an error.
+func (pt *payloadType) appendTo(b []byte, v reflect.Value) (out []byte, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			e, ok := rec.(errEncode)
+			if !ok {
+				panic(rec)
+			}
+			err = e
+		}
+	}()
+	return pt.append(b, v), nil
+}
+
+// decode overwrites v from exactly data. It never panics, whatever the
+// bytes: malformed input, and any bug the plan trips on it, surface as
+// errors, so a node survives adversarial datagrams.
+func (pt *payloadType) decode(data []byte, v reflect.Value) (err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("codec: decode %v panic: %v", pt.typ, rec)
+		}
+	}()
+	r := wirebin.NewReader(data)
+	pt.read(&r, v)
+	return r.Close()
+}
+
+// AppendPayload appends v's payload encoding — no envelope — to buf. It
+// fails only when v's type, or a type inside one of its interface
+// fields, is not registered.
+func AppendPayload(buf []byte, v any) ([]byte, error) {
+	pt := lookup(v)
+	if pt == nil {
+		return buf, fmt.Errorf("codec: %T is not a registered payload type", v)
+	}
+	return pt.appendTo(buf, reflect.ValueOf(v))
+}
+
+// DecodePayload overwrites *ptr, which must point to a registered
+// payload type, from exactly data (an AppendPayload encoding). Decoding
+// into a reused value allocates only what the payload's slices, maps,
+// pointers, interface contents and uninterned strings need.
+func DecodePayload(data []byte, ptr any) error {
+	rv := reflect.ValueOf(ptr)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+		return fmt.Errorf("codec: DecodePayload into %T, want a non-nil pointer", ptr)
+	}
+	pt := reg.Load().byType[rv.Type().Elem()]
+	if pt == nil {
+		return fmt.Errorf("codec: %v is not a registered payload type", rv.Type().Elem())
+	}
+	v := rv.Elem()
+	v.SetZero() // unexported fields (a shard map's cached ring) must not outlive the value
+	return pt.decode(data, v)
 }
 
 // AppendMessage appends the v3 body of one message to buf and returns
-// it — the steady-state encode path: with a binary-family payload and a
-// buffer of sufficient capacity it performs zero allocations.
+// it — the steady-state encode path: with a buffer of sufficient
+// capacity it performs zero allocations.
 //
 // Body layout (see DESIGN §3f):
 //
-//	u16 big-endian payload wire ID (0 none, 1 gob, >=16 binary)
+//	u16 big-endian payload wire ID (0 none, >=16 registered)
 //	zigzag  from node    | string from service
 //	zigzag  to node      | string to service
 //	zigzag  NIC          | string message type
 //	time    sent
 //	payload bytes (the rest of the body, unframed)
 func AppendMessage(buf []byte, msg types.Message) ([]byte, error) {
-	registerOnce.Do(registerBuiltins)
+	var pt *payloadType
 	id := uint16(idNil)
-	var wa wireAppender
 	if msg.Payload != nil {
-		id = idGob
-		if a, ok := msg.Payload.(wireAppender); ok {
-			if rid, found := lookupBinary(msg.Payload); found {
-				id, wa = rid, a
-			}
+		if pt = lookup(msg.Payload); pt == nil {
+			return nil, fmt.Errorf("codec: encode %s payload: %T is not a registered payload type", msg.Type, msg.Payload)
 		}
+		id = pt.id
 	}
 	buf = binary.BigEndian.AppendUint16(buf, id)
 	buf = wirebin.AppendVarint(buf, int64(msg.From.Node))
@@ -226,29 +215,21 @@ func AppendMessage(buf []byte, msg types.Message) ([]byte, error) {
 	buf = wirebin.AppendVarint(buf, int64(msg.NIC))
 	buf = wirebin.AppendString(buf, msg.Type)
 	buf = wirebin.AppendTime(buf, msg.Sent)
-	switch id {
-	case idNil:
-	case idGob:
-		// Encode a branch-local copy: &msg.Payload would make the whole
-		// msg argument escape and cost the binary path an allocation too.
-		p := msg.Payload
-		var gb bytes.Buffer
-		if err := gob.NewEncoder(&gb).Encode(&p); err != nil {
-			return nil, fmt.Errorf("codec: encode %s payload %T: %w", msg.Type, p, err)
-		}
-		buf = append(buf, gb.Bytes()...)
-	default:
-		buf = wa.AppendWire(buf)
+	if pt == nil {
+		return buf, nil
+	}
+	buf, err := pt.appendTo(buf, reflect.ValueOf(msg.Payload))
+	if err != nil {
+		return nil, fmt.Errorf("codec: encode %s payload: %w", msg.Type, err)
 	}
 	return buf, nil
 }
 
 // DecodeMessage decodes a v3 body. It never panics, whatever the bytes —
-// malformed envelopes and payloads (both families) surface as errors.
-// The returned message's payload is a value of the registered type, as
-// handlers assert; boxing it is this path's one unavoidable allocation.
+// malformed envelopes and payloads surface as errors, and so does an
+// unknown payload wire ID. The returned message's payload is a value of
+// the registered type, as handlers assert.
 func DecodeMessage(data []byte) (types.Message, error) {
-	registerOnce.Do(registerBuiltins)
 	if len(data) < 2 {
 		return types.Message{}, fmt.Errorf("codec: body too short (%d bytes)", len(data))
 	}
@@ -266,55 +247,22 @@ func DecodeMessage(data []byte) (types.Message, error) {
 		return types.Message{}, fmt.Errorf("codec: decode envelope: %w", err)
 	}
 	body := r.Rest()
-	switch id {
-	case idNil:
+	if id == idNil {
 		if len(body) != 0 {
 			return types.Message{}, fmt.Errorf("codec: %d payload bytes after nil-payload envelope", len(body))
 		}
-	case idGob:
-		p, err := gobDecodePayload(body)
-		if err != nil {
-			return types.Message{}, err
-		}
-		msg.Payload = p
-	default:
-		e, ok := reg.Load().payloads[id]
-		if !ok {
-			return types.Message{}, fmt.Errorf("codec: unknown payload wire ID %d", id)
-		}
-		p := e.fn()
-		if err := safeDecodeWire(p, body); err != nil {
-			return types.Message{}, fmt.Errorf("codec: decode %v payload: %w", e.typ, err)
-		}
-		msg.Payload = reflect.ValueOf(p).Elem().Interface()
+		return msg, nil
 	}
+	pt := reg.Load().byID[id]
+	if pt == nil {
+		return types.Message{}, fmt.Errorf("codec: unknown payload wire ID %d", id)
+	}
+	v := reflect.New(pt.typ).Elem()
+	if err := pt.decode(body, v); err != nil {
+		return types.Message{}, fmt.Errorf("codec: decode %v payload: %w", pt.typ, err)
+	}
+	msg.Payload = v.Interface()
 	return msg, nil
-}
-
-// safeDecodeWire runs one DecodeWire under a recover: the Payload
-// contract forbids panics, but a node must survive a contract violation
-// on adversarial input too.
-func safeDecodeWire(p Payload, data []byte) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("codec: DecodeWire panic: %v", rec)
-		}
-	}()
-	return p.DecodeWire(data)
-}
-
-// gobDecodePayload decodes one gob-fallback payload, converting decoder
-// panics (possible on adversarial gob streams) to errors.
-func gobDecodePayload(data []byte) (p any, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("codec: gob payload decode panic: %v", rec)
-		}
-	}()
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&p); err != nil {
-		return nil, fmt.Errorf("codec: decode gob payload: %w", err)
-	}
-	return p, nil
 }
 
 // Encode serialises a message body (envelope + payload). Hot callers —
@@ -329,99 +277,49 @@ func Decode(data []byte) (types.Message, error) {
 	return DecodeMessage(data)
 }
 
-// sizeErrors counts messages whose payload type was never registered
-// during Size accounting; such messages are reported as envelope-only, so
-// a nonzero count means the bandwidth figures are an undercount. The
-// first occurrence is also logged, so the lie cannot stay quiet.
+// sizeErrors counts messages whose payload could not be measured — its
+// type, or one inside an interface field, was never registered — during
+// Size accounting; such messages are reported as envelope-only, so a
+// nonzero count means the bandwidth figures are an undercount. The first
+// occurrence is also logged, so the lie cannot stay quiet.
 var (
 	sizeErrors  atomic.Uint64
 	sizeErrOnce sync.Once
-	sizeScratch = sync.Pool{New: func() any { return new(sizeBuf) }}
 )
-
-type sizeBuf struct{ b []byte }
 
 // SizeErrors reports how many Size calls hit an unregistered payload type
 // since process start.
 func SizeErrors() uint64 { return sizeErrors.Load() }
 
-// Size reports the approximate wire size of a message in bytes: the
-// envelope plus the payload. A binary payload is measured exactly through
-// its codec (into a pooled scratch buffer), a nil payload costs nothing,
-// and a gob payload is weighed without encoding it, by walkSize in
-// O(fields), not O(bytes), without gob's type description.
-// Payloads of an unregistered type count as the envelope alone, add to
-// SizeErrors, and log once. Only a walk through a map allocates.
-func Size(msg types.Message) int {
-	registerOnce.Do(registerBuiltins)
-	switch p := msg.Payload.(type) {
-	case nil:
+// Size reports the wire size of a message in bytes: EnvelopeOverhead
+// plus the exact length of the payload's encoding, measured by its plan
+// without encoding it. A nil payload costs nothing; an unregistered one
+// counts as the envelope alone, adds to SizeErrors, and logs once. Only
+// a payload carrying a map allocates.
+func Size(msg types.Message) (n int) {
+	if msg.Payload == nil {
 		return EnvelopeOverhead
-	case wireAppender:
-		if _, ok := lookupBinary(msg.Payload); ok {
-			sb := sizeScratch.Get().(*sizeBuf)
-			out := p.AppendWire(sb.b[:0])
-			n := len(out)
-			sb.b = out // keep any growth for the next caller
-			sizeScratch.Put(sb)
-			return EnvelopeOverhead + n
+	}
+	defer func() {
+		if rec := recover(); rec != nil {
+			if _, ok := rec.(errEncode); !ok {
+				panic(rec)
+			}
+			n = sizeError(msg)
 		}
+	}()
+	pt := lookup(msg.Payload)
+	if pt == nil {
+		return sizeError(msg)
 	}
-	if _, ok := reg.Load().gobTypes[baseType(reflect.TypeOf(msg.Payload))]; !ok {
-		sizeErrors.Add(1)
-		sizeErrOnce.Do(func() {
-			log.Printf("codec: Size: unregistered %T payload in %q message counted as envelope-only (first of possibly many; see codec.SizeErrors)",
-				msg.Payload, msg.Type)
-		})
-		return EnvelopeOverhead
-	}
-	return EnvelopeOverhead + walkSize(reflect.ValueOf(msg.Payload), 0)
+	return EnvelopeOverhead + pt.size(reflect.ValueOf(msg.Payload))
 }
 
-const (
-	maxWalkDepth = 16 // only self-referential types nest deeper; what lies below is not counted
-	gobTimeSize  = 15 // a time.Time's gob (MarshalBinary) length
-)
-
-var timeType = reflect.TypeOf(time.Time{})
-
-// walkSize approximates the gob-encoded size of v's data: fixed-width
-// kinds count their width, strings and byte slices their length plus
-// one, containers the sum of their elements, pointers and interfaces what
-// they point to, and a time.Time its gob length. Unexported fields are
-// skipped and channels and funcs count nothing, as gob sends none of them.
-func walkSize(v reflect.Value, depth int) int {
-	t, k := v.Type(), v.Kind()
-	switch {
-	case depth > maxWalkDepth:
-	case k >= reflect.Bool && k <= reflect.Complex128:
-		return int(t.Size())
-	case k == reflect.String || k == reflect.Slice && t.Elem().Kind() == reflect.Uint8:
-		return v.Len() + 1
-	case k == reflect.Slice || k == reflect.Array:
-		n := 0
-		for i := 0; i < v.Len(); i++ {
-			n += walkSize(v.Index(i), depth+1)
-		}
-		return n
-	case k == reflect.Map:
-		n := 0
-		for it := v.MapRange(); it.Next(); {
-			n += walkSize(it.Key(), depth+1) + walkSize(it.Value(), depth+1)
-		}
-		return n
-	case (k == reflect.Pointer || k == reflect.Interface) && !v.IsNil():
-		return walkSize(v.Elem(), depth+1)
-	case t == timeType:
-		return gobTimeSize
-	case k == reflect.Struct:
-		n := 0
-		for i := 0; i < v.NumField(); i++ {
-			if f := v.Field(i); f.CanInterface() { // exported
-				n += walkSize(f, depth+1)
-			}
-		}
-		return n
-	}
-	return 0
+func sizeError(msg types.Message) int {
+	sizeErrors.Add(1)
+	sizeErrOnce.Do(func() {
+		log.Printf("codec: Size: unregistered payload type in %T %q message counted as envelope-only (first of possibly many; see codec.SizeErrors)",
+			msg.Payload, msg.Type)
+	})
+	return EnvelopeOverhead
 }

@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -53,15 +52,6 @@ func TestSizeNilPayload(t *testing.T) {
 	}
 }
 
-func TestSizeGobFallback(t *testing.T) {
-	// map[string]string is one of codec's own gob registrations: two
-	// entries of 1-byte strings weigh 2 × (2 + 2) bytes.
-	msg := types.Message{Type: "x", Payload: map[string]string{"a": "b", "c": "d"}}
-	if got := Size(msg); got != EnvelopeOverhead+8 {
-		t.Fatalf("gob fallback size = %d, want %d", got, EnvelopeOverhead+8)
-	}
-}
-
 func TestSizeUnencodablePayloadFallsBack(t *testing.T) {
 	type unregistered struct{ N int }
 	for _, p := range []any{unregistered{N: 1}, func() {}} {
@@ -76,8 +66,8 @@ func TestSizeUnencodablePayloadFallsBack(t *testing.T) {
 }
 
 // TestSizeSkipsUnexportedFields registers, for this test only, a struct
-// whose fields are all unexported: gob sends none of them, so it weighs
-// the envelope alone.
+// whose fields are all unexported: its plan carries none of them, so it
+// weighs the envelope alone and encodes to nothing.
 func TestSizeSkipsUnexportedFields(t *testing.T) {
 	type opaque struct {
 		n int
@@ -86,15 +76,20 @@ func TestSizeSkipsUnexportedFields(t *testing.T) {
 	}
 	saved := reg.Load()
 	defer reg.Store(saved)
-	next := saved.clone()
-	next.gobTypes[reflect.TypeOf(opaque{})] = struct{}{}
-	reg.Store(next)
+	Register(0x7ffe, opaque{})
+	regMu.Lock()
+	registered = registered[:len(registered)-1]
+	regMu.Unlock()
 	before := SizeErrors()
-	if got := Size(types.Message{Type: "x", Payload: opaque{1, "xyz", make([]byte, 64)}}); got != EnvelopeOverhead {
+	p := opaque{1, "xyz", make([]byte, 64)}
+	if got := Size(types.Message{Type: "x", Payload: p}); got != EnvelopeOverhead {
 		t.Fatalf("unexported-only struct size = %d, want envelope only", got)
 	}
 	if SizeErrors() != before {
 		t.Fatal("registered payload counted as a size error")
+	}
+	if data, err := AppendPayload(nil, p); err != nil || len(data) != 0 {
+		t.Fatalf("unexported-only struct encodes to %x, %v", data, err)
 	}
 }
 

@@ -5,18 +5,17 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/checkpoint"
 	"repro/internal/codec"
-	"repro/internal/gsd"
-	"repro/internal/membership"
-	"repro/internal/simhost"
 	"repro/internal/types"
 
 	// Pull in every package that registers wire payloads, so Registered()
 	// covers the full kernel protocol surface (cluster transitively
-	// imports core, simhost, gsd, watchd, detector, ppm, pws, bulletin,
-	// events, checkpoint, heartbeat, membership, rpc, ...).
+	// imports core, simhost, gsd, watchd, detector, ppm, bulletin,
+	// events, checkpoint, heartbeat, membership, rpc, ...; the schedulers
+	// and the business runtime come on their own).
 	_ "repro/internal/cluster"
+	_ "repro/internal/pbs"
+	_ "repro/internal/pws"
 )
 
 // fill returns a copy of exemplar with every settable exported field of a
@@ -53,8 +52,8 @@ func fillValue(v reflect.Value) {
 	}
 }
 
-// payloadEqual is DeepEqual modulo one documented gob property: an empty
-// non-nil slice or map decodes as nil.
+// payloadEqual is DeepEqual modulo one documented property of the plans
+// (and of gob): an empty non-nil slice or map decodes as nil.
 func payloadEqual(got, sent any) bool {
 	if reflect.DeepEqual(got, sent) {
 		return true
@@ -108,63 +107,42 @@ func TestRegisteredPayloadsRoundTrip(t *testing.T) {
 	t.Logf("%d payload types round-tripped", len(exemplars))
 }
 
-// TestSizeWalksEveryRegisteredPayload weighs every registered payload
-// type — filled, plus the nested exemplars and the payloads that carry an
-// interface or a pointer — and requires at least the envelope, no panic
-// and no size error. A binary payload must weigh exactly the envelope
-// plus its encoding. On gob-family types, growing a top-level string or
-// []byte field by n bytes must grow the size by exactly n.
+// TestSizeWalksEveryRegisteredPayload weighs every payload exemplar —
+// one filled value per registered type plus the nested and spawn ones —
+// and requires exactly the envelope plus its encoding, no panic and no
+// size error.
 func TestSizeWalksEveryRegisteredPayload(t *testing.T) {
-	payloads := append([]any{
-		simhost.SpawnReq{Service: types.SvcGSD, Spec: gsd.SpawnSpec{Partition: 1}, Token: 2},
-		membership.ViewMsg{View: membership.NewView(map[types.PartitionID]types.NodeID{0: 0, 1: 4})},
-		checkpoint.Repl{Owner: "pws/part0", Seq: 3, Data: []byte("state")},
-	}, nestedExemplars()...)
-	for _, ex := range codec.Registered() {
-		payloads = append(payloads, fill(ex))
-	}
-	size := func(p any) int { return codec.Size(types.Message{Type: "size", Payload: p}) }
 	before := codec.SizeErrors()
-	grown := 0
+	payloads := exemplars(t)
 	for _, p := range payloads {
-		if got := size(p); got < codec.EnvelopeOverhead {
-			t.Errorf("%T: size %d is below the envelope", p, got)
+		data, err := codec.AppendPayload(nil, p)
+		if err != nil {
+			t.Fatalf("%T: %v", p, err)
 		}
-		if bin, ok := p.(binaryPayload); ok {
-			if got, want := size(p), codec.EnvelopeOverhead+len(bin.AppendWire(nil)); got != want {
-				t.Errorf("%T: size %d, want the envelope plus its %d-byte encoding = %d", p, got, want-codec.EnvelopeOverhead, want)
-			}
-			continue
-		}
-		if reflect.TypeOf(p).Kind() != reflect.Struct {
-			continue
-		}
-		base := size(p)
-		v := reflect.New(reflect.TypeOf(p)).Elem()
-		for i := 0; i < v.NumField(); i++ {
-			v.Set(reflect.ValueOf(p))
-			f := v.Field(i)
-			switch {
-			case !f.CanSet():
-				continue
-			case f.Kind() == reflect.String:
-				f.SetString(f.String() + "12345")
-			case f.Kind() == reflect.Slice && f.Type().Elem().Kind() == reflect.Uint8:
-				f.SetBytes(append(f.Bytes(), "12345"...))
-			default:
-				continue
-			}
-			grown++
-			if got := size(v.Interface()); got != base+5 {
-				t.Errorf("%T.%s: 5 more bytes moved the size %d -> %d", p, v.Type().Field(i).Name, base, got)
-			}
+		if got, want := codec.Size(types.Message{Type: "size", Payload: p}), codec.EnvelopeOverhead+len(data); got != want {
+			t.Errorf("%T: size %d, want the envelope plus its %d-byte encoding = %d", p, got, len(data), want)
 		}
 	}
 	if got := codec.SizeErrors(); got != before {
 		t.Fatalf("registered payloads counted %d size errors", got-before)
 	}
-	if grown < 20 {
-		t.Fatalf("only %d string or []byte fields grown; gob payloads are missing", grown)
+	t.Logf("%d payloads weighed", len(payloads))
+}
+
+// TestSpawnSpecsRoundTrip sends a spawn request carrying each spec that
+// travels behind its interface field and gets the same spec back.
+func TestSpawnSpecsRoundTrip(t *testing.T) {
+	for _, req := range spawnRequests() {
+		data, err := codec.Encode(types.Message{Type: "spawn", Payload: req})
+		if err != nil {
+			t.Fatalf("%#v: %v", req, err)
+		}
+		out, err := codec.Decode(data)
+		if err != nil {
+			t.Fatalf("%#v: %v", req, err)
+		}
+		if !reflect.DeepEqual(out.Payload, req) {
+			t.Errorf("spawn request changed:\nsent %#v\ngot  %#v", req, out.Payload)
+		}
 	}
-	t.Logf("%d payloads weighed, %d fields grown", len(payloads), grown)
 }

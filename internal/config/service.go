@@ -68,12 +68,12 @@ type ReconfigAck struct {
 }
 
 func init() {
-	codec.RegisterGob(GetReq{})
-	codec.RegisterGob(GetAck{})
-	codec.RegisterGob(IntrospectReq{})
-	codec.RegisterGob(IntrospectAck{})
-	codec.RegisterGob(ReconfigReq{})
-	codec.RegisterGob(ReconfigAck{})
+	codec.Register(144, GetReq{})
+	codec.Register(145, GetAck{})
+	codec.Register(146, IntrospectReq{})
+	codec.Register(147, IntrospectAck{})
+	codec.Register(148, ReconfigReq{})
+	codec.Register(149, ReconfigAck{})
 }
 
 // Service is the configuration service daemon. One instance runs on the

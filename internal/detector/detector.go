@@ -24,7 +24,7 @@ import (
 
 // Spec travels inside agent spawn requests (detector respawn, node
 // reseeding), so it must be wire-encodable.
-func init() { codec.RegisterGob(Spec{}) }
+func init() { codec.Register(240, Spec{}) }
 
 // Spec configures a detector daemon.
 type Spec struct {

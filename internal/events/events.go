@@ -14,8 +14,6 @@
 package events
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -26,6 +24,7 @@ import (
 	"repro/internal/rt"
 	"repro/internal/simhost"
 	"repro/internal/types"
+	"repro/internal/wirebin"
 )
 
 // Message types of the event service.
@@ -116,15 +115,18 @@ type EventMsg struct {
 type ReadyMsg struct{ Service string }
 
 func init() {
-	codec.RegisterGob(SubReq{})
-	codec.RegisterGob(SubAck{})
-	codec.RegisterGob(UnsubReq{})
-	codec.RegisterGob(UnsubAck{})
-	codec.RegisterGob(SupplierReq{})
-	codec.RegisterGob(PubReq{})
-	codec.RegisterGob(EventMsg{})
-	codec.RegisterGob(ReadyMsg{})
-	codec.RegisterGob(state{})
+	wirebin.Intern(
+		"es.sub", "es.unsub", "es.pub", "es.event", "es.supplier", "es.ready",
+	)
+	codec.Register(64, PubReq{})
+	codec.Register(65, EventMsg{})
+	codec.Register(66, SubReq{})
+	codec.Register(67, SubAck{})
+	codec.Register(68, UnsubReq{})
+	codec.Register(69, UnsubAck{})
+	codec.Register(70, SupplierReq{})
+	codec.Register(71, ReadyMsg{})
+	codec.Register(72, state{})
 }
 
 // state is the checkpointed portion of an instance.
@@ -361,16 +363,16 @@ func (s *Service) checkpointState() {
 }
 
 func encodeState(st state) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+	data, err := codec.AppendPayload(nil, st)
+	if err != nil {
 		return nil, fmt.Errorf("events: encode state: %w", err)
 	}
-	return buf.Bytes(), nil
+	return data, nil
 }
 
 func decodeState(data []byte) (state, error) {
 	var st state
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	if err := codec.DecodePayload(data, &st); err != nil {
 		return state{}, fmt.Errorf("events: decode state: %w", err)
 	}
 	return st, nil

@@ -37,7 +37,7 @@ type View struct {
 // ViewMsg carries a view push.
 type ViewMsg struct{ View View }
 
-func init() { codec.RegisterGob(ViewMsg{}) }
+func init() { codec.Register(224, ViewMsg{}) }
 
 // NewView builds a version-1 view from a static placement.
 func NewView(placement map[types.PartitionID]types.NodeID) View {

@@ -139,14 +139,14 @@ type Delta struct {
 	Data []byte
 }
 
-// Updates carries the suffixes a peer was missing. ViewSet guards the
-// view field (a zero-version view is never sent).
+// Updates carries the suffixes a peer was missing. View is nil unless
+// the peer's federation view is behind (a zero-version view is never
+// sent).
 type Updates struct {
-	From    types.PartitionID
-	ViewSet bool
-	View    federation.View
-	Deltas  []Delta
-	Live    []Liveness
+	From   types.PartitionID
+	View   *federation.View
+	Deltas []Delta
+	Live   []Liveness
 }
 
 // Apply reports what HandleUpdates learned, for the host service to
@@ -393,7 +393,8 @@ func (e *Engine) HandleDigest(d Digest, reply bool) (ups Updates, has bool, want
 	e.st.DigestsRx++
 	ups.From = e.cfg.Part
 	if d.FedVersion < e.view.Version {
-		ups.ViewSet, ups.View = true, e.view.Clone()
+		v := e.view.Clone()
+		ups.View = &v
 		has = true
 	}
 	theirSeq := make(map[types.PartitionID]uint64, len(d.Deltas))
@@ -467,7 +468,7 @@ func (e *Engine) needs(d Digest, theirSeq, theirLive map[types.PartitionID]uint6
 func (e *Engine) HandleUpdates(u Updates) Apply {
 	e.st.UpdatesRx++
 	var ap Apply
-	if u.ViewSet && e.adoptView(u.View) {
+	if u.View != nil && e.adoptView(*u.View) {
 		v := e.view.Clone()
 		ap.View = &v
 		e.st.ViewsRx++

@@ -297,7 +297,7 @@ func TestViewChangeResetsMovedSourceStream(t *testing.T) {
 	for s := uint64(1); s <= 5; s++ {
 		e2.AddDelta(1, s, []byte("old"))
 	}
-	ap := e2.HandleUpdates(Updates{From: 2, ViewSet: true, View: nv,
+	ap := e2.HandleUpdates(Updates{From: 2, View: &nv,
 		Deltas: []Delta{{Src: 1, Seq: 1, Data: []byte("new")}}})
 	if ap.View == nil {
 		t.Fatal("view not adopted via updates")

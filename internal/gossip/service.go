@@ -4,9 +4,11 @@
 package gossip
 
 import (
+	"repro/internal/codec"
 	"repro/internal/federation"
 	"repro/internal/simhost"
 	"repro/internal/types"
+	"repro/internal/wirebin"
 )
 
 // Message types. gsp.digest and gsp.updates travel between partitions;
@@ -54,6 +56,15 @@ type DeliverMsg struct {
 
 // LiveMsg is the GSD's liveness summary hand-off.
 type LiveMsg struct{ Liveness Liveness }
+
+func init() {
+	wirebin.Intern(MsgDigest, MsgUpdates, MsgSubmit, MsgDeliver, MsgLive)
+	codec.Register(96, DigestMsg{})
+	codec.Register(97, UpdatesMsg{})
+	codec.Register(98, SubmitMsg{})
+	codec.Register(99, DeliverMsg{})
+	codec.Register(100, LiveMsg{})
+}
 
 // Service is the gossip kernel process.
 type Service struct {

@@ -13,8 +13,8 @@ import (
 // sampleMsgs covers every gossip payload with both populated and empty
 // shapes — the empty ones pin the nil-not-empty decode contract the
 // codec round-trip gate enforces.
-func sampleMsgs() []codec.Payload {
-	return []codec.Payload{
+func sampleMsgs() []any {
+	return []any{
 		&DigestMsg{Digest: Digest{
 			Part:       3,
 			FedVersion: 12,
@@ -23,9 +23,8 @@ func sampleMsgs() []codec.Payload {
 		}, Reply: true},
 		&DigestMsg{Digest: Digest{Part: 1}},
 		&UpdatesMsg{Updates: Updates{
-			From:    2,
-			ViewSet: true,
-			View: federation.View{Version: 5, Entries: map[types.PartitionID]federation.Entry{
+			From: 2,
+			View: &federation.View{Version: 5, Entries: map[types.PartitionID]federation.Entry{
 				0: {Node: 0, Alive: true},
 				1: {Node: 17, Alive: false},
 			}},
@@ -39,11 +38,20 @@ func sampleMsgs() []codec.Payload {
 	}
 }
 
+// encode is the payload encoding of msg, a pointer to a gossip payload.
+func encode(t testing.TB, msg any) []byte {
+	data, err := codec.AppendPayload(nil, reflect.ValueOf(msg).Elem().Interface())
+	if err != nil {
+		t.Fatalf("%T: encode: %v", msg, err)
+	}
+	return data
+}
+
 func TestWireRoundTrip(t *testing.T) {
 	for _, msg := range sampleMsgs() {
-		data := msg.AppendWire(nil)
-		out := reflect.New(reflect.TypeOf(msg).Elem()).Interface().(codec.Payload)
-		if err := out.DecodeWire(data); err != nil {
+		data := encode(t, msg)
+		out := reflect.New(reflect.TypeOf(msg).Elem()).Interface()
+		if err := codec.DecodePayload(data, out); err != nil {
 			t.Fatalf("%T: decode: %v", msg, err)
 		}
 		if !reflect.DeepEqual(msg, out) {
@@ -53,15 +61,15 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 func TestWireRejectsTrailingBytes(t *testing.T) {
-	data := (&SubmitMsg{Seq: 1, Data: []byte("x")}).AppendWire(nil)
+	data := encode(t, &SubmitMsg{Seq: 1, Data: []byte("x")})
 	data = append(data, 0xEE)
-	if err := new(SubmitMsg).DecodeWire(data); err == nil {
+	if err := codec.DecodePayload(data, new(SubmitMsg)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }
 
 // fuzzTarget maps a selector byte to a fresh payload of that type.
-func fuzzTarget(sel byte) codec.Payload {
+func fuzzTarget(sel byte) any {
 	switch sel % 5 {
 	case 0:
 		return new(DigestMsg)
@@ -92,7 +100,7 @@ func FuzzGossipWire(f *testing.F) {
 		case *LiveMsg:
 			sel = 4
 		}
-		f.Add(append([]byte{sel}, msg.AppendWire(nil)...))
+		f.Add(append([]byte{sel}, encode(f, msg)...))
 		_ = i
 	}
 	f.Add([]byte{})
@@ -103,17 +111,17 @@ func FuzzGossipWire(f *testing.F) {
 			return
 		}
 		p := fuzzTarget(data[0])
-		if err := p.DecodeWire(data[1:]); err != nil { // must not panic
+		if err := codec.DecodePayload(data[1:], p); err != nil { // must not panic
 			return
 		}
-		enc := p.AppendWire(nil)
+		enc := encode(t, p)
 		q := fuzzTarget(data[0])
-		if err := q.DecodeWire(enc); err != nil {
+		if err := codec.DecodePayload(enc, q); err != nil {
 			t.Fatalf("re-encoded bytes failed to decode: %v", err)
 		}
 		// Compared as bytes, not DeepEqual: a decoded NaN utilisation is
 		// stable on the wire but never equal to itself.
-		if !bytes.Equal(enc, q.AppendWire(nil)) {
+		if !bytes.Equal(enc, encode(t, q)) {
 			t.Fatalf("re-encode not stable:\n p %+v\n q %+v", p, q)
 		}
 	})

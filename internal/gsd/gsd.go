@@ -16,8 +16,6 @@
 package gsd
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"time"
@@ -51,7 +49,7 @@ type SpawnSpec struct {
 	Epoch uint64
 }
 
-func init() { codec.RegisterGob(SpawnSpec{}) }
+func init() { codec.Register(192, SpawnSpec{}) }
 
 // ServiceSpawnSpec travels in remote spawn requests for the partition
 // kernel services (es/db/ckpt) so a migrated instance knows to restore.
@@ -61,7 +59,7 @@ type ServiceSpawnSpec struct {
 	Restart   bool
 }
 
-func init() { codec.RegisterGob(ServiceSpawnSpec{}) }
+func init() { codec.Register(193, ServiceSpawnSpec{}) }
 
 // Spec configures a GSD.
 type Spec struct {
@@ -1007,18 +1005,17 @@ type partState struct {
 	Epoch uint64
 }
 
-func init() { codec.RegisterGob(partState{}) }
+func init() { codec.Register(194, partState{}) }
 
 func (g *Daemon) ckptOwner() string { return fmt.Sprintf("gsd/%d", g.spec.Partition) }
 
 // checkpointPartitionState saves the down-node set after every change.
 func (g *Daemon) checkpointPartitionState() {
-	st := partState{Down: g.mon.DownNodes(), Epoch: g.epoch}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+	data, err := codec.AppendPayload(nil, partState{Down: g.mon.DownNodes(), Epoch: g.epoch})
+	if err != nil {
 		return
 	}
-	g.ckpt.Save(g.ckptOwner(), buf.Bytes(), nil)
+	g.ckpt.Save(g.ckptOwner(), data, nil)
 }
 
 // restorePartitionState loads the predecessor's down-node set (migration
@@ -1042,7 +1039,7 @@ func (g *Daemon) restoreWhenCkptUp(done func(), attempts int) {
 	g.ckpt.Restore(g.ckptOwner(), func(data []byte, found bool) {
 		if found {
 			var st partState
-			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err == nil {
+			if err := codec.DecodePayload(data, &st); err == nil {
 				for _, n := range st.Down {
 					g.mon.MarkDown(n)
 				}

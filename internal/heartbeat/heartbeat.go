@@ -19,10 +19,12 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/codec"
 	"repro/internal/rpc"
 	"repro/internal/rt"
 	"repro/internal/simhost"
 	"repro/internal/types"
+	"repro/internal/wirebin"
 )
 
 // MsgHeartbeat is the WD -> GSD heartbeat message type.
@@ -100,6 +102,17 @@ type Fenced struct {
 	Partition types.PartitionID
 	Node      types.NodeID
 	Epoch     uint64
+}
+
+func init() {
+	wirebin.Intern(MsgHeartbeat, MsgGSDAnnounce, MsgSuspect, MsgIndirectProbe,
+		MsgIndirectAck, MsgFenced)
+	codec.Register(32, Heartbeat{})
+	codec.Register(33, GSDAnnounce{})
+	codec.Register(34, SuspectNotice{})
+	codec.Register(35, IndirectProbeReq{})
+	codec.Register(36, IndirectProbeAck{})
+	codec.Register(37, Fenced{})
 }
 
 // NodeStatus is the monitor's belief about one node.

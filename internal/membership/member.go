@@ -34,9 +34,9 @@ type JoinMsg struct {
 }
 
 func init() {
-	codec.RegisterGob(MetaHB{})
-	codec.RegisterGob(ViewMsg{})
-	codec.RegisterGob(JoinMsg{})
+	codec.Register(208, MetaHB{})
+	codec.Register(209, ViewMsg{})
+	codec.Register(210, JoinMsg{})
 }
 
 // Config tunes the meta-group protocol. The meta probe timeout is tighter

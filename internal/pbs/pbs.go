@@ -82,13 +82,13 @@ type DoneMsg struct {
 }
 
 func init() {
-	codec.RegisterGob(SubmitReq{})
-	codec.RegisterGob(SubmitAck{})
-	codec.RegisterGob(StatusReq{})
-	codec.RegisterGob(StatusAck{})
-	codec.RegisterGob(RunReq{})
-	codec.RegisterGob(RunAck{})
-	codec.RegisterGob(DoneMsg{})
+	codec.Register(272, SubmitReq{})
+	codec.Register(273, SubmitAck{})
+	codec.Register(274, StatusReq{})
+	codec.Register(275, StatusAck{})
+	codec.Register(276, RunReq{})
+	codec.Register(277, RunAck{})
+	codec.Register(278, DoneMsg{})
 }
 
 // Mom is the per-node monitor/executor daemon.

@@ -151,19 +151,19 @@ type PExecAck struct {
 }
 
 func init() {
-	codec.RegisterGob(JobSpec{}) // travels inside agent spawn requests (job loading)
-	codec.RegisterGob(LoadReq{})
-	codec.RegisterGob(LoadAck{})
-	codec.RegisterGob(KillReq{})
-	codec.RegisterGob(KillAck{})
-	codec.RegisterGob(CleanupReq{})
-	codec.RegisterGob(JobDone{})
-	codec.RegisterGob(PExecReq{})
-	codec.RegisterGob(PExecAck{})
-	codec.RegisterGob(QueryReq{})
-	codec.RegisterGob(QueryAck{})
-	codec.RegisterGob(DrainReq{})
-	codec.RegisterGob(DrainAck{})
+	codec.Register(160, JobSpec{}) // travels inside agent spawn requests (job loading)
+	codec.Register(161, LoadReq{})
+	codec.Register(162, LoadAck{})
+	codec.Register(163, KillReq{})
+	codec.Register(164, KillAck{})
+	codec.Register(165, CleanupReq{})
+	codec.Register(166, JobDone{})
+	codec.Register(167, PExecReq{})
+	codec.Register(168, PExecAck{})
+	codec.Register(169, QueryReq{})
+	codec.Register(170, QueryAck{})
+	codec.Register(171, DrainReq{})
+	codec.Register(172, DrainAck{})
 }
 
 // Spec configures a PPM daemon.

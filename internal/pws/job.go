@@ -174,15 +174,15 @@ type DrainAdminAck struct {
 }
 
 func init() {
-	codec.RegisterGob(SubmitReq{})
-	codec.RegisterGob(SubmitAck{})
-	codec.RegisterGob(StatReq{})
-	codec.RegisterGob(StatAck{})
-	codec.RegisterGob(DeleteReq{})
-	codec.RegisterGob(DeleteAck{})
-	codec.RegisterGob(JobStatReq{})
-	codec.RegisterGob(JobStatAck{})
-	codec.RegisterGob(DrainAdminReq{})
-	codec.RegisterGob(DrainAdminAck{})
-	codec.RegisterGob(state{})
+	codec.Register(176, SubmitReq{})
+	codec.Register(177, SubmitAck{})
+	codec.Register(178, StatReq{})
+	codec.Register(179, StatAck{})
+	codec.Register(180, DeleteReq{})
+	codec.Register(181, DeleteAck{})
+	codec.Register(182, JobStatReq{})
+	codec.Register(183, JobStatAck{})
+	codec.Register(184, DrainAdminReq{})
+	codec.Register(185, DrainAdminAck{})
+	codec.Register(186, state{})
 }

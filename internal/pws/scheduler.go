@@ -1,9 +1,7 @@
 package pws
 
 import (
-	"bytes"
 	"cmp"
-	"encoding/gob"
 	"fmt"
 	"slices"
 	"sort"
@@ -11,6 +9,7 @@ import (
 
 	"repro/internal/bulletin"
 	"repro/internal/checkpoint"
+	"repro/internal/codec"
 	"repro/internal/config"
 	"repro/internal/events"
 	"repro/internal/ppm"
@@ -1285,16 +1284,16 @@ func (s *Scheduler) checkpointState() {
 }
 
 func encodeState(st state) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+	data, err := codec.AppendPayload(nil, st)
+	if err != nil {
 		return nil, fmt.Errorf("pws: encode state: %w", err)
 	}
-	return buf.Bytes(), nil
+	return data, nil
 }
 
 func decodeState(data []byte) (state, error) {
 	var st state
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	if err := codec.DecodePayload(data, &st); err != nil {
 		return state{}, fmt.Errorf("pws: decode state: %w", err)
 	}
 	return st, nil

@@ -50,10 +50,10 @@ type CheckAck struct {
 }
 
 func init() {
-	codec.RegisterGob(AuthReq{})
-	codec.RegisterGob(AuthAck{})
-	codec.RegisterGob(CheckReq{})
-	codec.RegisterGob(CheckAck{})
+	codec.Register(256, AuthReq{})
+	codec.Register(257, AuthAck{})
+	codec.Register(258, CheckReq{})
+	codec.Register(259, CheckAck{})
 }
 
 // Service is the security service daemon; a single instance runs on the

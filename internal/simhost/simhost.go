@@ -474,12 +474,12 @@ func (h *Host) send(to types.Addr, nic int, typ string, payload any) {
 }
 
 func init() {
-	codec.RegisterGob(ProbeReq{})
-	codec.RegisterGob(ProbeAck{})
-	codec.RegisterGob(SpawnReq{})
-	codec.RegisterGob(SpawnAck{})
-	codec.RegisterGob(KillReq{})
-	codec.RegisterGob(KillAck{})
-	codec.RegisterGob(ExecReq{})
-	codec.RegisterGob(ExecAck{})
+	codec.Register(112, ProbeReq{})
+	codec.Register(113, ProbeAck{})
+	codec.Register(114, SpawnReq{})
+	codec.Register(115, SpawnAck{})
+	codec.Register(116, KillReq{})
+	codec.Register(117, KillAck{})
+	codec.Register(118, ExecReq{})
+	codec.Register(119, ExecAck{})
 }

@@ -212,7 +212,7 @@ func TestByteAccounting(t *testing.T) {
 	eng, net := newNet(t, 3)
 	net.Register(addr(1, "x"), func(types.Message) {})
 	net.Register(addr(2, "x"), func(types.Message) {})
-	// A registered binary payload weighs the envelope plus its encoding.
+	// A registered payload weighs the envelope plus its encoding.
 	app := types.AppState{Node: 1, Name: "web", Alive: true}
 	for _, m := range []types.Message{
 		{From: addr(0, "x"), To: addr(1, "x"), Type: "hb"},
@@ -226,7 +226,11 @@ func TestByteAccounting(t *testing.T) {
 	}
 	eng.Run()
 	const env = codec.EnvelopeOverhead
-	ack := float64(env + len(app.AppendWire(nil)))
+	enc, err := codec.AppendPayload(nil, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack := float64(env + len(enc))
 	for name, want := range map[string]float64{
 		"net.msgs": 4, "net.bytes": 2*env + 2*ack, "net.delivered": 4, "net.lost": 0,
 		"net.msgs.hb": 2, "net.bytes.hb": 2 * env,

@@ -15,6 +15,7 @@ package watchd
 import (
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/detector"
 	"repro/internal/heartbeat"
 	"repro/internal/simhost"
@@ -43,6 +44,8 @@ type Spec struct {
 	// detector.
 	DetectorSample time.Duration
 }
+
+func init() { codec.Register(80, Spec{}) }
 
 // WD is the watch daemon process.
 type WD struct {

@@ -47,7 +47,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if !f.isData() || !f.hasAck() || f.seq != 7 || f.ack != 3 || f.ackBits != 0x5 || f.src != 0 || f.plane != 1 {
 		t.Fatalf("round trip mangled header: %+v", f)
 	}
-	msg, err := decodeBody(f.payload)
+	msg, err := codec.Decode(f.payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		if fr.isData() && fr.flags&flagFrag == 0 {
-			_, _ = decodeBody(fr.payload) // must not panic
+			_, _ = codec.Decode(fr.payload) // must not panic
 		}
 	})
 }

@@ -12,6 +12,12 @@ import (
 	"repro/internal/types"
 )
 
+// textRows is the bulk payload of the fragmentation tests, registered in
+// the range the kernel leaves to tests.
+type textRows []string
+
+func init() { codec.Register(0xfff0, textRows(nil)) }
+
 // dropFirstTransmissions is an OutboundFilter that drops the first
 // transmission of every data sequence and passes everything else (acks,
 // retransmits): the minimal fabric on which only retransmission delivers.
@@ -160,7 +166,7 @@ func TestFragmentationAtSmallMTU(t *testing.T) {
 	got := make(chan types.Message, 1)
 	b.Register(recvAddr(), func(m types.Message) { got <- m })
 
-	lines := make([]string, 256)
+	lines := make(textRows, 256)
 	for i := range lines {
 		lines[i] = fmt.Sprintf("entry-%04d-%s", i, strings.Repeat("x", 24))
 	}
@@ -180,7 +186,7 @@ func TestFragmentationAtSmallMTU(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := await(t, got)
-	back, ok := m.Payload.([]string)
+	back, ok := m.Payload.(textRows)
 	if !ok || len(back) != len(lines) {
 		t.Fatalf("payload mangled: %T, %d entries", m.Payload, len(back))
 	}

@@ -398,27 +398,13 @@ func (t *Transport) receive(plane int, f frame) {
 	if body == nil {
 		return
 	}
-	msg, err := decodeBody(body)
+	msg, err := codec.Decode(body) // never panics, whatever the bytes
 	if err != nil {
 		t.reg.Counter("wire.rx.decode_errors").Inc()
 		return
 	}
 	msg.NIC = plane
 	t.dispatch(msg)
-}
-
-// decodeBody decodes a reassembled message body — the codec's binary
-// envelope, with gob inside for fallback payloads. It never panics,
-// whatever the bytes: a live node must survive any datagram thrown at its
-// sockets, so decoder panics (possible on adversarial gob streams) are
-// converted to errors.
-func decodeBody(body []byte) (msg types.Message, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("wire: decode panic: %v", r)
-		}
-	}()
-	return codec.Decode(body)
 }
 
 // dispatch delivers one message inside the loop.

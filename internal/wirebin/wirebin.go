@@ -1,9 +1,10 @@
 // Package wirebin is the low-level binary encoding vocabulary of the
-// Phoenix wire format v3: append-style writers and a cursor-style reader
-// for the primitive field kinds kernel payloads are made of. It is a leaf
-// package — both internal/codec (the message envelope) and the payload
-// owners (internal/types, heartbeat, bulletin, events, watchd, ...)
-// build their hand-rolled codecs from it without import cycles.
+// Phoenix wire format v3: append-style writers, their exact lengths, and
+// a cursor-style reader for the primitive field kinds kernel payloads
+// are made of. internal/codec writes the message envelope with it, and
+// every payload through the plan it compiles per registered type; it is
+// a leaf package, so payload owners can intern their vocabulary here
+// without import cycles.
 //
 // Design rules, chosen so the steady-state encode/decode path allocates
 // nothing:
@@ -26,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,15 +75,10 @@ func AppendBytes(b, p []byte) []byte {
 	return append(b, p...)
 }
 
-// AppendDuration appends d as a zigzag varint of nanoseconds.
-func AppendDuration(b []byte, d time.Duration) []byte {
-	return AppendVarint(b, int64(d))
-}
-
 // AppendTime appends t as a presence flag plus Unix seconds and
 // nanoseconds. The zero time is encoded as the flag alone and decodes
 // back to exactly time.Time{}; non-zero times round-trip to the same
-// instant (monotonic readings and locations are dropped, as gob does).
+// instant (monotonic readings and locations are dropped).
 func AppendTime(b []byte, t time.Time) []byte {
 	if t.IsZero() {
 		return append(b, 0)
@@ -89,6 +86,20 @@ func AppendTime(b []byte, t time.Time) []byte {
 	b = append(b, 1)
 	b = AppendVarint(b, t.Unix())
 	return binary.AppendUvarint(b, uint64(t.Nanosecond()))
+}
+
+// UvarintLen is the length of AppendUvarint's encoding of v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// VarintLen is the length of AppendVarint's encoding of v.
+func VarintLen(v int64) int { return UvarintLen(uint64(v)<<1 ^ uint64(v>>63)) }
+
+// TimeLen is the length of AppendTime's encoding of t.
+func TimeLen(t time.Time) int {
+	if t.IsZero() {
+		return 1
+	}
+	return 1 + VarintLen(t.Unix()) + UvarintLen(uint64(t.Nanosecond()))
 }
 
 // Reader is a cursor over one encoded buffer. Errors are sticky: after
@@ -113,7 +124,7 @@ func (r *Reader) Len() int { return len(r.data) }
 func (r *Reader) Rest() []byte { return r.data }
 
 // Close verifies the input was fully consumed, turning trailing garbage
-// into an error — hand-rolled DecodeWire implementations end with it.
+// into an error — every payload decode ends with it.
 func (r *Reader) Close() error {
 	if r.err != nil {
 		return r.err
@@ -124,7 +135,9 @@ func (r *Reader) Close() error {
 	return r.err
 }
 
-func (r *Reader) fail(err error) {
+// Fail records err as the Reader's error unless one is already set, for
+// callers that find input invalid at a level above the primitives.
+func (r *Reader) Fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
@@ -141,9 +154,9 @@ func (r *Reader) Uvarint() uint64 {
 		r.data = r.data[n:]
 		return v
 	case n == 0:
-		r.fail(ErrTruncated)
+		r.Fail(ErrTruncated)
 	default:
-		r.fail(fmt.Errorf("%w: overlong varint", ErrMalformed))
+		r.Fail(fmt.Errorf("%w: overlong varint", ErrMalformed))
 	}
 	return 0
 }
@@ -161,13 +174,13 @@ func (r *Reader) Bool() bool {
 		return false
 	}
 	if len(r.data) < 1 {
-		r.fail(ErrTruncated)
+		r.Fail(ErrTruncated)
 		return false
 	}
 	v := r.data[0]
 	r.data = r.data[1:]
 	if v > 1 {
-		r.fail(fmt.Errorf("%w: bool byte %#x", ErrMalformed, v))
+		r.Fail(fmt.Errorf("%w: bool byte %#x", ErrMalformed, v))
 		return false
 	}
 	return v == 1
@@ -179,7 +192,7 @@ func (r *Reader) Float64() float64 {
 		return 0
 	}
 	if len(r.data) < 8 {
-		r.fail(ErrTruncated)
+		r.Fail(ErrTruncated)
 		return 0
 	}
 	v := math.Float64frombits(binary.BigEndian.Uint64(r.data))
@@ -195,7 +208,7 @@ func (r *Reader) take() []byte {
 		return nil
 	}
 	if n > uint64(len(r.data)) {
-		r.fail(fmt.Errorf("%w: length %d exceeds %d remaining", ErrMalformed, n, len(r.data)))
+		r.Fail(fmt.Errorf("%w: length %d exceeds %d remaining", ErrMalformed, n, len(r.data)))
 		return nil
 	}
 	out := r.data[:n]
@@ -219,22 +232,15 @@ func (r *Reader) String() string {
 	return string(b)
 }
 
-// Bytes reads a length-prefixed byte field into dst (reusing its capacity
-// when it suffices) and returns the filled slice; a zero-length field
-// returns dst truncated to nil-or-empty as it came in.
-func (r *Reader) Bytes(dst []byte) []byte {
+// Bytes reads a length-prefixed byte field into a fresh slice, so the
+// result never aliases the input; a zero-length field reads as nil.
+func (r *Reader) Bytes() []byte {
 	b := r.take()
 	if len(b) == 0 {
-		if dst == nil {
-			return nil
-		}
-		return dst[:0]
+		return nil
 	}
-	return append(dst[:0], b...)
+	return append([]byte(nil), b...)
 }
-
-// Duration reads a zigzag varint of nanoseconds.
-func (r *Reader) Duration() time.Duration { return time.Duration(r.Varint()) }
 
 // Time reads a presence flag plus Unix seconds/nanoseconds. The zero
 // flag yields exactly time.Time{}.
@@ -243,7 +249,7 @@ func (r *Reader) Time() time.Time {
 		return time.Time{}
 	}
 	if len(r.data) < 1 {
-		r.fail(ErrTruncated)
+		r.Fail(ErrTruncated)
 		return time.Time{}
 	}
 	flag := r.data[0]
@@ -258,12 +264,12 @@ func (r *Reader) Time() time.Time {
 			return time.Time{}
 		}
 		if nsec > 999_999_999 {
-			r.fail(fmt.Errorf("%w: %d nanoseconds", ErrMalformed, nsec))
+			r.Fail(fmt.Errorf("%w: %d nanoseconds", ErrMalformed, nsec))
 			return time.Time{}
 		}
 		return time.Unix(sec, int64(nsec))
 	default:
-		r.fail(fmt.Errorf("%w: time flag %#x", ErrMalformed, flag))
+		r.Fail(fmt.Errorf("%w: time flag %#x", ErrMalformed, flag))
 		return time.Time{}
 	}
 }
@@ -277,7 +283,7 @@ func (r *Reader) SliceLen() int {
 		return 0
 	}
 	if n > uint64(len(r.data)) {
-		r.fail(fmt.Errorf("%w: %d elements in %d bytes", ErrMalformed, n, len(r.data)))
+		r.Fail(fmt.Errorf("%w: %d elements in %d bytes", ErrMalformed, n, len(r.data)))
 		return 0
 	}
 	return int(n)

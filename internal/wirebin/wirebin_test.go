@@ -20,7 +20,6 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	b = AppendString(b, "hello")
 	b = AppendBytes(b, nil)
 	b = AppendBytes(b, []byte{1, 2, 3})
-	b = AppendDuration(b, -time.Second)
 
 	r := NewReader(b)
 	if got := r.Uvarint(); got != 0 {
@@ -50,17 +49,34 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	if got := r.String(); got != "hello" {
 		t.Fatalf("string = %q", got)
 	}
-	if got := r.Bytes(nil); got != nil {
+	if got := r.Bytes(); got != nil {
 		t.Fatalf("nil bytes = %v", got)
 	}
-	if got := r.Bytes(nil); len(got) != 3 || got[2] != 3 {
+	if got := r.Bytes(); len(got) != 3 || got[2] != 3 {
 		t.Fatalf("bytes = %v", got)
-	}
-	if got := r.Duration(); got != -time.Second {
-		t.Fatalf("duration = %v", got)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// TestLensMatchEncodings pins the length functions Size relies on to
+// the writers they measure, across every varint width and both time forms.
+func TestLensMatchEncodings(t *testing.T) {
+	for _, u := range []uint64{0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1<<63 - 1, math.MaxUint64} {
+		if got, want := UvarintLen(u), len(AppendUvarint(nil, u)); got != want {
+			t.Errorf("UvarintLen(%d) = %d, want %d", u, got, want)
+		}
+	}
+	for _, v := range []int64{0, -1, 1, -64, 64, -65, math.MaxInt64, math.MinInt64} {
+		if got, want := VarintLen(v), len(AppendVarint(nil, v)); got != want {
+			t.Errorf("VarintLen(%d) = %d, want %d", v, got, want)
+		}
+	}
+	for _, tm := range []time.Time{{}, time.Unix(0, 0), time.Unix(-1, 999_999_999), time.Unix(1125532800, 5)} {
+		if got, want := TimeLen(tm), len(AppendTime(nil, tm)); got != want {
+			t.Errorf("TimeLen(%v) = %d, want %d", tm, got, want)
+		}
 	}
 }
 
