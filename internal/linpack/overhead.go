@@ -100,46 +100,50 @@ type Table4Row struct {
 	EfficiencyPct float64
 }
 
+// minMeasure is the least wall time the trials of each configuration
+// span. A small factorisation finishes in milliseconds, where a single
+// scheduler preemption outweighs the percent-level effect being
+// measured, so such rows take the best of many trials instead of two.
+const minMeasure = 100 * time.Millisecond
+
 // MeasureRow runs the with/without pair. nodes is how many nodes' worth of
 // daemons co-run (the paper: one daemon set per node, CPUs/4 nodes). A
-// warm-up factorisation runs first and each configuration takes the best
-// of two trials, so cache warm-up and scheduler noise do not masquerade as
-// kernel overhead.
+// warm-up factorisation runs first; then trials alternate between the two
+// configurations — at least two each, and until each has run for
+// minMeasure — and each configuration keeps its best trial, so cache
+// warm-up, scheduler noise and load that comes and goes during the
+// measurement do not masquerade as kernel overhead.
 func MeasureRow(workers, n int, seed int64) (Table4Row, error) {
 	if _, err := Run(n, workers, seed); err != nil { // warm-up
 		return Table4Row{}, err
 	}
-	best := func(withOverhead bool) (Result, error) {
-		var out Result
-		for trial := 0; trial < 2; trial++ {
-			var ov *Overhead
-			if withOverhead {
-				nodes := workers / 4
-				if nodes < 1 {
-					nodes = 1
-				}
-				ov = StartOverhead(OverheadConfig{Nodes: nodes})
-			}
-			res, err := Run(n, workers, seed+int64(trial))
-			if ov != nil {
-				ov.Stop()
-			}
-			if err != nil {
-				return Result{}, err
-			}
-			if res.GFlops > out.GFlops {
-				out = res
-			}
+	nodes := workers / 4
+	if nodes < 1 {
+		nodes = 1
+	}
+	withOverhead := func(seed int64) (Result, error) {
+		ov := StartOverhead(OverheadConfig{Nodes: nodes})
+		defer ov.Stop()
+		return Run(n, workers, seed)
+	}
+	var base, withRes Result
+	var spent time.Duration
+	for trial := int64(0); trial < 2 || spent < minMeasure; trial++ {
+		b, err := Run(n, workers, seed+trial)
+		if err != nil {
+			return Table4Row{}, err
 		}
-		return out, nil
-	}
-	base, err := best(false)
-	if err != nil {
-		return Table4Row{}, err
-	}
-	withRes, err := best(true)
-	if err != nil {
-		return Table4Row{}, err
+		w, err := withOverhead(seed + trial)
+		if err != nil {
+			return Table4Row{}, err
+		}
+		if b.GFlops > base.GFlops {
+			base = b
+		}
+		if w.GFlops > withRes.GFlops {
+			withRes = w
+		}
+		spent += min(b.Elapsed, w.Elapsed)
 	}
 	return Table4Row{
 		Workers: workers, N: n,
