@@ -108,35 +108,11 @@ func TestSimRepeatablePerSeed(t *testing.T) {
 // running job.
 func TestSimRepeatablePerSeedWithPWS(t *testing.T) {
 	requireRepeatable(t, func(t *testing.T) (uint64, int) {
-		c, err := cluster.Build(cluster.Spec{
-			Partitions: 4, PartitionSize: 16, NICs: 3, Seed: 1, Params: config.FastParams(),
-			ExtraServices: map[types.PartitionID][]string{0: {types.SvcPWS}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pws.Deploy(c, pws.Spec{
-			Partition: 0, Pools: pws.UniformPools(c, 4),
-			SchedPeriod: c.Spec.Params.LocalCheckPeriod, UseBulletin: true,
-		}); err != nil {
-			t.Fatal(err)
-		}
+		c := pwsCluster(t)
 		sum := traceHash(c)
 		c.WarmUp()
-
+		client := spawnSubmitter(t, c)
 		parts := c.Topo.Partitions
-		var client *pws.Client
-		proc := core.NewClientProc("submit", 3, parts[3].Server)
-		proc.OnStart = func(cp *core.ClientProc) {
-			client = pws.NewClient(cp.H, rpc.Budget(c.Spec.Params.RPCTimeout), func() (types.Addr, bool) {
-				return types.Addr{Node: c.Kernel.ServerNode(0), Service: types.SvcPWS}, true
-			})
-		}
-		proc.OnMessage = func(_ *core.ClientProc, msg types.Message) { client.Handle(msg) }
-		if _, err := c.Host(parts[3].Members[len(parts[3].Members)-1]).Spawn(proc); err != nil {
-			t.Fatal(err)
-		}
-		c.RunFor(500 * time.Millisecond)
 		for i := 0; i < 200; i++ {
 			client.Submit(pws.Job{Pool: fmt.Sprintf("pool%d", i%4), Name: fmt.Sprintf("b%d", i),
 				Duration: time.Duration(5+i%7) * time.Second, Width: 1}, func(pws.SubmitAck) {})
@@ -150,4 +126,45 @@ func TestSimRepeatablePerSeedWithPWS(t *testing.T) {
 			60*time.Second, nil)
 		return sum()
 	})
+}
+
+// pwsCluster builds the benchmark's scheduler shape, not yet warmed up:
+// 64 FastParams nodes, PWS on partition 0 over four uniform pools,
+// refreshing its loads once per local-check period.
+func pwsCluster(t *testing.T) *cluster.Cluster {
+	t.Helper()
+	c, err := cluster.Build(cluster.Spec{
+		Partitions: 4, PartitionSize: 16, NICs: 3, Seed: 1, Params: config.FastParams(),
+		ExtraServices: map[types.PartitionID][]string{0: {types.SvcPWS}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pws.Deploy(c, pws.Spec{
+		Partition: 0, Pools: pws.UniformPools(c, 4),
+		SchedPeriod: c.Spec.Params.LocalCheckPeriod, UseBulletin: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// spawnSubmitter starts a scheduler client on partition 3's last node and
+// lets it boot.
+func spawnSubmitter(t *testing.T, c *cluster.Cluster) *pws.Client {
+	t.Helper()
+	parts := c.Topo.Partitions
+	var client *pws.Client
+	proc := core.NewClientProc("submit", 3, parts[3].Server)
+	proc.OnStart = func(cp *core.ClientProc) {
+		client = pws.NewClient(cp.H, rpc.Budget(c.Spec.Params.RPCTimeout), func() (types.Addr, bool) {
+			return types.Addr{Node: c.Kernel.ServerNode(0), Service: types.SvcPWS}, true
+		})
+	}
+	proc.OnMessage = func(_ *core.ClientProc, msg types.Message) { client.Handle(msg) }
+	if _, err := c.Host(parts[3].Members[len(parts[3].Members)-1]).Spawn(proc); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(500 * time.Millisecond)
+	return client
 }

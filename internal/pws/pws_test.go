@@ -323,16 +323,28 @@ func TestSchedulerMigratesWithServerNode(t *testing.T) {
 	}
 }
 
+// TestBulletinDrivenScheduling: the scheduler reads the bulletin
+// federation once per period, however many submits and completions
+// trigger a scheduling pass meanwhile.
 func TestBulletinDrivenScheduling(t *testing.T) {
 	c, sched, client, _ := rig(t, nil, true)
-	client.Submit(pws.Job{Pool: "pool0", Duration: time.Second, Width: 1}, nil)
-	c.RunFor(5 * time.Second)
-	if sched.BulletinQueries == 0 {
+	const jobs, window, period = 10, 5 * time.Second, time.Second
+	q0 := sched.BulletinQueries
+	for i := 0; i < jobs; i++ {
+		client.Submit(pws.Job{Pool: "pool0", Duration: time.Second, Width: 1}, nil)
+		c.RunFor(window / jobs)
+	}
+	queries := sched.BulletinQueries - q0
+	if queries == 0 {
 		t.Fatal("bulletin-driven scheduler issued no federation queries")
 	}
+	if limit := uint64(window/period) + 1; queries > limit {
+		t.Fatalf("%d federation queries for %d submits over %v, want at most %d (one per period)", queries, jobs, window, limit)
+	}
+	c.RunFor(2 * time.Second)
 	st := stat(t, c, client)
-	if st.Completed != 1 {
-		t.Fatalf("job incomplete: %+v", st)
+	if st.Completed != jobs {
+		t.Fatalf("jobs incomplete: %+v", st)
 	}
 }
 

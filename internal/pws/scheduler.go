@@ -104,7 +104,7 @@ type Spec struct {
 	Partition   types.PartitionID // home partition (kernel access point)
 	Pools       []PoolSpec
 	SchedPeriod time.Duration
-	// UseBulletin makes each scheduling cycle fetch cluster-wide resource
+	// UseBulletin makes the periodic refresh fetch cluster-wide resource
 	// state through the bulletin federation (one query instead of PBS's
 	// per-node polling) and prefer the least-loaded free nodes.
 	UseBulletin bool
@@ -179,6 +179,12 @@ type RunJob struct {
 	Gen uint64
 }
 
+// queuedAck is a submit ack held until a save containing its job is sent.
+type queuedAck struct {
+	to  types.Addr
+	ack SubmitAck
+}
+
 // noNode marks requeues with no failed node (preemption, drain).
 const noNode = types.NodeID(-1)
 
@@ -215,10 +221,15 @@ type Scheduler struct {
 	leasedTo map[types.NodeID]string
 	home     map[types.NodeID]string
 
-	// lastUtil is the cluster utilisation computed on the latest cycle;
+	// lastUtil is the cluster utilisation computed on the latest pass;
 	// pendingService is the service width that could not be placed there.
 	lastUtil       float64
 	pendingService int
+
+	// Group commit (see checkpointState): one save in flight at most,
+	// changes since the last one sent, and the submit acks they hold back.
+	saving, dirty bool
+	acks          []queuedAck
 
 	// BulletinQueries counts federation queries issued (the traffic
 	// comparison of §5.4).
@@ -281,7 +292,7 @@ func (s *Scheduler) Start(h *simhost.Handle) {
 	s.h = h
 	// The caller shares the node's pressure gauge (or owns a private
 	// one): the scheduler writes the cluster utilisation into it each
-	// cycle, and its sheddable traffic (the reconcile audits) backs off
+	// pass, and its sheddable traffic (the reconcile audits) backs off
 	// beyond the refuse threshold along with everything else on the node
 	// wired to the gauge.
 	callerOpts := s.spec.RPC
@@ -314,7 +325,7 @@ func (s *Scheduler) Start(h *simhost.Handle) {
 		s.h.Send(types.Addr{Node: h.Node(), Service: types.SvcGSD}, types.AnyNIC,
 			events.MsgReady, events.ReadyMsg{Service: types.SvcPWS})
 	}
-	h.Every(s.spec.SchedPeriod, s.cycle)
+	h.Every(s.spec.SchedPeriod, s.refresh)
 	h.Every(5*s.spec.SchedPeriod, s.reconcile)
 }
 
@@ -349,24 +360,22 @@ func (s *Scheduler) tryRestore(attempts int) {
 	})
 }
 
-// restoreMaps re-initialises the map fields a checkpoint from an older
-// state layout decodes as nil.
+// restoreMaps re-initialises the map fields a checkpoint decodes as nil:
+// empty ones, and ones an older state layout lacks.
 func (s *Scheduler) restoreMaps() {
-	if s.st.Attempts == nil {
-		s.st.Attempts = make(map[types.JobID]int)
+	s.st.Running = orMake(s.st.Running)
+	s.st.Outcomes = orMake(s.st.Outcomes)
+	s.st.Attempts = orMake(s.st.Attempts)
+	s.st.FailReasons = orMake(s.st.FailReasons)
+	s.st.Draining = orMake(s.st.Draining)
+	s.st.Retained = orMake(s.st.Retained)
+}
+
+func orMake[M ~map[K]V, K comparable, V any](m M) M {
+	if m == nil {
+		return make(M)
 	}
-	if s.st.FailReasons == nil {
-		s.st.FailReasons = make(map[types.JobID]string)
-	}
-	if s.st.Draining == nil {
-		s.st.Draining = make(map[types.NodeID]bool)
-	}
-	if s.st.Retained == nil {
-		s.st.Retained = make(map[types.NodeID]retainedLease)
-	}
-	if s.st.Outcomes == nil {
-		s.st.Outcomes = make(map[types.JobID]JobState)
-	}
+	return m
 }
 
 // OnStop implements simhost.Process.
@@ -438,6 +447,11 @@ func (s *Scheduler) Receive(msg types.Message) {
 }
 
 func (s *Scheduler) submit(from types.Addr, req SubmitReq) {
+	for _, q := range s.acks {
+		if q.to == from && q.ack.Token == req.Token {
+			return // a retry of a submit whose ack waits for the next save
+		}
+	}
 	job := req.Job
 	pool := s.poolByName(job.Pool)
 	if pool == nil {
@@ -468,9 +482,9 @@ func (s *Scheduler) submit(from types.Addr, req SubmitReq) {
 	job.Seq = s.st.NextSeq
 	s.st.NextSeq++
 	s.st.Queues[job.Pool] = append(s.st.Queues[job.Pool], job)
+	s.acks = append(s.acks, queuedAck{from, SubmitAck{Token: req.Token, OK: true, ID: job.ID}})
 	s.checkpointState()
-	s.h.Send(from, types.AnyNIC, MsgSubmitAck, SubmitAck{Token: req.Token, OK: true, ID: job.ID})
-	s.cycle()
+	s.schedule()
 }
 
 func (s *Scheduler) poolByName(name string) *PoolSpec {
@@ -540,7 +554,8 @@ func (s *Scheduler) schedulable() int {
 func (s *Scheduler) clusterUtil() float64 {
 	var sum float64
 	count := 0
-	for n := range s.home {
+	// In node order: a map-ordered float sum can differ between runs.
+	for _, n := range sortedKeys(s.home) {
 		if s.down[n] || s.quarantined[n] || s.st.Draining[n] {
 			continue
 		}
@@ -583,7 +598,7 @@ func (s *Scheduler) batchBacklog() int {
 }
 
 // updateShed recomputes the utilisation signal and moves the shed ladder.
-// Escalation is immediate; de-escalation is one rung per cycle and only
+// Escalation is immediate; de-escalation is one rung per pass and only
 // once the utilisation clears the current rung's threshold by the
 // hysteresis margin, so a cluster hovering on a threshold does not flap.
 func (s *Scheduler) updateShed() {
@@ -619,7 +634,7 @@ func (s *Scheduler) updateShed() {
 
 // sweepRetained returns retained leases to their lenders once the
 // cluster has stayed cool for the return delay; while it stays hot, the
-// clock restarts each cycle (hysteresis on lease return).
+// clock restarts each pass (hysteresis on lease return).
 func (s *Scheduler) sweepRetained() {
 	if len(s.st.Retained) == 0 {
 		return
@@ -645,30 +660,35 @@ func (s *Scheduler) sweepRetained() {
 	}
 }
 
-// cycle is one scheduling pass: optionally refresh resource state through
-// the bulletin federation, then move the shed ladder and dispatch per
-// pool, leasing idle nodes from other pools when a job needs more width
-// than its pool owns free.
-func (s *Scheduler) cycle() {
-	if s.spec.UseBulletin {
-		s.BulletinQueries++
-		s.bulletin.Query(bulletin.ScopeCluster, func(ack bulletin.QueryAck, ok bool) {
-			if !ok {
-				return
-			}
-			for _, snap := range ack.Snapshots {
-				for _, r := range snap.Res {
-					s.loads[r.Node] = r.CPUPct
-					s.utils[r.Node] = r.Util()
-				}
-			}
-			s.schedule()
-		})
+// refresh is the periodic pass: it re-sends a state a failed save left
+// dirty, refreshes the cached loads with one cluster-wide bulletin query,
+// then schedules. Every trigger schedules at once on the cached loads.
+func (s *Scheduler) refresh() {
+	if s.dirty {
+		s.checkpointState()
+	}
+	if !s.spec.UseBulletin {
+		s.schedule()
 		return
 	}
-	s.schedule()
+	s.BulletinQueries++
+	s.bulletin.Query(bulletin.ScopeCluster, func(ack bulletin.QueryAck, ok bool) {
+		if !ok {
+			return
+		}
+		for _, snap := range ack.Snapshots {
+			for _, r := range snap.Res {
+				s.loads[r.Node] = r.CPUPct
+				s.utils[r.Node] = r.Util()
+			}
+		}
+		s.schedule()
+	})
 }
 
+// schedule is one scheduling pass: move the shed ladder and dispatch per
+// pool, leasing idle nodes from other pools when a job needs more width
+// than its pool owns free.
 func (s *Scheduler) schedule() {
 	s.updateShed()
 	s.sweepRetained()
@@ -708,7 +728,7 @@ func (s *Scheduler) dispatchAll() {
 		}
 		changed = s.dispatchPool(pool) || changed
 	}
-	// Unmet service width feeds the preempt rung on the next cycle.
+	// Unmet service width feeds the preempt rung on the next pass.
 	s.pendingService = 0
 	for i := range s.spec.Pools {
 		pool := &s.spec.Pools[i]
@@ -943,7 +963,7 @@ func (s *Scheduler) sliceDone(id types.JobID, node types.NodeID, normal bool, ge
 			Detail: fmt.Sprintf("job %d", id)})
 		s.checkpointState()
 	}
-	s.cycle()
+	s.schedule()
 }
 
 // onEvent reacts to kernel notifications: a dead node's job slices are
@@ -964,7 +984,7 @@ func (s *Scheduler) onEvent(ev types.Event) {
 		}
 	case types.EvNodeRecover:
 		delete(s.down, ev.Node)
-		s.cycle()
+		s.schedule()
 	case types.EvNodeQuarantine:
 		// Meta-level (partition slot) quarantine events carry SvcGSD;
 		// only node-level ones name a schedulable node.
@@ -974,7 +994,7 @@ func (s *Scheduler) onEvent(ev types.Event) {
 	case types.EvNodeStable:
 		if ev.Service != types.SvcGSD {
 			delete(s.quarantined, ev.Node)
-			s.cycle()
+			s.schedule()
 		}
 	}
 }
@@ -1000,7 +1020,7 @@ func (s *Scheduler) killSlice(n types.NodeID, id types.JobID) {
 			// Acked or budget-exhausted: either way stop holding the node
 			// back (a dead node is excluded by the down mark anyway).
 			delete(s.cooling, n)
-			s.cycle()
+			s.schedule()
 		},
 	})
 }
@@ -1043,7 +1063,7 @@ func (s *Scheduler) requeue(id types.JobID, failedNode types.NodeID, countAttemp
 	s.events.Publish(types.Event{Type: types.EvJobFail, Partition: s.spec.Partition,
 		Node: failedNode, Detail: fmt.Sprintf("job %d requeued: %s", id, reason)})
 	s.checkpointState()
-	s.cycle()
+	s.schedule()
 }
 
 // quarantineJob moves a poison job to the terminal failed state.
@@ -1056,7 +1076,7 @@ func (s *Scheduler) quarantineJob(id types.JobID, reason string) {
 	s.events.Publish(types.Event{Type: types.EvJobFail, Partition: s.spec.Partition,
 		Detail: fmt.Sprintf("job %d failed: %s", id, full)})
 	s.checkpointState()
-	s.cycle()
+	s.schedule()
 }
 
 // drain handles the operator drain/undrain request: placement stops on
@@ -1092,7 +1112,7 @@ func (s *Scheduler) drain(from types.Addr, req DrainAdminReq) {
 	s.checkpointState()
 	ack.OK = true
 	s.h.Send(from, types.AnyNIC, MsgDrainAck, ack)
-	s.cycle()
+	s.schedule()
 }
 
 // notifyDrain tells a node's PPM its drain state, so the node's /readyz
@@ -1186,7 +1206,7 @@ func (s *Scheduler) deleteJob(id types.JobID, outcome JobState) error {
 		}
 		s.recordTermination(id, outcome)
 		s.checkpointState()
-		s.cycle()
+		s.schedule()
 		return nil
 	}
 	return fmt.Errorf("pws: job %d not queued or running", id)
@@ -1275,12 +1295,30 @@ func (s *Scheduler) stat(token uint64) StatAck {
 // (/statusz, /metrics): identical content to a MsgStat reply.
 func (s *Scheduler) Overview() StatAck { return s.stat(0) }
 
+// checkpointState group-commits: it saves the state at once unless a save
+// is in flight, whose completion then sends one covering every change
+// since. The submit acks a save covers leave right after it is sent.
 func (s *Scheduler) checkpointState() {
-	data, err := encodeState(s.st)
-	if err != nil {
+	s.dirty = true
+	if s.saving {
 		return
 	}
-	s.ckpt.Save(s.ckptOwner(), data, nil)
+	s.dirty = false
+	if data, err := encodeState(s.st); err == nil {
+		s.saving = true
+		s.ckpt.Save(s.ckptOwner(), data, func(ok bool) {
+			// A failed save leaves the state dirty for the next change or
+			// refresh: a shed save fails inside Save, so no retry here.
+			s.saving, s.dirty = false, s.dirty || !ok
+			if ok && s.dirty {
+				s.checkpointState()
+			}
+		})
+	}
+	for _, q := range s.acks {
+		s.h.Send(q.to, types.AnyNIC, MsgSubmitAck, q.ack)
+	}
+	s.acks = nil
 }
 
 func encodeState(st state) ([]byte, error) {

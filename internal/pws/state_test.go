@@ -48,3 +48,24 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Fatalf("state changed across a checkpoint:\nsaved    %+v\nrestored %+v", in, out)
 	}
 }
+
+// TestRestoredEmptyMapsAreWritable: a state saved before its first
+// dispatch holds no running job, and its empty maps decode as nil. The
+// scheduler restored from it must still be able to dispatch and record.
+func TestRestoredEmptyMapsAreWritable(t *testing.T) {
+	data, err := encodeState(state{NextID: 2, Queues: map[string][]Job{"batch": {{ID: 1, Pool: "batch"}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Spec{})
+	if s.st, err = decodeState(data); err != nil {
+		t.Fatal(err)
+	}
+	s.restoreMaps()
+	s.st.Running[1] = &RunJob{}
+	s.st.Outcomes[1] = StateCompleted
+	s.st.Attempts[1] = 1
+	s.st.FailReasons[1] = ""
+	s.st.Draining[3] = true
+	s.st.Retained[3] = retainedLease{}
+}
