@@ -200,21 +200,6 @@ func (s *Service) OnStop() {}
 // Entries reports the number of resource records held locally.
 func (s *Service) Entries() int { return len(s.res) }
 
-// Utilisation folds the home-partition resource rows into their mean
-// utilisation (see types.ResourceStats.Util). The co-located GSD stamps
-// it into the liveness summary it gossips, so remote partitions learn
-// this partition's load without querying its bulletin.
-func (s *Service) Utilisation() float64 {
-	if len(s.res) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, r := range s.res {
-		sum += r.Util()
-	}
-	return sum / float64(len(s.res))
-}
-
 // Receive implements simhost.Process.
 func (s *Service) Receive(msg types.Message) {
 	switch msg.Type {

@@ -1,9 +1,8 @@
 // Package gossip is the epidemic dissemination plane: bounded-fanout,
 // anti-entropy exchange of cluster state that would otherwise cost its
-// originator one message per partition — federation views, bulletin delta
-// sequences per source partition, and per-partition liveness summaries
-// (the WD heartbeat aggregate, paper §4.2 folded to one row per
-// partition).
+// originator one message per partition — federation views and bulletin
+// delta sequences per source partition. Cross-partition liveness is not
+// gossiped: it travels the GSD meta-group ring (paper §4.3).
 //
 // Every instance keeps a versioned digest of what it knows. Each round it
 // picks Fanout random peers — deterministically, from a seeded RNG, so
@@ -66,58 +65,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Liveness is one partition's member-health summary: the partition GSD
-// folds the heartbeats of its members into this single row and hands it
-// to its gossip instance, replacing N cross-partition flows with one.
-// Ver is the author's clock at stamping; higher versions win, so a
-// summary republished by a migrated GSD supersedes the old host's.
-type Liveness struct {
-	Part  types.PartitionID `json:"part"`
-	Node  types.NodeID      `json:"node"` // GSD node that authored the row
-	Ver   uint64            `json:"ver"`
-	Total int               `json:"total"`
-	Down  []types.NodeID    `json:"down,omitempty"`
-	// Epoch is the authoring GSD's fencing epoch; remote observers use it
-	// to discard summaries from a fenced stale primary.
-	Epoch uint64 `json:"epoch,omitempty"`
-	// Rows carries per-member suspicion lifecycle state ordered by
-	// incarnation then node (the SWIM-style tiebreak: a higher incarnation
-	// for the same node always supersedes).
-	Rows []LiveRow `json:"rows,omitempty"`
-	// Util is the partition's mean node utilisation in [0,1], folded by
-	// the authoring GSD from its bulletin's resource rows. Remote
-	// schedulers read it to judge whether the cluster as a whole is hot
-	// without querying every partition's bulletin.
-	Util float64 `json:"util,omitempty"`
-}
-
-// Per-member lifecycle states carried in LiveRow.State.
-const (
-	RowAlive   uint8 = 0
-	RowSuspect uint8 = 1
-	RowFailed  uint8 = 2
-)
-
-// LiveRow is one member's suspicion lifecycle entry inside a partition's
-// liveness summary.
-type LiveRow struct {
-	Node        types.NodeID `json:"node"`
-	Inc         uint64       `json:"inc"`
-	State       uint8        `json:"state"`
-	Quarantined bool         `json:"quarantined,omitempty"`
-}
-
 // SourceSeq names the highest contiguous delta sequence known for one
 // source partition.
 type SourceSeq struct {
 	Src types.PartitionID
 	Seq uint64
-}
-
-// LiveVer names the liveness summary version known for one partition.
-type LiveVer struct {
-	Part types.PartitionID
-	Ver  uint64
 }
 
 // Digest is the "what I know" summary exchanged every round. It is a few
@@ -127,7 +79,6 @@ type Digest struct {
 	Part       types.PartitionID
 	FedVersion uint64
 	Deltas     []SourceSeq
-	Live       []LiveVer
 }
 
 // Delta is one bulletin delta batch in flight: an opaque encoded
@@ -146,7 +97,6 @@ type Updates struct {
 	From   types.PartitionID
 	View   *federation.View
 	Deltas []Delta
-	Live   []Liveness
 }
 
 // Apply reports what HandleUpdates learned, for the host service to
@@ -156,8 +106,6 @@ type Apply struct {
 	View *federation.View
 	// Deltas lists fresh, in-order delta payloads per source.
 	Deltas []Delta
-	// Live lists newly adopted liveness summaries.
-	Live []Liveness
 	// Gapped lists sources whose incoming suffix skipped sequences
 	// (evicted past DigestCap); the bulletin repairs via requestSync.
 	Gapped []types.PartitionID
@@ -175,16 +123,11 @@ type Stats struct {
 	DeltasTx   uint64 `json:"deltas_tx"` // log entries pushed to peers
 	DeltasRx   uint64 `json:"deltas_rx"` // fresh entries learned
 	ViewsRx    uint64 `json:"views_rx"`  // newer fed views adopted via gossip
-	LiveRx     uint64 `json:"live_rx"`   // newer liveness summaries adopted
 	Gaps       uint64 `json:"gaps"`      // suffixes that arrived non-contiguous
 	Truncated  uint64 `json:"truncated"` // pushes clipped by DigestCap
 	FedVersion uint64 `json:"fed_version"`
 	Sources    int    `json:"sources"`    // delta sources tracked
-	LiveParts  int    `json:"live_parts"` // liveness summaries held
 	MaxFanout  int    `json:"max_fanout"` // max peers contacted in any round
-	// ClusterUtil is the Total-weighted mean utilisation over the held
-	// liveness summaries (see Engine.ClusterUtil).
-	ClusterUtil float64 `json:"cluster_util,omitempty"`
 }
 
 type logEntry struct {
@@ -205,7 +148,6 @@ type Engine struct {
 	rng  *rand.Rand
 	view federation.View
 	logs map[types.PartitionID]*srcLog
-	live map[types.PartitionID]Liveness
 	st   Stats
 }
 
@@ -218,7 +160,6 @@ func NewEngine(cfg Config) *Engine {
 		cfg:  cfg,
 		rng:  rand.New(rand.NewSource(seed)),
 		logs: make(map[types.PartitionID]*srcLog),
-		live: make(map[types.PartitionID]Liveness),
 		st:   Stats{Part: int(cfg.Part), Fanout: cfg.Fanout},
 	}
 }
@@ -289,45 +230,6 @@ func (e *Engine) AddDelta(src types.PartitionID, seq uint64, data []byte) bool {
 	return true
 }
 
-// SetLiveness adopts a partition liveness summary (higher Ver wins). It
-// reports whether the summary was adopted.
-func (e *Engine) SetLiveness(l Liveness) bool {
-	cur, ok := e.live[l.Part]
-	if ok && l.Ver <= cur.Ver {
-		return false
-	}
-	e.live[l.Part] = l
-	return true
-}
-
-// Live returns the held liveness summaries, sorted by partition.
-func (e *Engine) Live() []Liveness {
-	out := make([]Liveness, 0, len(e.live))
-	for _, l := range e.live {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Part < out[j].Part })
-	return out
-}
-
-// ClusterUtil folds the held liveness summaries into one cluster-wide
-// utilisation figure: the Total-weighted mean of the partitions' Util
-// fields. Zero when no summary carries a utilisation yet.
-func (e *Engine) ClusterUtil() float64 {
-	var weighted, total float64
-	for _, l := range e.live {
-		if l.Total <= 0 {
-			continue
-		}
-		weighted += l.Util * float64(l.Total)
-		total += float64(l.Total)
-	}
-	if total == 0 {
-		return 0
-	}
-	return weighted / total
-}
-
 // PickPeers starts a round: it returns up to Fanout distinct alive peer
 // nodes drawn from the federation view with the engine's seeded RNG.
 // The candidate order is the view's sorted partition order, so runs with
@@ -371,14 +273,6 @@ func (e *Engine) Digest() Digest {
 	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
 	for _, src := range srcs {
 		d.Deltas = append(d.Deltas, SourceSeq{Src: src, Seq: e.logs[src].last})
-	}
-	parts := make([]types.PartitionID, 0, len(e.live))
-	for p := range e.live {
-		parts = append(parts, p)
-	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i] < parts[j] })
-	for _, p := range parts {
-		d.Live = append(d.Live, LiveVer{Part: p, Ver: e.live[p].Ver})
 	}
 	return d
 }
@@ -425,21 +319,11 @@ func (e *Engine) HandleDigest(d Digest, reply bool) (ups Updates, has bool, want
 		}
 		has = true
 	}
-	theirLive := make(map[types.PartitionID]uint64, len(d.Live))
-	for _, lv := range d.Live {
-		theirLive[lv.Part] = lv.Ver
-	}
-	for _, l := range e.Live() {
-		if l.Ver > theirLive[l.Part] {
-			ups.Live = append(ups.Live, l)
-			has = true
-		}
-	}
 	if has {
 		e.st.UpdatesTx++
 		e.st.DeltasTx += uint64(len(ups.Deltas))
 	}
-	if !reply && e.needs(d, theirSeq, theirLive) {
+	if !reply && e.needs(d, theirSeq) {
 		wantReply = true
 	}
 	return ups, has, wantReply
@@ -447,17 +331,12 @@ func (e *Engine) HandleDigest(d Digest, reply bool) (ups Updates, has bool, want
 
 // needs reports whether the peer digest advertises anything newer than
 // our state.
-func (e *Engine) needs(d Digest, theirSeq, theirLive map[types.PartitionID]uint64) bool {
+func (e *Engine) needs(d Digest, theirSeq map[types.PartitionID]uint64) bool {
 	if d.FedVersion > e.view.Version {
 		return true
 	}
 	for src, seq := range theirSeq {
 		if seq > e.SeqKnown(src) {
-			return true
-		}
-	}
-	for p, ver := range theirLive {
-		if ver > e.live[p].Ver {
 			return true
 		}
 	}
@@ -489,12 +368,6 @@ func (e *Engine) HandleUpdates(u Updates) Apply {
 			e.st.DeltasRx++
 		}
 	}
-	for _, l := range u.Live {
-		if e.SetLiveness(l) {
-			ap.Live = append(ap.Live, l)
-			e.st.LiveRx++
-		}
-	}
 	return ap
 }
 
@@ -503,7 +376,5 @@ func (e *Engine) Stats() Stats {
 	st := e.st
 	st.FedVersion = e.view.Version
 	st.Sources = len(e.logs)
-	st.LiveParts = len(e.live)
-	st.ClusterUtil = e.ClusterUtil()
 	return st
 }

@@ -99,22 +99,6 @@ func TestConvergesViewAndDeltas(t *testing.T) {
 	}
 }
 
-func TestConvergesLiveness(t *testing.T) {
-	const n = 12
-	w := newNet(n, Config{Fanout: 3})
-	l := Liveness{Part: 4, Node: 4, Ver: 99, Total: 8, Down: []types.NodeID{6}}
-	w.engines[4].SetLiveness(l)
-	for r := 0; r < 20; r++ {
-		w.round()
-	}
-	for p, e := range w.engines {
-		got := e.Live()
-		if len(got) != 1 || got[0].Ver != 99 || len(got[0].Down) != 1 || got[0].Down[0] != 6 {
-			t.Fatalf("partition %v liveness = %+v", p, got)
-		}
-	}
-}
-
 func TestPeerSelectionDeterministic(t *testing.T) {
 	mk := func() *Engine {
 		e := NewEngine(Config{Part: 2, Fanout: 3, Seed: 42})
@@ -305,22 +289,6 @@ func TestViewChangeResetsMovedSourceStream(t *testing.T) {
 	if len(ap.Deltas) != 1 || e2.SeqKnown(1) != 1 {
 		t.Fatalf("fresh stream not applied with the view (deltas %v, SeqKnown %d)",
 			ap.Deltas, e2.SeqKnown(1))
-	}
-}
-
-func TestSetLivenessVersioning(t *testing.T) {
-	e := NewEngine(Config{Part: 0})
-	if !e.SetLiveness(Liveness{Part: 2, Ver: 5}) {
-		t.Fatal("first summary rejected")
-	}
-	if e.SetLiveness(Liveness{Part: 2, Ver: 5}) || e.SetLiveness(Liveness{Part: 2, Ver: 4}) {
-		t.Fatal("stale summary adopted")
-	}
-	if !e.SetLiveness(Liveness{Part: 2, Ver: 6, Down: []types.NodeID{9}}) {
-		t.Fatal("newer summary rejected")
-	}
-	if got := e.Live(); len(got) != 1 || got[0].Ver != 6 {
-		t.Fatalf("Live() = %+v", got)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // Message types. gsp.digest and gsp.updates travel between partitions;
-// submit/live/deliver are local hops between co-located services.
+// submit and deliver are local hops between co-located services.
 const (
 	// MsgDigest carries a round digest (peer -> peer).
 	MsgDigest = "gsp.digest"
@@ -24,9 +24,6 @@ const (
 	// MsgDeliver hands a learned delta to the bulletin
 	// (local gossip -> bulletin).
 	MsgDeliver = "gsp.deliver"
-	// MsgLive hands the partition liveness summary to gossip
-	// (GSD -> local gossip).
-	MsgLive = "gsp.live"
 )
 
 // DigestMsg is the round exchange opener. Reply marks a counter-digest
@@ -54,16 +51,12 @@ type DeliverMsg struct {
 	Data []byte
 }
 
-// LiveMsg is the GSD's liveness summary hand-off.
-type LiveMsg struct{ Liveness Liveness }
-
 func init() {
-	wirebin.Intern(MsgDigest, MsgUpdates, MsgSubmit, MsgDeliver, MsgLive)
+	wirebin.Intern(MsgDigest, MsgUpdates, MsgSubmit, MsgDeliver)
 	codec.Register(96, DigestMsg{})
 	codec.Register(97, UpdatesMsg{})
 	codec.Register(98, SubmitMsg{})
 	codec.Register(99, DeliverMsg{})
-	codec.Register(100, LiveMsg{})
 }
 
 // Service is the gossip kernel process.
@@ -142,12 +135,6 @@ func (s *Service) Receive(msg types.Message) {
 			return
 		}
 		s.eng.AddDelta(s.cfg.Part, m.Seq, m.Data)
-	case MsgLive:
-		m, ok := msg.Payload.(LiveMsg)
-		if !ok {
-			return
-		}
-		s.eng.SetLiveness(m.Liveness)
 	case federation.MsgView:
 		vm, ok := msg.Payload.(federation.ViewMsg)
 		if !ok {

@@ -19,7 +19,6 @@ func sampleMsgs() []any {
 			Part:       3,
 			FedVersion: 12,
 			Deltas:     []SourceSeq{{Src: 0, Seq: 41}, {Src: 7, Seq: 3}},
-			Live:       []LiveVer{{Part: 1, Ver: 99}},
 		}, Reply: true},
 		&DigestMsg{Digest: Digest{Part: 1}},
 		&UpdatesMsg{Updates: Updates{
@@ -29,12 +28,10 @@ func sampleMsgs() []any {
 				1: {Node: 17, Alive: false},
 			}},
 			Deltas: []Delta{{Src: 4, Seq: 9, Data: []byte("batch")}},
-			Live:   []Liveness{{Part: 4, Node: 64, Ver: 8, Total: 16, Down: []types.NodeID{65, 70}}},
 		}},
 		&UpdatesMsg{Updates: Updates{From: 9}},
 		&SubmitMsg{Seq: 77, Data: []byte{1, 2, 3}},
 		&DeliverMsg{Src: 5, Seq: 78, Data: []byte("d")},
-		&LiveMsg{Liveness: Liveness{Part: 2, Node: 32, Ver: 4, Total: 17}},
 	}
 }
 
@@ -70,17 +67,15 @@ func TestWireRejectsTrailingBytes(t *testing.T) {
 
 // fuzzTarget maps a selector byte to a fresh payload of that type.
 func fuzzTarget(sel byte) any {
-	switch sel % 5 {
+	switch sel % 4 {
 	case 0:
 		return new(DigestMsg)
 	case 1:
 		return new(UpdatesMsg)
 	case 2:
 		return new(SubmitMsg)
-	case 3:
-		return new(DeliverMsg)
 	default:
-		return new(LiveMsg)
+		return new(DeliverMsg)
 	}
 }
 
@@ -97,8 +92,6 @@ func FuzzGossipWire(f *testing.F) {
 			sel = 2
 		case *DeliverMsg:
 			sel = 3
-		case *LiveMsg:
-			sel = 4
 		}
 		f.Add(append([]byte{sel}, encode(f, msg)...))
 		_ = i
@@ -106,6 +99,9 @@ func FuzzGossipWire(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1})
 	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	// A partition liveness hand-off from before that payload was retired,
+	// behind its old selector 4, which now wraps to the digest decoder.
+	f.Add([]byte{4, 0x04, 0x40, 0x04, 0x22, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -119,8 +115,6 @@ func FuzzGossipWire(f *testing.F) {
 		if err := codec.DecodePayload(enc, q); err != nil {
 			t.Fatalf("re-encoded bytes failed to decode: %v", err)
 		}
-		// Compared as bytes, not DeepEqual: a decoded NaN utilisation is
-		// stable on the wire but never equal to itself.
 		if !bytes.Equal(enc, encode(t, q)) {
 			t.Fatalf("re-encode not stable:\n p %+v\n q %+v", p, q)
 		}

@@ -20,14 +20,12 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/bulletin"
 	"repro/internal/checkpoint"
 	"repro/internal/codec"
 	"repro/internal/config"
 	"repro/internal/detector"
 	"repro/internal/events"
 	"repro/internal/federation"
-	"repro/internal/gossip"
 	"repro/internal/heartbeat"
 	"repro/internal/membership"
 	"repro/internal/rpc"
@@ -473,25 +471,22 @@ func (g *Daemon) onNodeSuspect(node types.NodeID) {
 
 // onNodeRefuted runs when a suspect proved itself alive by bumping its
 // incarnation: no verdict was issued and nothing was marked down, so the
-// federation view and shard map stay untouched — only the liveness
-// summary is re-stamped with the new incarnation.
+// federation view and shard map stay untouched.
 func (g *Daemon) onNodeRefuted(node types.NodeID, inc uint64) {
 	_ = inc
 	g.publish(types.Event{Type: types.EvProcRecover, Node: node, Service: types.SvcWD,
 		Detail: "suspicion refuted"})
-	g.pushLiveness()
 }
 
 // onNodeQuarantine reacts to flap-quarantine transitions of partition
-// member nodes: publish the scheduling-exclusion event and re-stamp the
-// liveness summary. The node stays a member and stays monitored.
+// member nodes by publishing the scheduling-exclusion event. The node
+// stays a member and stays monitored.
 func (g *Daemon) onNodeQuarantine(node types.NodeID, on bool) {
 	typ := types.EvNodeQuarantine
 	if !on {
 		typ = types.EvNodeStable
 	}
 	g.publish(types.Event{Type: typ, Node: node})
-	g.pushLiveness()
 }
 
 // indirectPeers lists healthy partition members that can relay a probe to
@@ -526,53 +521,9 @@ func (g *Daemon) onPartitionDiagnosed(v heartbeat.Verdict) {
 	case types.FaultNode:
 		g.publish(types.Event{Type: types.EvNodeFail, Node: v.Node, Detail: "node silent on all interfaces"})
 		g.checkpointPartitionState()
-		g.pushLiveness()
 	case types.FaultNIC:
 		g.publish(types.Event{Type: types.EvNetFail, Node: v.Node, NIC: v.NIC})
 	}
-}
-
-// pushLiveness folds the partition monitor's member health into one
-// summary row — N heartbeat flows aggregated to a single record — and
-// hands it to the co-located gossip instance, which spreads it between
-// partitions. The version is the GSD's clock at stamping, so a summary
-// republished after a migration supersedes the old host's rows.
-func (g *Daemon) pushLiveness() {
-	part, ok := g.spec.Topo.Partition(g.spec.Partition)
-	if !ok {
-		return
-	}
-	snap := g.mon.Snapshot()
-	rows := make([]gossip.LiveRow, 0, len(snap))
-	for _, ni := range snap {
-		state := gossip.RowAlive
-		switch ni.Status {
-		case heartbeat.StatusSuspect:
-			state = gossip.RowSuspect
-		case heartbeat.StatusDown:
-			state = gossip.RowFailed
-		}
-		rows = append(rows, gossip.LiveRow{
-			Node: ni.Node, Inc: ni.Inc, State: state, Quarantined: ni.Quarantined,
-		})
-	}
-	l := gossip.Liveness{
-		Part:  g.spec.Partition,
-		Node:  g.h.Node(),
-		Ver:   uint64(g.h.Now().UnixNano()),
-		Total: len(part.Members),
-		Down:  g.mon.DownNodes(),
-		Epoch: g.epoch,
-		Rows:  rows,
-	}
-	// Ride the partition's mean utilisation on the summary: the
-	// co-located bulletin holds every member's detector sample, so the
-	// row carries load as well as liveness at no extra flow.
-	if db, ok := g.h.Host().Proc(types.SvcDB).(*bulletin.Service); ok {
-		l.Util = db.Utilisation()
-	}
-	g.h.Send(types.Addr{Node: g.h.Node(), Service: types.SvcGossip},
-		types.AnyNIC, gossip.MsgLive, gossip.LiveMsg{Liveness: l})
 }
 
 func (g *Daemon) onNodeRecovered(node types.NodeID, wasDown bool) {
@@ -581,7 +532,6 @@ func (g *Daemon) onNodeRecovered(node types.NodeID, wasDown bool) {
 	if wasDown {
 		g.publish(types.Event{Type: types.EvNodeRecover, Node: node})
 		g.checkpointPartitionState()
-		g.pushLiveness()
 		// Confirm the re-admission to the node itself: a crash-restarted
 		// phoenix-node holds its readiness at "rejoining" until its WD
 		// hears from the partition's current GSD.
@@ -621,13 +571,8 @@ func (g *Daemon) respawnWD(node types.NodeID) {
 }
 
 // reintegrationSweep probes nodes diagnosed down; when a node answers
-// again (rebooted), the GSD re-seeds its per-node daemons. It also
-// refreshes the gossiped liveness summary: the summary carries the
-// partition's utilisation, which drifts with load even while membership
-// is stable, so an event-driven push alone would let remote schedulers
-// act on stale heat.
+// again (rebooted), the GSD re-seeds its per-node daemons.
 func (g *Daemon) reintegrationSweep() {
-	g.pushLiveness()
 	for _, node := range g.mon.DownNodes() {
 		node := node
 		if g.reintegrating[node] {
@@ -708,10 +653,6 @@ func (g *Daemon) armRecovering(svc string) {
 const localCheckCost = 12 * time.Microsecond
 
 func (g *Daemon) localCheck() {
-	// Re-stamp the partition's liveness summary each check period: the
-	// periodic push re-seeds a restarted gossip instance and keeps the
-	// summary's version advancing for remote observers.
-	g.pushLiveness()
 	host := g.h.Host()
 	for _, svc := range g.localSvcs {
 		svc := svc

@@ -335,15 +335,6 @@ func (m *Monitor) NICDown(node types.NodeID, nic int) bool {
 	return tr.nicDown[nic]
 }
 
-// Watched lists the tracked nodes.
-func (m *Monitor) Watched() []types.NodeID {
-	out := make([]types.NodeID, 0, len(m.nodes))
-	for id := range m.nodes {
-		out = append(out, id)
-	}
-	return out
-}
-
 // DownNodes lists nodes currently diagnosed as failed, in node order (the
 // GSD's reintegration sweep probes them in this order).
 func (m *Monitor) DownNodes() []types.NodeID {
@@ -652,7 +643,7 @@ func (m *Monitor) Incarnation(node types.NodeID) uint64 {
 }
 
 // Snapshot reports every watched node's detection state, ordered by
-// incarnation then node (the liveness-summary row order).
+// incarnation then node.
 func (m *Monitor) Snapshot() []NodeInfo {
 	now := m.rt.Now()
 	out := make([]NodeInfo, 0, len(m.nodes))

@@ -290,8 +290,8 @@ func TestWatchIdempotent(t *testing.T) {
 	eng, _, _, g, _ := rig(t)
 	g.mon.Watch(1) // second watch must not reset state
 	eng.RunFor(2 * tInterval)
-	if len(g.mon.Watched()) != 1 {
-		t.Fatalf("watched = %v", g.mon.Watched())
+	if snap := g.mon.Snapshot(); len(snap) != 1 {
+		t.Fatalf("snapshot = %+v", snap)
 	}
 }
 

@@ -140,7 +140,6 @@ func writeStatusProm(w io.Writer, st Status) {
 		gauge("phoenix_gossip_max_fanout", gs.MaxFanout)
 		gauge("phoenix_gossip_fed_version", gs.FedVersion)
 		gauge("phoenix_gossip_sources", gs.Sources)
-		gauge("phoenix_gossip_live_parts", gs.LiveParts)
 		counter("phoenix_gossip_rounds_total", gs.Rounds)
 		counter("phoenix_gossip_digests_tx_total", gs.DigestsTx)
 		counter("phoenix_gossip_digests_rx_total", gs.DigestsRx)
@@ -149,7 +148,6 @@ func writeStatusProm(w io.Writer, st Status) {
 		counter("phoenix_gossip_deltas_tx_total", gs.DeltasTx)
 		counter("phoenix_gossip_deltas_rx_total", gs.DeltasRx)
 		counter("phoenix_gossip_views_rx_total", gs.ViewsRx)
-		counter("phoenix_gossip_live_rx_total", gs.LiveRx)
 		counter("phoenix_gossip_gaps_total", gs.Gaps)
 		counter("phoenix_gossip_truncated_total", gs.Truncated)
 	}
