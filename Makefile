@@ -35,10 +35,13 @@ test:
 # both the daemon loop and timer callbacks; internal/simhost because its
 # handles suppress timer callbacks of dead processes, the contract the
 # wire runtime shares; internal/bulletin because its replies and delta
-# batches decode on the wire's reader goroutines; the cluster smoke test
-# guards the simulator path.
+# batches decode on the wire's reader goroutines; internal/codec and
+# internal/pws because the payload plans walk values by unsafe pointer
+# arithmetic, which the race build's checkptr instrumentation checks on
+# every registered payload and on the scheduler's checkpointed state; the
+# cluster smoke test guards the simulator path.
 race:
-	$(GO) test -race ./internal/rpc/ ./internal/shard/ ./internal/gossip/ ./internal/heartbeat/ ./internal/simhost/ ./internal/bulletin/ ./internal/wire/... ./internal/noded/...
+	$(GO) test -race ./internal/rpc/ ./internal/shard/ ./internal/gossip/ ./internal/heartbeat/ ./internal/simhost/ ./internal/bulletin/ ./internal/codec/ ./internal/pws/ ./internal/wire/... ./internal/noded/...
 	$(GO) test -race -run 'TestBootAllDaemonsUp|TestGSDKillTakeoverAndRejoin' ./internal/cluster/
 
 # The fuzz gate: a short engine run per fuzz target, starting from the

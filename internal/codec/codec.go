@@ -47,9 +47,11 @@ const (
 const EnvelopeOverhead = 32
 
 // payloadType is one registered payload type: its wire ID and its plan,
-// whose typ is the registered type.
+// whose typ is the registered type. direct marks a pointer-shaped type,
+// which an interface holds in its data word rather than behind it.
 type payloadType struct {
-	id uint16
+	id     uint16
+	direct bool
 	*node
 }
 
@@ -99,7 +101,7 @@ func Register(id uint16, exemplar any) {
 	if id < FirstPayloadID {
 		panic(fmt.Sprintf("codec: Register(%d) for %v: IDs below %d are reserved for the wire format", id, t, FirstPayloadID))
 	}
-	pt := &payloadType{id, compile(t, t.String(), map[reflect.Type]*node{})}
+	pt := &payloadType{id, pointerShaped(t), compile(t, t.String(), map[reflect.Type]*node{})}
 	regMu.Lock()
 	defer regMu.Unlock()
 	if prev := reg.Load().byID[id]; prev != nil {
@@ -128,35 +130,6 @@ func Registered() []any {
 // Lock-free: hot paths call it per message.
 func lookup(v any) *payloadType { return reg.Load().byType[reflect.TypeOf(v)] }
 
-// appendTo runs the plan's encoder, turning its one failure (an
-// interface field holding an unregistered type) into an error.
-func (pt *payloadType) appendTo(b []byte, v reflect.Value) (out []byte, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			e, ok := rec.(errEncode)
-			if !ok {
-				panic(rec)
-			}
-			err = e
-		}
-	}()
-	return pt.append(b, v), nil
-}
-
-// decode overwrites v from exactly data. It never panics, whatever the
-// bytes: malformed input, and any bug the plan trips on it, surface as
-// errors, so a node survives adversarial datagrams.
-func (pt *payloadType) decode(data []byte, v reflect.Value) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("codec: decode %v panic: %v", pt.typ, rec)
-		}
-	}()
-	r := wirebin.NewReader(data)
-	pt.read(&r, v)
-	return r.Close()
-}
-
 // AppendPayload appends v's payload encoding — no envelope — to buf. It
 // fails only when v's type, or a type inside one of its interface
 // fields, is not registered.
@@ -165,7 +138,7 @@ func AppendPayload(buf []byte, v any) ([]byte, error) {
 	if pt == nil {
 		return buf, fmt.Errorf("codec: %T is not a registered payload type", v)
 	}
-	return pt.appendTo(buf, reflect.ValueOf(v))
+	return pt.appendTo(buf, v)
 }
 
 // DecodePayload overwrites *ptr, which must point to a registered
@@ -181,14 +154,14 @@ func DecodePayload(data []byte, ptr any) error {
 	if pt == nil {
 		return fmt.Errorf("codec: %v is not a registered payload type", rv.Type().Elem())
 	}
-	v := rv.Elem()
-	v.SetZero() // unexported fields (a shard map's cached ring) must not outlive the value
-	return pt.decode(data, v)
+	rv.Elem().SetZero() // unexported fields (a shard map's cached ring) must not outlive the value
+	return pt.decode(data, rv)
 }
 
 // AppendMessage appends the v3 body of one message to buf and returns
 // it — the steady-state encode path: with a buffer of sufficient
-// capacity it performs zero allocations.
+// capacity it performs zero allocations, unless the payload carries a
+// map or is pointer-shaped (see at).
 //
 // Body layout (see DESIGN §3f):
 //
@@ -218,7 +191,7 @@ func AppendMessage(buf []byte, msg types.Message) ([]byte, error) {
 	if pt == nil {
 		return buf, nil
 	}
-	buf, err := pt.appendTo(buf, reflect.ValueOf(msg.Payload))
+	buf, err := pt.appendTo(buf, msg.Payload)
 	if err != nil {
 		return nil, fmt.Errorf("codec: encode %s payload: %w", msg.Type, err)
 	}
@@ -257,11 +230,11 @@ func DecodeMessage(data []byte) (types.Message, error) {
 	if pt == nil {
 		return types.Message{}, fmt.Errorf("codec: unknown payload wire ID %d", id)
 	}
-	v := reflect.New(pt.typ).Elem()
+	v := reflect.New(pt.typ)
 	if err := pt.decode(body, v); err != nil {
 		return types.Message{}, fmt.Errorf("codec: decode %v payload: %w", pt.typ, err)
 	}
-	msg.Payload = v.Interface()
+	msg.Payload = v.Elem().Interface()
 	return msg, nil
 }
 
@@ -295,7 +268,7 @@ func SizeErrors() uint64 { return sizeErrors.Load() }
 // plus the exact length of the payload's encoding, measured by its plan
 // without encoding it. A nil payload costs nothing; an unregistered one
 // counts as the envelope alone, adds to SizeErrors, and logs once. Only
-// a payload carrying a map allocates.
+// a payload carrying a map, or a pointer-shaped one (see at), allocates.
 func Size(msg types.Message) (n int) {
 	if msg.Payload == nil {
 		return EnvelopeOverhead
@@ -312,7 +285,7 @@ func Size(msg types.Message) (n int) {
 	if pt == nil {
 		return sizeError(msg)
 	}
-	return EnvelopeOverhead + pt.size(reflect.ValueOf(msg.Payload))
+	return EnvelopeOverhead + pt.size(pt.at(msg.Payload))
 }
 
 func sizeError(msg types.Message) int {

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -115,5 +116,54 @@ func TestPropertyRoundTripEnvelope(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPointerShapedPayloads registers, for this test only, two payloads
+// an interface holds in its data word itself — a struct of one map field
+// and one of one pointer field — and sends each as the top-level payload
+// and inside another payload's interface field.
+func TestPointerShapedPayloads(t *testing.T) {
+	type oneMap struct{ M map[string]int }
+	type onePtr struct{ P *types.Event }
+	type holder struct {
+		In any
+		N  int
+	}
+	saved := reg.Load()
+	defer reg.Store(saved)
+	Register(0x7ff3, oneMap{})
+	Register(0x7ff4, onePtr{})
+	Register(0x7ff5, holder{})
+	regMu.Lock()
+	registered = registered[:len(registered)-3]
+	regMu.Unlock()
+	if !lookup(oneMap{}).direct || !lookup(onePtr{}).direct || lookup(holder{}).direct {
+		t.Fatal("pointer shapes misjudged")
+	}
+	for _, v := range []any{
+		oneMap{M: map[string]int{"a": 1, "b": -2}}, oneMap{},
+		onePtr{P: &types.Event{Type: types.EvNodeFail, Node: 3, Detail: "x"}}, onePtr{},
+	} {
+		for _, payload := range []any{v, holder{In: v, N: 7}} {
+			data, err := AppendPayload(nil, payload)
+			if err != nil {
+				t.Fatalf("%#v: %v", payload, err)
+			}
+			if got, want := Size(types.Message{Payload: payload}), EnvelopeOverhead+len(data); got != want {
+				t.Errorf("%#v: size %d, want %d", payload, got, want)
+			}
+			body, err := Encode(types.Message{Type: "x", Payload: payload})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := Decode(body)
+			if err != nil {
+				t.Fatalf("%#v: %v", payload, err)
+			}
+			if !reflect.DeepEqual(out.Payload, payload) {
+				t.Errorf("round trip changed the value:\nsent %#v\ngot  %#v", payload, out.Payload)
+			}
+		}
 	}
 }

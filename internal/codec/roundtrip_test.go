@@ -2,8 +2,10 @@ package codec_test
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/codec"
 	"repro/internal/types"
@@ -143,6 +145,101 @@ func TestSpawnSpecsRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(out.Payload, req) {
 			t.Errorf("spawn request changed:\nsent %#v\ngot  %#v", req, out.Payload)
+		}
+	}
+}
+
+// randFill sets v, and every exported field, element, entry and target
+// reachable from it, to random values. An interface field gets a
+// random registered payload; containers get up to three entries, and an
+// empty one stays nil, as it decodes. Below depth 0 containers, pointers
+// and interfaces stay empty, so recursive types terminate.
+func randFill(rng *rand.Rand, v reflect.Value, depth int) {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(rng.Int63() >> rng.Intn(63) * int64(1-2*rng.Intn(2)))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(rng.Uint64() >> rng.Intn(64))
+	case reflect.Float64:
+		v.SetFloat(rng.NormFloat64() * 1e3)
+	case reflect.Bool:
+		v.SetBool(rng.Intn(2) == 1)
+	case reflect.String:
+		b := make([]byte, rng.Intn(12))
+		for i := range b {
+			b[i] = byte(' ' + rng.Intn(95))
+		}
+		v.SetString(string(b))
+	case reflect.Struct:
+		if v.Type() == reflect.TypeOf(time.Time{}) {
+			if rng.Intn(4) > 0 {
+				v.Set(reflect.ValueOf(time.Unix(rng.Int63n(1<<33), rng.Int63n(1e9))))
+			}
+			return
+		}
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				randFill(rng, v.Field(i), depth)
+			}
+		}
+	case reflect.Slice:
+		if n := rng.Intn(4); depth > 0 && n > 0 {
+			v.Set(reflect.MakeSlice(v.Type(), n, n))
+			for i := 0; i < n; i++ {
+				randFill(rng, v.Index(i), depth-1)
+			}
+		}
+	case reflect.Map:
+		if n := rng.Intn(4); depth > 0 && n > 0 {
+			v.Set(reflect.MakeMap(v.Type()))
+			for i := 0; i < n; i++ {
+				k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+				randFill(rng, k, depth-1)
+				randFill(rng, e, depth-1)
+				v.SetMapIndex(k, e)
+			}
+		}
+	case reflect.Pointer:
+		if depth > 0 && rng.Intn(3) > 0 {
+			v.Set(reflect.New(v.Type().Elem()))
+			randFill(rng, v.Elem(), depth-1)
+		}
+	case reflect.Interface:
+		if all := codec.Registered(); depth > 0 && rng.Intn(3) > 0 {
+			e := reflect.New(reflect.TypeOf(all[rng.Intn(len(all))])).Elem()
+			if e.Type().AssignableTo(v.Type()) {
+				randFill(rng, e, depth-1)
+				v.Set(e)
+			}
+		}
+	}
+}
+
+// TestRandomPayloadsRoundTrip fills every registered payload type with
+// random values, 20 times over: Size must weigh exactly the envelope
+// plus the encoding, and decoding the encoding must give back the value.
+func TestRandomPayloadsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, ex := range codec.Registered() {
+		typ := reflect.TypeOf(ex)
+		for i := 0; i < 20; i++ {
+			v := reflect.New(typ)
+			randFill(rng, v.Elem(), 3)
+			payload := v.Elem().Interface()
+			data, err := codec.AppendPayload(nil, payload)
+			if err != nil {
+				t.Fatalf("%v: encode: %v", typ, err)
+			}
+			if got, want := codec.Size(types.Message{Payload: payload}), codec.EnvelopeOverhead+len(data); got != want {
+				t.Fatalf("%v: size %d, want %d for\n%#v", typ, got, want, payload)
+			}
+			out := reflect.New(typ)
+			if err := codec.DecodePayload(data, out.Interface()); err != nil {
+				t.Fatalf("%v: decode: %v", typ, err)
+			}
+			if !reflect.DeepEqual(out.Elem().Interface(), payload) {
+				t.Fatalf("%v: round trip changed the value:\nsent %#v\ngot  %#v", typ, payload, out.Elem().Interface())
+			}
 		}
 	}
 }

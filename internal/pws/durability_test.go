@@ -1,11 +1,15 @@
 package pws_test
 
 import (
+	"bytes"
+	"log"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
+	"repro/internal/events"
 	"repro/internal/pws"
 	"repro/internal/simhost"
 	"repro/internal/types"
@@ -141,15 +145,27 @@ func (f *slowCkpt) Receive(msg types.Message) {
 	}
 }
 
-// useSlowCkpt replaces the scheduler's checkpoint instance with a
-// slowCkpt.
-func useSlowCkpt(t *testing.T, c *cluster.Cluster, delay time.Duration) {
+// corruptCkpt acks saves like a slowCkpt and answers every restore with
+// bytes no scheduler state decodes from.
+type corruptCkpt struct{ slowCkpt }
+
+func (f *corruptCkpt) Receive(msg types.Message) {
+	if req, ok := msg.Payload.(checkpoint.RestoreReq); ok {
+		f.h.Send(msg.From, types.AnyNIC, checkpoint.MsgRestoreAck,
+			checkpoint.RestoreAck{Token: req.Token, Found: true, Seq: 1, Data: []byte{0xff, 0xff, 0xff}})
+		return
+	}
+	f.slowCkpt.Receive(msg)
+}
+
+// useCkpt replaces the scheduler's checkpoint instance with a stand-in.
+func useCkpt(t *testing.T, c *cluster.Cluster, ckpt simhost.Process) {
 	t.Helper()
 	server := c.Host(c.Topo.Partitions[0].Server)
 	if err := server.Kill(types.SvcCkpt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := server.Spawn(&slowCkpt{delay: delay}); err != nil {
+	if _, err := server.Spawn(ckpt); err != nil {
 		t.Fatal(err)
 	}
 	c.RunFor(500 * time.Millisecond)
@@ -161,7 +177,7 @@ func useSlowCkpt(t *testing.T, c *cluster.Cluster, delay time.Duration) {
 // saves than submits.
 func TestNoSubmitAckBeforeItsSave(t *testing.T) {
 	c, _, client, _ := rig(t, partition1Pool(), false)
-	useSlowCkpt(t, c, 50*time.Millisecond)
+	useCkpt(t, c, &slowCkpt{delay: 50 * time.Millisecond})
 
 	saved := make(map[types.JobID]bool)
 	saves, acks := 0, 0
@@ -203,7 +219,7 @@ func TestNoSubmitAckBeforeItsSave(t *testing.T) {
 // to retry it. The retry carries the same token and must not add a job.
 func TestRetryOfQueuedSubmitIsOneJob(t *testing.T) {
 	c, _, client, _ := rig(t, partition1Pool(), false)
-	useSlowCkpt(t, c, 1500*time.Millisecond)
+	useCkpt(t, c, &slowCkpt{delay: 1500 * time.Millisecond})
 	submits := 0
 	c.Net.Filter = func(msg types.Message) bool {
 		if msg.Type == pws.MsgSubmit {
@@ -220,5 +236,37 @@ func TestRetryOfQueuedSubmitIsOneJob(t *testing.T) {
 	}
 	if st := stat(t, c, client); accounted(st) != 2 {
 		t.Fatalf("scheduler accounts for %d jobs, 2 were submitted: %+v", accounted(st), st)
+	}
+}
+
+// TestUndecodableRestoreIsLogged: a scheduler restarted onto a checkpoint
+// it cannot decode (one written with another state layout, say) logs the
+// owner, the blob's length and the error, and still reports ready.
+func TestUndecodableRestoreIsLogged(t *testing.T) {
+	c, _, _, _ := rig(t, partition1Pool(), false)
+	useCkpt(t, c, &corruptCkpt{})
+	var logged bytes.Buffer
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(&logged)
+	ready := 0
+	c.Net.Filter = func(msg types.Message) bool {
+		if r, ok := msg.Payload.(events.ReadyMsg); ok && r.Service == types.SvcPWS {
+			ready++
+		}
+		return true
+	}
+	server := c.Host(c.Topo.Partitions[0].Server)
+	if err := server.Kill(types.SvcPWS); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(5 * time.Second)
+	if !server.Running(types.SvcPWS) {
+		t.Fatal("scheduler not restarted by the GSD")
+	}
+	if want := "pws: pws/0: restore of a 3-byte checkpoint failed, starting empty: pws: decode state:"; !strings.Contains(logged.String(), want) {
+		t.Fatalf("log %q does not contain %q", logged.String(), want)
+	}
+	if ready == 0 {
+		t.Fatal("restarted scheduler sent no ReadyMsg")
 	}
 }

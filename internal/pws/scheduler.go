@@ -3,6 +3,7 @@ package pws
 import (
 	"cmp"
 	"fmt"
+	"log"
 	"slices"
 	"sort"
 	"time"
@@ -140,8 +141,9 @@ type state struct {
 	Requeued  int
 	Deleted   int
 	TimedOut  int
-	// Outcomes records final states of finished jobs for job queries.
-	Outcomes map[types.JobID]JobState
+	// Outcomes records final states of finished jobs for job queries:
+	// one code per job ID, job i at index i-1 (IDs are dense from 1).
+	Outcomes []outcome
 
 	// Failed counts poison jobs quarantined in StateFailed; Attempts
 	// tracks each live job's consumed requeue budget and FailReasons the
@@ -162,6 +164,32 @@ type state struct {
 	ShedTotal        uint64
 	AdmissionRejects uint64
 	Preempted        uint64
+}
+
+// outcome is a job's final state as one byte; 0 is "not finished".
+type outcome uint8
+
+// finalStates maps each nonzero outcome code to its state.
+var finalStates = [...]JobState{1: StateCompleted, 2: StateDeleted, 3: StateTimeout, 4: StateFailed}
+
+// finish records id's final state.
+func (st *state) finish(id types.JobID, final JobState) {
+	if n := int(id) - len(st.Outcomes); n > 0 {
+		st.Outcomes = append(st.Outcomes, make([]outcome, n)...)
+	}
+	st.Outcomes[id-1] = outcome(slices.Index(finalStates[:], final))
+}
+
+// final returns id's final state, if it has finished.
+func (st *state) final(id types.JobID) (JobState, bool) {
+	if id < 1 || id > types.JobID(len(st.Outcomes)) {
+		return "", false
+	}
+	code := int(st.Outcomes[id-1])
+	if code == 0 || code >= len(finalStates) {
+		return "", false
+	}
+	return finalStates[code], true
 }
 
 // RunJob tracks one dispatched job.
@@ -230,6 +258,8 @@ type Scheduler struct {
 	// changes since the last one sent, and the submit acks they hold back.
 	saving, dirty bool
 	acks          []queuedAck
+	// saveLen is the last save's length, encodeState's size hint.
+	saveLen int
 
 	// BulletinQueries counts federation queries issued (the traffic
 	// comparison of §5.4).
@@ -263,7 +293,6 @@ func New(spec Spec) *Scheduler {
 			NextID:      1,
 			Queues:      make(map[string][]Job),
 			Running:     make(map[types.JobID]*RunJob),
-			Outcomes:    make(map[types.JobID]JobState),
 			Attempts:    make(map[types.JobID]int),
 			FailReasons: make(map[types.JobID]string),
 			Draining:    make(map[types.NodeID]bool),
@@ -332,7 +361,9 @@ func (s *Scheduler) Start(h *simhost.Handle) {
 func (s *Scheduler) tryRestore(attempts int) {
 	s.ckpt.Restore(s.ckptOwner(), func(data []byte, found bool) {
 		if found {
-			if st, err := decodeState(data); err == nil {
+			if st, err := decodeState(data); err != nil {
+				log.Printf("pws: %s: restore of a %d-byte checkpoint failed, starting empty: %v", s.ckptOwner(), len(data), err)
+			} else {
 				s.st = st
 				s.restoreMaps()
 				// Rebuild the busy and lease maps from running jobs; their
@@ -364,7 +395,6 @@ func (s *Scheduler) tryRestore(attempts int) {
 // empty ones, and ones an older state layout lacks.
 func (s *Scheduler) restoreMaps() {
 	s.st.Running = orMake(s.st.Running)
-	s.st.Outcomes = orMake(s.st.Outcomes)
 	s.st.Attempts = orMake(s.st.Attempts)
 	s.st.FailReasons = orMake(s.st.FailReasons)
 	s.st.Draining = orMake(s.st.Draining)
@@ -958,7 +988,7 @@ func (s *Scheduler) sliceDone(id types.JobID, node types.NodeID, normal bool, ge
 		delete(s.st.Running, id)
 		delete(s.st.Attempts, id)
 		s.st.Completed++
-		s.st.Outcomes[id] = StateCompleted
+		s.st.finish(id, StateCompleted)
 		s.events.Publish(types.Event{Type: types.EvJobFinish, Partition: s.spec.Partition,
 			Detail: fmt.Sprintf("job %d", id)})
 		s.checkpointState()
@@ -1070,7 +1100,7 @@ func (s *Scheduler) requeue(id types.JobID, failedNode types.NodeID, countAttemp
 func (s *Scheduler) quarantineJob(id types.JobID, reason string) {
 	full := fmt.Sprintf("%s (requeue budget %d exhausted)", reason, jobRequeueBudget)
 	s.st.Failed++
-	s.st.Outcomes[id] = StateFailed
+	s.st.finish(id, StateFailed)
 	s.st.FailReasons[id] = full
 	delete(s.st.Attempts, id)
 	s.events.Publish(types.Event{Type: types.EvJobFail, Partition: s.spec.Partition,
@@ -1213,7 +1243,7 @@ func (s *Scheduler) deleteJob(id types.JobID, outcome JobState) error {
 }
 
 func (s *Scheduler) recordTermination(id types.JobID, outcome JobState) {
-	s.st.Outcomes[id] = outcome
+	s.st.finish(id, outcome)
 	switch outcome {
 	case StateDeleted:
 		s.st.Deleted++
@@ -1252,8 +1282,8 @@ func (s *Scheduler) jobStat(req JobStatReq) JobStatAck {
 			}
 		}
 	}
-	if outcome, ok := s.st.Outcomes[req.ID]; ok {
-		ack.State = outcome
+	if final, ok := s.st.final(req.ID); ok {
+		ack.State = final
 		ack.Reason = s.st.FailReasons[req.ID]
 	}
 	return ack
@@ -1304,8 +1334,8 @@ func (s *Scheduler) checkpointState() {
 		return
 	}
 	s.dirty = false
-	if data, err := encodeState(s.st); err == nil {
-		s.saving = true
+	if data, err := encodeState(s.st, s.saveLen); err == nil {
+		s.saving, s.saveLen = true, len(data)
 		s.ckpt.Save(s.ckptOwner(), data, func(ok bool) {
 			// A failed save leaves the state dirty for the next change or
 			// refresh: a shed save fails inside Save, so no retry here.
@@ -1321,8 +1351,11 @@ func (s *Scheduler) checkpointState() {
 	s.acks = nil
 }
 
-func encodeState(st state) ([]byte, error) {
-	data, err := codec.AppendPayload(nil, st)
+// encodeState encodes st into a fresh buffer sized from hint, the
+// previous save's length, plus slack for growth: the checkpoint store
+// keeps the slice, so it cannot be reused, but it need not be regrown.
+func encodeState(st state, hint int) ([]byte, error) {
+	data, err := codec.AppendPayload(make([]byte, 0, hint+hint/16+256), st)
 	if err != nil {
 		return nil, fmt.Errorf("pws: encode state: %w", err)
 	}
