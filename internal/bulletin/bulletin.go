@@ -61,9 +61,10 @@ const (
 
 // PutReq stores one sample. Exactly one of Res/App is meaningful,
 // according to Kind. A zero Token is the legacy fire-and-forget detector
-// export (home store + shard plane); a non-zero Token is an acked
-// data-plane write that only the key's primary accepts. Fwd marks a write
-// forwarded between instances toward the key's primary.
+// export (home store, and the shard plane for resource rows); a non-zero
+// Token is an acked data-plane write that only the key's primary accepts.
+// Fwd marks a resource row forwarded between instances toward the key's
+// primary. Application rows live in the home store only.
 type PutReq struct {
 	Kind       string // "res" or "app"
 	Res        types.ResourceStats
@@ -118,7 +119,7 @@ const DefaultDeltaFlush = 250 * time.Millisecond
 type Config struct {
 	FetchTimeout time.Duration // per-peer scatter-gather deadline
 	CacheTTL     time.Duration // how long a cached partition snapshot is served
-	EntryTTL     time.Duration // samples older than this are dropped from results; 0 = keep all
+	EntryTTL     time.Duration // resource rows older than this, and their node's app rows, are left out of results
 	DeltaFlush   time.Duration // sharded data plane's delta-batch flush interval (0 = DefaultDeltaFlush)
 }
 
@@ -138,7 +139,7 @@ type Service struct {
 	pending *rpc.Pending
 
 	res  map[types.NodeID]types.ResourceStats
-	apps map[string]types.AppState // keyed by node/proc
+	apps map[string]types.AppState // keyed by node/name
 
 	// Read-through cache for cluster queries: per-partition home
 	// snapshots with TTL, invalidated by incoming deltas.
@@ -148,9 +149,7 @@ type Service struct {
 	// Sharded data plane (shardplane.go).
 	smap         shard.Map
 	sres         map[types.NodeID]types.ResourceStats
-	sapps        map[string]types.AppState
 	deltaRes     map[types.NodeID]types.ResourceStats // buffered, coalesced per key
-	deltaApps    map[string]types.AppState
 	deltaSeq     uint64
 	applied      map[types.PartitionID]uint64 // per-source delta sequence
 	pendingSince time.Time
@@ -170,9 +169,7 @@ func NewService(part types.PartitionID, view federation.View, cfg Config) *Servi
 		qcache:     make(map[types.PartitionID]cachedSnap),
 		cacheIndex: make(map[types.NodeID]types.PartitionID),
 		sres:       make(map[types.NodeID]types.ResourceStats),
-		sapps:      make(map[string]types.AppState),
 		deltaRes:   make(map[types.NodeID]types.ResourceStats),
-		deltaApps:  make(map[string]types.AppState),
 		applied:    make(map[types.PartitionID]uint64),
 	}
 }
@@ -209,14 +206,18 @@ func (s *Service) Receive(msg types.Message) {
 			return
 		}
 		switch {
-		case req.Fwd:
-			s.applyForwarded(req)
-		case req.Token != 0:
-			s.putAcked(msg.From, req)
-		default:
+		case req.Token == 0 && !req.Fwd:
 			// Legacy detector export: home store, then the shard plane.
 			s.applyHome(req)
-			s.shardWrite(req)
+			if req.Kind == "res" {
+				s.shardWrite(req.Res)
+			}
+		case req.Kind != "res":
+			// The shard plane carries resource rows only.
+		case req.Fwd:
+			s.applyForwarded(req.Res)
+		default:
+			s.putAcked(msg.From, req)
 		}
 	case MsgGet:
 		req, ok := msg.Payload.(GetReq)
@@ -268,11 +269,21 @@ func (s *Service) Receive(msg types.Message) {
 }
 
 // applyHome lands a detector export in the home store — this partition's
-// own samples, what MsgFetch peers scatter-gather.
+// own samples, what MsgFetch peers scatter-gather. An idle node (RunQ 0)
+// runs no job, so its sample drops the node's app rows stamped before it:
+// rows whose exit never arrived, or left behind by a reboot.
 func (s *Service) applyHome(req PutReq) {
 	switch req.Kind {
 	case "res":
 		s.res[req.Res.Node] = req.Res
+		if req.Res.RunQ != 0 {
+			return
+		}
+		for key, a := range s.apps {
+			if a.Node == req.Res.Node && a.Updated.Before(req.Res.Collected) {
+				delete(s.apps, key)
+			}
+		}
 	case "app":
 		key := req.App.Node.String() + "/" + req.App.Name
 		if req.App.Alive {
@@ -284,21 +295,20 @@ func (s *Service) applyHome(req PutReq) {
 }
 
 // local assembles this instance's partition snapshot, applying the entry
-// TTL.
+// TTL. An app row needs no refresh: it is listed while its node's resource
+// row is fresh, and a node with no resource row keeps its rows.
 func (s *Service) local() Snapshot {
 	snap := Snapshot{Partition: s.part}
 	now := s.rt.Now()
 	for _, r := range s.res {
-		if s.cfg.EntryTTL > 0 && now.Sub(r.Collected) > s.cfg.EntryTTL {
-			continue
+		if now.Sub(r.Collected) <= s.cfg.EntryTTL {
+			snap.Res = append(snap.Res, r)
 		}
-		snap.Res = append(snap.Res, r)
 	}
 	for _, a := range s.apps {
-		if s.cfg.EntryTTL > 0 && now.Sub(a.Updated) > s.cfg.EntryTTL {
-			continue
+		if r, ok := s.res[a.Node]; !ok || now.Sub(r.Collected) <= s.cfg.EntryTTL {
+			snap.Apps = append(snap.Apps, a)
 		}
-		snap.Apps = append(snap.Apps, a)
 	}
 	return snap
 }

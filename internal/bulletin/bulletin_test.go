@@ -1,6 +1,8 @@
 package bulletin_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -198,6 +200,71 @@ func TestAppStateLifecycle(t *testing.T) {
 	ack, _ = query(eng, cl, bulletin.ScopePartition)
 	if len(ack.Snapshots[0].Apps) != 0 {
 		t.Fatalf("dead app still listed: %+v", ack.Snapshots[0].Apps)
+	}
+}
+
+// appNames lists the app rows of a partition query's snapshot, sorted.
+func appNames(t *testing.T, eng *sim.Engine, cl *clientProc) []string {
+	t.Helper()
+	ack, ok := query(eng, cl, bulletin.ScopePartition)
+	if !ok {
+		t.Fatal("no answer")
+	}
+	var names []string
+	for _, a := range ack.Snapshots[0].Apps {
+		names = append(names, fmt.Sprintf("%d/%s", a.Node, a.Name))
+	}
+	slices.Sort(names)
+	return names
+}
+
+// An app row is exported once, at its start; it stays listed past the
+// entry TTL for as long as its node keeps reporting a busy runqueue.
+func TestAppRowOutlivesEntryTTLWhileNodeReports(t *testing.T) {
+	eng, _, _, cl := rig(t)
+	cl.client.ExportApp(types.AppState{Node: 3, Name: "job/9", Alive: true, Updated: eng.Now()})
+	for i := 0; i < 6; i++ { // two minutes, twice the entry TTL
+		put(eng, cl, types.ResourceStats{Node: 3, RunQ: 1, Collected: eng.Now()})
+		eng.RunFor(20 * time.Second)
+	}
+	if got := appNames(t, eng, cl); !slices.Equal(got, []string{"3/job/9"}) {
+		t.Fatalf("apps = %v, want the running job still listed", got)
+	}
+}
+
+// An idle sample (RunQ 0) drops its node's app rows stamped before it and
+// no others: not a later row of the same node, not another node's rows.
+func TestIdleSampleDropsOlderAppRows(t *testing.T) {
+	eng, _, _, cl := rig(t)
+	t0 := eng.Now()
+	for _, a := range []types.AppState{
+		{Node: 3, Name: "job/1", Alive: true, Updated: t0},
+		{Node: 3, Name: "job/2", Alive: true, Updated: t0.Add(2 * time.Second)},
+		{Node: 4, Name: "job/3", Alive: true, Updated: t0},
+	} {
+		cl.client.ExportApp(a)
+	}
+	eng.RunFor(100 * time.Millisecond)
+	put(eng, cl, types.ResourceStats{Node: 3, RunQ: 0, Collected: t0.Add(time.Second)})
+	if got := appNames(t, eng, cl); !slices.Equal(got, []string{"3/job/2", "4/job/3"}) {
+		t.Fatalf("apps = %v, want [3/job/2 4/job/3]", got)
+	}
+}
+
+// A resource row older than the entry TTL hides its node's app rows with
+// it; a node that never sent a resource row keeps its rows listed.
+func TestStaleResourceRowHidesAppRows(t *testing.T) {
+	eng, _, _, cl := rig(t)
+	put(eng, cl, types.ResourceStats{Node: 3, RunQ: 1, Collected: eng.Now()})
+	cl.client.ExportApp(types.AppState{Node: 3, Name: "job/1", Alive: true, Updated: eng.Now()})
+	cl.client.ExportApp(types.AppState{Node: 5, Name: "job/2", Alive: true, Updated: eng.Now()})
+	eng.RunFor(100 * time.Millisecond)
+	if got := appNames(t, eng, cl); !slices.Equal(got, []string{"3/job/1", "5/job/2"}) {
+		t.Fatalf("apps while fresh = %v", got)
+	}
+	eng.RunFor(2 * time.Minute) // beyond the 1-minute entry TTL
+	if got := appNames(t, eng, cl); !slices.Equal(got, []string{"5/job/2"}) {
+		t.Fatalf("apps after node 3's row went stale = %v, want [5/job/2]", got)
 	}
 }
 

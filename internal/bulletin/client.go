@@ -103,7 +103,7 @@ func (c *Client) ExportApp(app types.AppState) {
 // the ring successors as fallbacks (they refuse with the newer map, which
 // reroutes the retry).
 func (c *Client) put(req PutReq, done func(ok bool)) {
-	key := shard.NodeKey(putNode(req))
+	key := shard.NodeKey(req.Res.Node)
 	c.caller.Go(rpc.Call{
 		Targets: func() []types.Addr {
 			if c.smap.Empty() {

@@ -17,7 +17,8 @@ import (
 // ring derived from the federation view. The key's primary applies writes
 // and propagates them to replicas as delta batches handed to the
 // co-located gossip instance; any copy holder answers keyed reads. The
-// legacy home store (each partition's own detector samples,
+// plane carries resource rows only. The legacy home store (each
+// partition's own detector samples, application rows included,
 // scatter-gathered by cluster queries) is untouched underneath.
 
 // Message types of the sharded plane.
@@ -45,7 +46,7 @@ type PutAck struct {
 	Map        shard.Map
 }
 
-// GetReq reads one node's rows from the shard plane.
+// GetReq reads one node's resource row from the shard plane.
 type GetReq struct {
 	Token      uint64
 	Node       types.NodeID
@@ -56,7 +57,6 @@ type GetReq struct {
 type GetAck struct {
 	Token      uint64
 	Res        types.ResourceStats
-	Apps       []types.AppState
 	Found      bool
 	Primary    bool // answered by the key's primary (authoritative not-found)
 	Wrong      bool // refused: instance holds no copy under MapVersion
@@ -75,7 +75,6 @@ type SyncAck struct {
 	Part  types.PartitionID
 	Seq   uint64
 	Res   []types.ResourceStats
-	Apps  []types.AppState
 }
 
 // DeltaBatch is the payload of one gossiped delta (gossip.SubmitMsg out,
@@ -86,7 +85,6 @@ type DeltaBatch struct {
 	MapVersion uint64
 	Seq        uint64 // per-source sequence; gaps trigger a sync
 	Res        []types.ResourceStats
-	Apps       []types.AppState
 }
 
 // ShardStats is the data-plane section of an instance's observability
@@ -143,15 +141,7 @@ func (s *Service) Stats() ShardStats {
 			st.ReplicaRows++
 		}
 	}
-	for _, a := range s.sapps {
-		switch s.smap.RoleOf(s.part, shard.NodeKey(a.Node)) {
-		case shard.RolePrimary:
-			st.PrimaryRows++
-		case shard.RoleReplica:
-			st.ReplicaRows++
-		}
-	}
-	st.PendingRows = len(s.deltaRes) + len(s.deltaApps)
+	st.PendingRows = len(s.deltaRes)
 	if st.PendingRows > 0 && !s.pendingSince.IsZero() {
 		st.PendingAgeMs = s.rt.Now().Sub(s.pendingSince).Milliseconds()
 	}
@@ -193,11 +183,6 @@ func (s *Service) rebuildMap() {
 			delete(s.sres, n)
 		}
 	}
-	for key, a := range s.sapps {
-		if !s.smap.OwnedBy(s.part, shard.NodeKey(a.Node)) {
-			delete(s.sapps, key)
-		}
-	}
 	if len(s.qcache) > 0 {
 		s.qcache = make(map[types.PartitionID]cachedSnap)
 		s.cacheIndex = make(map[types.NodeID]types.PartitionID)
@@ -207,10 +192,7 @@ func (s *Service) rebuildMap() {
 	// key order: shardWrite forwards to other primaries, and send order
 	// must not depend on map iteration (simulator repeatability per seed).
 	for _, n := range sortedKeys(s.res) {
-		s.shardWrite(PutReq{Kind: "res", Res: s.res[n]})
-	}
-	for _, key := range sortedKeys(s.apps) {
-		s.shardWrite(PutReq{Kind: "app", App: s.apps[key]})
+		s.shardWrite(s.res[n])
 	}
 	for _, e := range s.smap.Entries {
 		if e.Part != s.part {
@@ -230,34 +212,26 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 
 // shardWrite routes one unacked write (a detector export, or a re-homed
 // row) into the plane from this instance's point of view.
-func (s *Service) shardWrite(req PutReq) {
+func (s *Service) shardWrite(r types.ResourceStats) {
 	if s.smap.Empty() {
 		return
 	}
-	key := shard.NodeKey(putNode(req))
+	key := shard.NodeKey(r.Node)
 	switch s.smap.RoleOf(s.part, key) {
 	case shard.RolePrimary:
-		if s.applyShardRow(req) {
-			s.bufferDelta(req)
+		if s.applyShardRow(r) {
+			s.bufferDelta(r)
 		}
 	case shard.RoleReplica:
 		// Hold the copy, but the primary still authors the delta.
-		s.applyShardRow(req)
-		s.forwardToPrimary(key, req)
+		s.applyShardRow(r)
+		s.forwardToPrimary(key, r)
 	default:
-		s.forwardToPrimary(key, req)
+		s.forwardToPrimary(key, r)
 	}
 }
 
-// putNode is the cluster node a write's row describes — the shard key.
-func putNode(req PutReq) types.NodeID {
-	if req.Kind == "app" {
-		return req.App.Node
-	}
-	return req.Res.Node
-}
-
-func (s *Service) forwardToPrimary(key string, req PutReq) {
+func (s *Service) forwardToPrimary(key string, r types.ResourceStats) {
 	part, ok := s.smap.Primary(key)
 	if !ok || part == s.part {
 		return
@@ -266,24 +240,22 @@ func (s *Service) forwardToPrimary(key string, req PutReq) {
 	if !ok {
 		return
 	}
-	req.Fwd = true
-	req.Token = 0
 	s.sstats.Forwarded++
-	s.rt.Send(types.Addr{Node: node, Service: types.SvcDB}, types.AnyNIC, MsgPut, req)
+	s.rt.Send(types.Addr{Node: node, Service: types.SvcDB}, types.AnyNIC, MsgPut,
+		PutReq{Kind: "res", Res: r, Fwd: true})
 }
 
 // applyForwarded lands a write forwarded by a peer: apply if we hold the
 // key, author the delta if we are its primary. Never re-forwarded (a map
 // disagreement is resolved by the next view push + sync, not by bouncing).
-func (s *Service) applyForwarded(req PutReq) {
-	key := shard.NodeKey(putNode(req))
-	switch s.smap.RoleOf(s.part, key) {
+func (s *Service) applyForwarded(r types.ResourceStats) {
+	switch s.smap.RoleOf(s.part, shard.NodeKey(r.Node)) {
 	case shard.RolePrimary:
-		if s.applyShardRow(req) {
-			s.bufferDelta(req)
+		if s.applyShardRow(r) {
+			s.bufferDelta(r)
 		}
 	case shard.RoleReplica:
-		s.applyShardRow(req)
+		s.applyShardRow(r)
 	}
 }
 
@@ -291,7 +263,7 @@ func (s *Service) applyForwarded(req PutReq) {
 // current map accepts; anyone else refuses with the newer map piggybacked,
 // and the client's rpc layer re-resolves (never a user-visible failure).
 func (s *Service) putAcked(from types.Addr, req PutReq) {
-	key := shard.NodeKey(putNode(req))
+	key := shard.NodeKey(req.Res.Node)
 	if req.MapVersion > s.smap.Version || s.smap.RoleOf(s.part, key) != shard.RolePrimary {
 		s.sstats.WrongShard++
 		s.rt.Send(from, types.AnyNIC, MsgPutAck, PutAck{
@@ -302,8 +274,8 @@ func (s *Service) putAcked(from types.Addr, req PutReq) {
 		})
 		return
 	}
-	if s.applyShardRow(req) {
-		s.bufferDelta(req)
+	if s.applyShardRow(req.Res) {
+		s.bufferDelta(req.Res)
 	}
 	s.sstats.PutsServed++
 	s.rt.Send(from, types.AnyNIC, MsgPutAck, PutAck{
@@ -343,56 +315,25 @@ func (s *Service) get(from types.Addr, req GetReq) {
 		HasMap:     s.smap.Version > req.MapVersion,
 		Map:        s.mapIfNewer(req.MapVersion),
 	}
-	if r, ok := s.sres[req.Node]; ok {
-		ack.Res, ack.Found = r, true
-	}
-	for _, a := range s.sapps {
-		if a.Node == req.Node {
-			ack.Apps = append(ack.Apps, a)
-			ack.Found = true
-		}
-	}
+	ack.Res, ack.Found = s.sres[req.Node]
 	s.sstats.GetsServed++
 	s.rt.Send(from, types.AnyNIC, MsgGetAck, ack)
 }
 
 // applyShardRow lands one row in the shard store, newest sample wins;
 // reports whether the store changed.
-func (s *Service) applyShardRow(req PutReq) bool {
-	switch req.Kind {
-	case "res":
-		if old, ok := s.sres[req.Res.Node]; ok && old.Collected.After(req.Res.Collected) {
-			return false
-		}
-		s.sres[req.Res.Node] = req.Res
-		return true
-	case "app":
-		key := req.App.Node.String() + "/" + req.App.Name
-		if old, ok := s.sapps[key]; ok && old.Updated.After(req.App.Updated) {
-			return false
-		}
-		if req.App.Alive {
-			s.sapps[key] = req.App
-		} else {
-			// A tombstone still propagates so replicas delete too.
-			delete(s.sapps, key)
-		}
-		return true
+func (s *Service) applyShardRow(r types.ResourceStats) bool {
+	if old, ok := s.sres[r.Node]; ok && old.Collected.After(r.Collected) {
+		return false
 	}
-	return false
+	s.sres[r.Node] = r
+	return true
 }
 
 // bufferDelta queues a primary-applied write for the next delta flush,
 // coalescing per key, and arms the flush timer.
-func (s *Service) bufferDelta(req PutReq) {
-	switch req.Kind {
-	case "res":
-		s.deltaRes[req.Res.Node] = req.Res
-	case "app":
-		s.deltaApps[req.App.Node.String()+"/"+req.App.Name] = req.App
-	default:
-		return
-	}
+func (s *Service) bufferDelta(r types.ResourceStats) {
+	s.deltaRes[r.Node] = r
 	if s.pendingSince.IsZero() {
 		s.pendingSince = s.rt.Now()
 	}
@@ -407,7 +348,7 @@ func (s *Service) bufferDelta(req PutReq) {
 // instance with bounded fanout.
 func (s *Service) flushDeltas() {
 	s.flushArmed = false
-	rows := len(s.deltaRes) + len(s.deltaApps)
+	rows := len(s.deltaRes)
 	if rows == 0 {
 		return
 	}
@@ -416,11 +357,7 @@ func (s *Service) flushDeltas() {
 	for _, r := range s.deltaRes {
 		batch.Res = append(batch.Res, r)
 	}
-	for _, a := range s.deltaApps {
-		batch.Apps = append(batch.Apps, a)
-	}
 	s.deltaRes = make(map[types.NodeID]types.ResourceStats)
-	s.deltaApps = make(map[string]types.AppState)
 	s.pendingSince = time.Time{}
 	s.sstats.DeltaBatchesOut++
 	s.sstats.DeltaRowsOut += uint64(rows)
@@ -462,15 +399,9 @@ func (s *Service) onGossipDelta(d gossip.DeliverMsg) {
 	s.sstats.DeltasIn++
 	for _, r := range batch.Res {
 		if s.smap.OwnedBy(s.part, shard.NodeKey(r.Node)) {
-			s.applyShardRow(PutReq{Kind: "res", Res: r})
+			s.applyShardRow(r)
 		}
 		s.invalidateCacheFor(r.Node)
-	}
-	for _, a := range batch.Apps {
-		if s.smap.OwnedBy(s.part, shard.NodeKey(a.Node)) {
-			s.applyShardRow(PutReq{Kind: "app", App: a})
-		}
-		s.invalidateCacheFor(a.Node)
 	}
 }
 
@@ -501,12 +432,7 @@ func (s *Service) requestSync(peer types.Addr) {
 		}
 		for _, r := range ack.Res {
 			if s.smap.OwnedBy(s.part, shard.NodeKey(r.Node)) {
-				s.applyShardRow(PutReq{Kind: "res", Res: r})
-			}
-		}
-		for _, a := range ack.Apps {
-			if s.smap.OwnedBy(s.part, shard.NodeKey(a.Node)) {
-				s.applyShardRow(PutReq{Kind: "app", App: a})
+				s.applyShardRow(r)
 			}
 		}
 	}, nil)
@@ -518,9 +444,6 @@ func (s *Service) serveSync(from types.Addr, req SyncReq) {
 	ack := SyncAck{Token: req.Token, Part: s.part, Seq: s.deltaSeq}
 	for _, r := range s.sres {
 		ack.Res = append(ack.Res, r)
-	}
-	for _, a := range s.sapps {
-		ack.Apps = append(ack.Apps, a)
 	}
 	s.rt.Send(from, types.AnyNIC, MsgSyncAck, ack)
 }

@@ -421,6 +421,55 @@ func TestJobLoadRunFinish(t *testing.T) {
 	}
 }
 
+// TestDBRestartRelistsRunningJob: a bulletin instance killed in place
+// restarts empty, and a job's row is exported only at its start and exit.
+// The GSD announces itself once the instance runs again, and the announce
+// makes the partition's detectors re-send their running jobs' rows, so the
+// job is listed again within half a detector sample interval.
+func TestDBRestartRelistsRunningJob(t *testing.T) {
+	c := smallCluster(t)
+	const node = types.NodeID(10)
+	part, _ := c.Topo.PartitionOf(node)
+	client := core.NewClientProc("jobmgr", part.ID, part.Server)
+	client.OnStart = func(cp *core.ClientProc) {
+		cp.LoadJob(node, ppm.JobSpec{ID: 7, Name: "hpl", Duration: time.Minute}, "", func(ppm.LoadAck) {})
+	}
+	if _, err := c.Host(2).Spawn(client); err != nil {
+		t.Fatal(err)
+	}
+	listed := func() int {
+		n := -1
+		client.Bulletin.Query(bulletin.ScopePartition, func(ack bulletin.QueryAck, ok bool) {
+			if ok {
+				n = len(ack.Snapshots[0].Apps)
+			}
+		})
+		c.RunFor(200 * time.Millisecond)
+		return n
+	}
+	c.RunFor(2 * time.Second)
+	if !c.Host(node).Running("job/7") {
+		t.Fatal("job not running")
+	}
+	if n := listed(); n != 1 {
+		t.Fatalf("apps before the kill = %d, want 1", n)
+	}
+	db := c.Host(part.Server)
+	if err := db.Kill(types.SvcDB); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500 && !db.Running(types.SvcDB); i++ {
+		c.RunFor(10 * time.Millisecond)
+	}
+	if !db.Running(types.SvcDB) {
+		t.Fatal("bulletin not restarted")
+	}
+	c.RunFor(c.Spec.Params.DetectorSampleInterval / 2)
+	if n := listed(); n != 1 {
+		t.Fatalf("apps after the restart = %d, want the running job listed again", n)
+	}
+}
+
 func TestPExecTreeFanout(t *testing.T) {
 	c := smallCluster(t)
 	var results []ppm.ExecResult

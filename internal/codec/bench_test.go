@@ -21,7 +21,6 @@ func hotPayloads() []struct {
 } {
 	at := time.Unix(1125532800, 5)
 	res := types.ResourceStats{Node: 3, CPUPct: 41.5, MemPct: 12, Collected: at, RunQ: 2}
-	app := types.AppState{Node: 3, Proc: 12, Name: "linpack", Alive: true, CPUPct: 20, Updated: at}
 	rows := make([]types.ResourceStats, 8)
 	for i := range rows {
 		rows[i] = res
@@ -36,7 +35,7 @@ func hotPayloads() []struct {
 		{"QueryAck", nested[0]},
 		{"Heartbeat", heartbeat.Heartbeat{Node: 3, Seq: 99, Interval: 250 * time.Millisecond, Boot: at, Inc: 2}},
 		{"PutReq", bulletin.PutReq{Kind: "res", Res: res, Token: 7, MapVersion: 4}},
-		{"DeltaBatch", bulletin.DeltaBatch{Part: 1, MapVersion: 4, Seq: 812, Res: rows, Apps: []types.AppState{app}}},
+		{"DeltaBatch", bulletin.DeltaBatch{Part: 1, MapVersion: 4, Seq: 812, Res: rows}},
 	}
 }
 

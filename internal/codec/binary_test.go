@@ -46,7 +46,7 @@ func exemplars(t testing.TB) []any {
 func nestedExemplars() []any {
 	at := time.Unix(1125532800, 5)
 	res := types.ResourceStats{Node: 3, CPUPct: 41.5, Collected: at, RunQ: 2}
-	app := types.AppState{Node: 3, Proc: 12, Name: "linpack", Alive: true, SLATag: "gold", Updated: at}
+	app := types.AppState{Node: 3, Proc: 12, Name: "linpack", Alive: true, Updated: at}
 	smap := shard.Map{Version: 4, Replicas: 2, VNodes: 16, Entries: []shard.Entry{{Part: 0, Node: 0}, {Part: 2, Node: 8}}}
 	return []any{
 		bulletin.QueryAck{
@@ -59,7 +59,7 @@ func nestedExemplars() []any {
 			Stale:      true,
 			MapVersion: 4, HasMap: true, Map: smap,
 		},
-		bulletin.GetAck{Token: 12, Res: res, Apps: []types.AppState{app, app}, Found: true, MapVersion: 4, HasMap: true, Map: smap},
+		bulletin.GetAck{Token: 12, Res: res, Found: true, MapVersion: 4, HasMap: true, Map: smap},
 		membership.ViewMsg{View: membership.NewView(map[types.PartitionID]types.NodeID{0: 0, 1: 4})},
 		checkpoint.Repl{Owner: "pws/part0", Seq: 3, Data: []byte("state")},
 	}
@@ -73,7 +73,7 @@ func spawnRequests() []any {
 		ppm.JobSpec{ID: 9, Name: "linpack", Duration: time.Second, Submitter: types.Addr{Node: 2, Service: types.SvcPWS}, Gen: 3},
 		gsd.SpawnSpec{Partition: 1, View: view, Migrated: true, Epoch: 5},
 		gsd.ServiceSpawnSpec{Partition: 1, View: federation.NewView(map[types.PartitionID]types.NodeID{0: 0, 1: 4}), Restart: true},
-		detector.Spec{Partition: 1, GSDNode: 4, SampleInterval: time.Second, SLATag: "gold"},
+		detector.Spec{Partition: 1, GSDNode: 4, SampleInterval: time.Second},
 		watchd.Spec{Partition: 1, GSDNode: 4, Interval: time.Second, NICs: 2, Supervise: true, DetectorSample: time.Second},
 		bizrt.InstanceSpawnSpec{App: bizrt.AppSpec{Name: "shop", Tiers: []bizrt.TierSpec{{Name: "web", Replicas: 2}}, SLA: time.Second}, Tier: 1, Idx: 2, Manager: 3},
 	}

@@ -2,14 +2,15 @@
 // every node (paper §4.2): the physical-resource detector samples CPU,
 // memory, swap, disk I/O and network I/O and exports them to the data
 // bulletin (they are "fundamental for job management's schedulers"); the
-// application-state detector tracks the living status and resource
-// consumption of application processes for the business runtime. The node-
-// and network-state detectors are realised by the watch-daemon/GSD
-// heartbeat path (package heartbeat), whose verdicts this package's
-// consumers receive through the event service.
+// application-state detector reports the living status of application
+// processes at their start and exit. The node- and network-state detectors
+// are realised by the watch-daemon/GSD heartbeat path (package heartbeat),
+// whose verdicts this package's consumers receive through the event
+// service.
 package detector
 
 import (
+	"slices"
 	"strings"
 	"time"
 
@@ -31,7 +32,6 @@ type Spec struct {
 	Partition      types.PartitionID
 	GSDNode        types.NodeID // bulletin instance location (co-located with GSD)
 	SampleInterval time.Duration
-	SLATag         string // tag attached to exported application states
 }
 
 // Daemon is the per-node detector process.
@@ -60,15 +60,12 @@ func (d *Daemon) Start(h *simhost.Handle) {
 		return types.Addr{Node: d.gsd, Service: types.SvcDB}, true
 	})
 	// Application-state detector: export job lifecycle transitions as
-	// they happen.
+	// they happen. A row needs no refresh; the bulletin ages it with the
+	// node's resource row.
 	d.cancelWatch = h.Host().Watch(func(ev simhost.ProcEvent) {
-		if !strings.HasPrefix(ev.Service, "job/") {
-			return
+		if strings.HasPrefix(ev.Service, "job/") {
+			d.exportApp(ev.PID, ev.Service, ev.Started)
 		}
-		d.bulletin.ExportApp(types.AppState{
-			Node: h.Node(), Proc: ev.PID, Name: ev.Service,
-			Alive: ev.Started, SLATag: d.spec.SLATag, Updated: h.Now(),
-		})
 	})
 	d.sample()
 	h.Every(d.spec.SampleInterval, d.sample)
@@ -82,26 +79,53 @@ func (d *Daemon) OnStop() {
 }
 
 // Receive implements simhost.Process: the detector follows GSD migrations
-// so its exports reach the current bulletin instance.
+// so its exports reach the current bulletin instance, and re-sends its
+// running jobs' rows there, since the announced instance may be new and
+// empty. It re-sends at once, for a bulletin restarted in place (announced
+// once it runs), and again a sample interval later, for one still starting
+// on a migrated server.
 func (d *Daemon) Receive(msg types.Message) {
-	if msg.Type == heartbeat.MsgGSDAnnounce {
-		if a, ok := msg.Payload.(heartbeat.GSDAnnounce); ok && a.Partition == d.spec.Partition {
-			d.gsd = a.GSDNode
-		}
+	if msg.Type != heartbeat.MsgGSDAnnounce {
+		return
+	}
+	if a, ok := msg.Payload.(heartbeat.GSDAnnounce); ok && a.Partition == d.spec.Partition {
+		d.gsd = a.GSDNode
+		d.resendApps()
+		d.h.After(d.spec.SampleInterval, d.resendApps)
 	}
 }
 
-// sample exports one physical-resource reading and refreshes the state of
-// running application processes.
-func (d *Daemon) sample() {
+// resendApps exports a start row for each running job again.
+func (d *Daemon) resendApps() {
 	host := d.h.Host()
-	usage := host.Usage()
+	for _, svc := range d.runningJobs() {
+		d.exportApp(host.PID(svc), svc, true)
+	}
+}
+
+func (d *Daemon) exportApp(pid types.ProcID, svc string, alive bool) {
+	d.bulletin.ExportApp(types.AppState{
+		Node: d.h.Node(), Proc: pid, Name: svc, Alive: alive, Updated: d.h.Now(),
+	})
+}
+
+// runningJobs lists the node's running job processes in name order.
+func (d *Daemon) runningJobs() []string {
+	host := d.h.Host()
 	var jobs []string
 	for _, svc := range host.Procs() {
 		if strings.HasPrefix(svc, "job/") && host.Running(svc) {
 			jobs = append(jobs, svc)
 		}
 	}
+	slices.Sort(jobs)
+	return jobs
+}
+
+// sample exports one physical-resource reading.
+func (d *Daemon) sample() {
+	host := d.h.Host()
+	usage := host.Usage()
 	// Runqueue depth comes from the co-located PPM, the authority on
 	// in-flight jobs (it tracks a load from the moment it is acked, before
 	// the process shows in the table); fall back to the process-table count
@@ -109,23 +133,10 @@ func (d *Daemon) sample() {
 	if p, ok := host.Proc(types.SvcPPM).(*ppm.Daemon); ok {
 		usage.RunQ = p.Jobs()
 	} else {
-		usage.RunQ = len(jobs)
+		usage.RunQ = len(d.runningJobs())
 	}
 	d.bulletin.ExportResources(usage)
 	d.Samples++
-	if len(jobs) == 0 {
-		return
-	}
-	// Attribute the node's sampled CPU evenly across its running job
-	// processes: the per-app rows then track the real host load instead of
-	// a fixed estimate, so PWS load-ordering reacts to actual utilisation.
-	perJob := usage.CPUPct / float64(len(jobs))
-	for _, svc := range jobs {
-		d.bulletin.ExportApp(types.AppState{
-			Node: d.h.Node(), Proc: host.PID(svc), Name: svc,
-			Alive: true, CPUPct: perJob, SLATag: d.spec.SLATag, Updated: d.h.Now(),
-		})
-	}
 }
 
 var _ simhost.Process = (*Daemon)(nil)

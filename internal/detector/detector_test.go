@@ -112,9 +112,13 @@ func (p *queryProc) query() {
 
 func TestDetectorFollowsGSDAnnounce(t *testing.T) {
 	eng, hosts, svcs, _ := rig(t)
+	// A job runs before the move; its start row went to node 0 only.
+	if _, err := hosts[2].Spawn(ppm.NewJobProc(ppm.JobSpec{ID: 5, Duration: time.Minute})); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(time.Second)
 	// Move the partition's services to node 1 (as a migration would) and
 	// announce; exports must follow.
-	_ = svcs
 	ann := heartbeat.GSDAnnounce{Partition: 0, GSDNode: 1}
 	net := hostsNet(hosts)
 	_ = net.Send(types.Message{
@@ -126,6 +130,16 @@ func TestDetectorFollowsGSDAnnounce(t *testing.T) {
 	eng.RunFor(3 * time.Second)
 	if svcs[1].Entries() <= before {
 		t.Fatal("exports did not follow the announce")
+	}
+	// The announce also re-sent the running job's row to the new instance.
+	apps := -1
+	q := &queryProc{target: 1, onApps: func(n int) { apps = n }}
+	if _, err := hosts[0].Spawn(q); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(time.Second)
+	if apps != 1 {
+		t.Fatalf("apps at the announced instance = %d, want the running job", apps)
 	}
 }
 

@@ -685,20 +685,25 @@ func (g *Daemon) restartLocalService(svc string) {
 	if !readyHandshake[svc] {
 		// DB and checkpoint instances have no restore handshake; their
 		// start event completes recovery.
-		g.awaitServiceStart(svc)
+		g.awaitServiceStart(svc, svc == types.SvcDB)
 	}
 }
 
 // awaitServiceStart polls the process table until the restarted service
-// runs, then publishes its recovery.
-func (g *Daemon) awaitServiceStart(svc string) {
+// runs, then publishes its recovery. With announce set it then announces
+// the GSD to the partition: a bulletin restarted in place starts empty,
+// and the announce makes each detector re-send its running jobs' rows.
+func (g *Daemon) awaitServiceStart(svc string, announce bool) {
 	g.h.After(10*time.Millisecond, func() {
 		if g.h.Host().Running(svc) {
 			g.onServiceReady(svc)
+			if announce {
+				g.announcePartition()
+			}
 			return
 		}
 		if g.recoveringActive(svc) {
-			g.awaitServiceStart(svc)
+			g.awaitServiceStart(svc, announce)
 		}
 	})
 }
@@ -727,7 +732,10 @@ func (g *Daemon) ensureLocalServices(restart bool) {
 		if _, err := host.SpawnService(svc, spec); err == nil && restart {
 			g.armRecovering(svc)
 			if !readyHandshake[svc] {
-				g.awaitServiceStart(svc)
+				// The migration path announces at start and after the
+				// restore; detectors re-send their job rows a sample
+				// interval after an announce, once this instance runs.
+				g.awaitServiceStart(svc, false)
 			}
 		}
 	}

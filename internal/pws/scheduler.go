@@ -1135,10 +1135,6 @@ func (s *Scheduler) drain(from types.Addr, req DrainAdminReq) {
 		}
 	}
 	s.notifyDrain(n, !req.Undrain)
-	s.bulletin.ExportApp(types.AppState{
-		Node: n, Name: "phoenix/drain", Alive: !req.Undrain,
-		SLATag: "drain", Updated: s.h.Now(),
-	})
 	s.checkpointState()
 	ack.OK = true
 	s.h.Send(from, types.AnyNIC, MsgDrainAck, ack)

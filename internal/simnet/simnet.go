@@ -32,7 +32,6 @@ type Params struct {
 	NICs        int           // network interfaces per node; the paper's nodes had 3
 	BaseLatency time.Duration // one-way propagation+switching delay
 	Jitter      time.Duration // uniform extra delay in [0, Jitter)
-	DropRate    float64       // probability a deliverable message is lost anyway
 	// PlaneLatency overrides BaseLatency per network plane: the Dawning
 	// 4000A's three networks were heterogeneous fabrics (a fast compute
 	// interconnect plus slower management/backup Ethernets). Missing or
@@ -245,9 +244,6 @@ func (n *Network) Send(msg types.Message) error {
 	msg.Sent = n.clk.Now()
 
 	deliverable := n.pathOK(msg.From.Node, msg.To.Node, nic) && n.nodeUp[msg.From.Node]
-	if deliverable && n.params.DropRate > 0 && n.rng.Float64() < n.params.DropRate {
-		deliverable = false
-	}
 	if deliverable && n.Filter != nil && !n.Filter(msg) {
 		deliverable = false
 	}

@@ -243,21 +243,6 @@ func TestByteAccounting(t *testing.T) {
 	}
 }
 
-func TestDropRate(t *testing.T) {
-	eng := sim.New(1)
-	p := Params{NICs: 1, BaseLatency: time.Microsecond, DropRate: 1.0}
-	net := New(eng, eng.Rand(), 2, p, nil)
-	delivered := false
-	net.Register(addr(1, "x"), func(types.Message) { delivered = true })
-	if err := net.Send(types.Message{From: addr(0, "x"), To: addr(1, "x"), NIC: 0}); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if delivered {
-		t.Fatal("DropRate=1 delivered a message")
-	}
-}
-
 func TestInvalidNIC(t *testing.T) {
 	_, net := newNet(t, 2)
 	if err := net.Send(types.Message{From: addr(0, "x"), To: addr(1, "x"), NIC: 7}); err == nil {

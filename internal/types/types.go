@@ -117,16 +117,13 @@ func (s ResourceStats) Util() float64 {
 }
 
 // AppState describes one application (job process) tracked by the
-// application-state detector: its living status, the resources it consumes,
-// and service-level-agreement information.
+// application-state detector: its living status, reported at its start
+// and exit transitions.
 type AppState struct {
 	Node    NodeID
 	Proc    ProcID
 	Name    string
 	Alive   bool
-	CPUPct  float64
-	MemPct  float64
-	SLATag  string
 	Updated time.Time
 }
 
