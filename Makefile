@@ -8,9 +8,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race fuzz alloc admin-smoke chaos-smoke detect-soak overload-smoke bench loc
+.PHONY: ci vet build test race fuzz alloc sim-smoke admin-smoke chaos-smoke detect-soak overload-smoke bench loc
 
-ci: vet build test race fuzz alloc admin-smoke chaos-smoke detect-soak overload-smoke
+ci: vet build test race fuzz alloc sim-smoke admin-smoke chaos-smoke detect-soak overload-smoke
 	@echo "ci: all gates passed"
 
 # Static analysis plus the format gate: any file gofmt would rewrite fails.
@@ -67,6 +67,15 @@ fuzz:
 # race detector: the race runtime adds its own allocations.
 alloc:
 	$(GO) test -run 'ZeroAllocs' -count=1 ./internal/codec/ ./internal/simnet/
+
+# The simulator gate: run cmd/phoenix-sim through a WD kill with its
+# per-type traffic table and require the run to finish (the done: line)
+# and the table to count heartbeats (a nonzero wd.hb row).
+sim-smoke:
+	@out=$$($(GO) run ./cmd/phoenix-sim -partitions 2 -size 8 -run 20s -snapshot 20s -scenario "5s kill-wd 10" -trace) || exit 1; \
+	echo "$$out" | grep -q '^done: ' || { echo "sim-smoke: no done: line"; exit 1; }; \
+	echo "$$out" | awk '$$1 == "wd.hb" && $$2 > 0 { ok = 1 } END { exit !ok }' || { echo "sim-smoke: no nonzero wd.hb row"; exit 1; }; \
+	echo "sim-smoke: ok"
 
 # The repository benchmark (BENCHMARK.json): four workloads with bounds,
 # calibration and a checked-in baseline; see bench/README.md.

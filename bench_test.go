@@ -177,28 +177,18 @@ func BenchmarkKernelSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkLinpackFactor measures the LU kernels: the unblocked
-// right-looking factorisation and the HPL-style blocked one.
+// BenchmarkLinpackFactor measures the right-looking LU kernel Table 4
+// runs.
 func BenchmarkLinpackFactor(b *testing.B) {
 	a, _ := linpack.RandomSystem(384, 1)
 	pool := linpack.NewPool(4)
 	defer pool.Close()
-	b.Run("unblocked", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			work := a.Clone()
-			if _, err := linpack.Factor(work, pool); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < b.N; i++ {
+		work := a.Clone()
+		if _, err := linpack.Factor(work, pool); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("blocked-nb64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			work := a.Clone()
-			if _, err := linpack.FactorBlocked(work, 64, pool); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkAblationPartitioning compares the busiest management node under

@@ -16,13 +16,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/gridview"
-	"repro/internal/trace"
+	"repro/internal/metrics"
 	"repro/internal/types"
 )
 
@@ -33,8 +34,7 @@ func main() {
 	runFor := flag.Duration("run", 60*time.Second, "virtual time to simulate")
 	scenario := flag.String("scenario", "", "semicolon-separated fault schedule")
 	snapshotEvery := flag.Duration("snapshot", 20*time.Second, "status print period")
-	showTrace := flag.Bool("trace", false, "print a per-message-type traffic summary at the end")
-	traceCSV := flag.String("trace-csv", "", "write the retained message trace as CSV to this file")
+	showTrace := flag.Bool("trace", false, "print the sent messages and bytes per message type at the end")
 	flag.Parse()
 
 	spec := cluster.Small()
@@ -44,11 +44,6 @@ func main() {
 	c, err := cluster.Build(spec)
 	if err != nil {
 		fail(err)
-	}
-	var rec *trace.Recorder
-	if *showTrace || *traceCSV != "" {
-		rec = trace.NewRecorder(65536, c.Engine.Elapsed)
-		c.Net.Trace = rec.Observe
 	}
 	c.WarmUp()
 
@@ -84,20 +79,33 @@ func main() {
 	}
 	fmt.Printf("done: %d events, %g kernel messages\n",
 		c.Engine.Steps(), c.Metrics.Counter("net.msgs").Value())
-	if rec != nil && *showTrace {
-		fmt.Print(rec.Summary())
+	if *showTrace {
+		fmt.Print(trafficTable(c.Metrics.Snapshot()))
 	}
-	if rec != nil && *traceCSV != "" {
-		f, err := os.Create(*traceCSV)
-		if err != nil {
-			fail(err)
+}
+
+// trafficTable renders the per-type counters the simulated network keeps
+// (net.msgs.<type>, net.bytes.<type>), largest count first.
+func trafficTable(s metrics.Snapshot) string {
+	bytesOf := make(map[string]float64)
+	var rows []metrics.Sample
+	for _, ctr := range s.Counters {
+		if typ, ok := strings.CutPrefix(ctr.Name, "net.bytes."); ok {
+			bytesOf[typ] = ctr.Value
+		} else if typ, ok := strings.CutPrefix(ctr.Name, "net.msgs."); ok {
+			rows = append(rows, metrics.Sample{Name: typ, Value: ctr.Value})
 		}
-		defer f.Close()
-		if err := rec.WriteCSV(f); err != nil {
-			fail(err)
-		}
-		fmt.Printf("trace written to %s\n", *traceCSV)
 	}
+	// The snapshot is sorted by name, so equal counts stay in type order.
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Value > rows[j].Value })
+	var b strings.Builder
+	total, _ := s.Counter("net.msgs")
+	fmt.Fprintf(&b, "message traffic: %g sent\n", total)
+	fmt.Fprintf(&b, "%-22s %10s %12s\n", "type", "count", "bytes")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-22s %10g %12g\n", r.Name, r.Value, bytesOf[r.Name])
+	}
+	return b.String()
 }
 
 type step struct {

@@ -59,10 +59,12 @@ func runScript(t *testing.T, c *cluster.Cluster, script string, d time.Duration,
 }
 
 // requireRepeatable runs one seeded simulation twice: both runs must
-// deliver the same messages in the same order. Go randomises map
-// iteration per run, so any send loop ranging a map breaks this as soon
-// as a fault makes that loop fire.
-func requireRepeatable(t *testing.T, run func(t *testing.T) (uint64, int)) {
+// deliver the same messages in the same order, and the same ones as when
+// the check was last pinned (wantN messages hashing to wantSum). Go
+// randomises map iteration per run, so any send loop ranging a map breaks
+// the first check as soon as a fault makes that loop fire; the second
+// catches a change to what the kernel sends.
+func requireRepeatable(t *testing.T, wantN int, wantSum uint64, run func(t *testing.T) (uint64, int)) {
 	sumA, nA := run(t)
 	sumB, nB := run(t)
 	if sumA != sumB || nA != nB {
@@ -70,12 +72,16 @@ func requireRepeatable(t *testing.T, run func(t *testing.T) (uint64, int)) {
 	}
 	// Logged so a change that claims identical behaviour can quote both sides.
 	t.Logf("%d messages delivered, trace hash %#x", nA, sumA)
+	if nA != wantN || sumA != wantSum {
+		t.Fatalf("%d messages hash %#x, pinned %d / %#x: a change that alters what the kernel sends "+
+			"updates the pinned constants and says so in CHANGES.md", nA, sumA, wantN, wantSum)
+	}
 }
 
 // TestSimRepeatablePerSeed: the Small cluster through a server-node kill,
 // two compute kills and a partition/heal.
 func TestSimRepeatablePerSeed(t *testing.T) {
-	requireRepeatable(t, func(t *testing.T) (uint64, int) {
+	requireRepeatable(t, 30202, 0x3b32777d7a41192f, func(t *testing.T) (uint64, int) {
 		c, err := cluster.Build(cluster.Small())
 		if err != nil {
 			t.Fatal(err)
@@ -107,7 +113,7 @@ func TestSimRepeatablePerSeed(t *testing.T) {
 // The scheduler's failover replays its checkpoint and re-audits every
 // running job.
 func TestSimRepeatablePerSeedWithPWS(t *testing.T) {
-	requireRepeatable(t, func(t *testing.T) (uint64, int) {
+	requireRepeatable(t, 51734, 0x59f02b51afec8458, func(t *testing.T) (uint64, int) {
 		c := pwsCluster(t)
 		sum := traceHash(c)
 		c.WarmUp()

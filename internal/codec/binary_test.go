@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bizrt"
 	"repro/internal/bulletin"
 	"repro/internal/checkpoint"
 	"repro/internal/codec"
@@ -75,7 +74,6 @@ func spawnRequests() []any {
 		gsd.ServiceSpawnSpec{Partition: 1, View: federation.NewView(map[types.PartitionID]types.NodeID{0: 0, 1: 4}), Restart: true},
 		detector.Spec{Partition: 1, GSDNode: 4, SampleInterval: time.Second},
 		watchd.Spec{Partition: 1, GSDNode: 4, Interval: time.Second, NICs: 2, Supervise: true, DetectorSample: time.Second},
-		bizrt.InstanceSpawnSpec{App: bizrt.AppSpec{Name: "shop", Tiers: []bizrt.TierSpec{{Name: "web", Replicas: 2}}, SLA: time.Second}, Tier: 1, Idx: 2, Manager: 3},
 	}
 	var out []any
 	for i, spec := range specs {

@@ -134,8 +134,6 @@ type Daemon struct {
 	// replicated view, which excludes it from shard ownership until the
 	// score decays.
 	metaFlap map[types.PartitionID]*metaFlapState
-
-	cancelWatch func()
 }
 
 type metaFlapState struct {
@@ -274,10 +272,8 @@ func (g *Daemon) Start(h *simhost.Handle) {
 	// Tell the partition where its GSD lives (WDs and detectors follow).
 	g.announcePartition()
 
-	// Local service supervision: the process-table watch notices exits,
-	// the periodic check (one heartbeat interval, paper Table 3) detects
-	// them.
-	g.cancelWatch = h.Host().Watch(g.onLocalProcEvent)
+	// Local service supervision: the periodic check (one heartbeat
+	// interval, paper Table 3) detects exits.
 	h.Every(p.LocalCheckPeriod, g.localCheck)
 
 	// Reintegration sweep: probe nodes diagnosed down and re-seed their
@@ -309,9 +305,6 @@ func (g *Daemon) Start(h *simhost.Handle) {
 
 // OnStop implements simhost.Process.
 func (g *Daemon) OnStop() {
-	if g.cancelWatch != nil {
-		g.cancelWatch()
-	}
 	g.member.Stop()
 }
 
@@ -625,17 +618,6 @@ func (g *Daemon) reseedNode(node types.NodeID) {
 
 // --- local service supervision ---------------------------------------------
 
-func (g *Daemon) onLocalProcEvent(ev simhost.ProcEvent) {
-	// The exit itself is noticed here, but detection is credited to the
-	// periodic check (paper Table 3: detection takes one heartbeat
-	// interval even for co-located services).
-	_ = ev
-}
-
-// localCheck verifies each supervised service against the host's process
-// table; a missing service is detected now, diagnosed after the
-// process-table lookup cost, restarted, and declared recovered when it
-// reports ready.
 // recoveringActive reports whether an unexpired restart of svc is in
 // flight.
 func (g *Daemon) recoveringActive(svc string) bool {
@@ -652,6 +634,11 @@ func (g *Daemon) armRecovering(svc string) {
 // service death (paper Table 3: ~12 µs).
 const localCheckCost = 12 * time.Microsecond
 
+// localCheck verifies each supervised service against the host's process
+// table; a missing service is detected now, diagnosed after the
+// process-table lookup cost, restarted, and declared recovered when it
+// reports ready. Detection takes one check period even for co-located
+// services (paper Table 3).
 func (g *Daemon) localCheck() {
 	host := g.h.Host()
 	for _, svc := range g.localSvcs {

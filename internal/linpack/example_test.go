@@ -23,17 +23,3 @@ func ExampleFactor() {
 	fmt.Println("residual ok:", linpack.Residual(a, x, b) < 16)
 	// Output: residual ok: true
 }
-
-// ExampleFactorBlocked runs the HPL-style blocked factorisation.
-func ExampleFactorBlocked() {
-	a, b := linpack.RandomSystem(64, 1)
-	work := a.Clone()
-	piv, err := linpack.FactorBlocked(work, 16, nil)
-	if err != nil {
-		fmt.Println("factor:", err)
-		return
-	}
-	x := linpack.Solve(work, piv, b)
-	fmt.Println("residual ok:", linpack.Residual(a, x, b) < 16)
-	// Output: residual ok: true
-}

@@ -181,66 +181,3 @@ func TestDefaultProblemSizeMonotone(t *testing.T) {
 		prev = n
 	}
 }
-
-func TestBlockedMatchesUnblocked(t *testing.T) {
-	n := 200
-	a, b := RandomSystem(n, 11)
-	unblocked := a.Clone()
-	pivU, err := Factor(unblocked, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, nb := range []int{1, 8, 32, 64, 200, 300} {
-		blocked := a.Clone()
-		pivB, err := FactorBlocked(blocked, nb, nil)
-		if err != nil {
-			t.Fatalf("nb=%d: %v", nb, err)
-		}
-		// Partial pivoting chooses the same pivot rows regardless of
-		// blocking (the pivot column is fully updated in both variants).
-		for i := range pivU {
-			if pivU[i] != pivB[i] {
-				t.Fatalf("nb=%d: pivot %d differs: %d vs %d", nb, i, pivU[i], pivB[i])
-			}
-		}
-		// The factorisations agree up to rounding (arithmetic order
-		// differs), and both solve the system within the HPL bound.
-		x := Solve(blocked, pivB, b)
-		if r := Residual(a, x, b); r > 16 {
-			t.Fatalf("nb=%d: residual %g", nb, r)
-		}
-		var maxDiff float64
-		for i, v := range unblocked.Data {
-			d := math.Abs(v - blocked.Data[i])
-			if d > maxDiff {
-				maxDiff = d
-			}
-		}
-		if maxDiff > 1e-9 {
-			t.Fatalf("nb=%d: factor elements diverge by %g", nb, maxDiff)
-		}
-	}
-}
-
-func TestBlockedParallelCorrect(t *testing.T) {
-	n := 256
-	a, b := RandomSystem(n, 5)
-	pool := NewPool(8)
-	defer pool.Close()
-	work := a.Clone()
-	piv, err := FactorBlocked(work, 32, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := Solve(work, piv, b)
-	if r := Residual(a, x, b); r > 16 {
-		t.Fatalf("residual = %g", r)
-	}
-}
-
-func TestBlockedSingular(t *testing.T) {
-	a := NewMatrix(8) // zeros
-	if _, err := FactorBlocked(a, 4, nil); err == nil {
-		t.Fatal("singular matrix factorised")
-	}
-}

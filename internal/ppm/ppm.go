@@ -286,6 +286,13 @@ func (d *Daemon) Service() string { return types.SvcPPM }
 func (d *Daemon) Start(h *simhost.Handle) {
 	d.h = h
 	d.pending = rpc.NewPending(h)
+	// A PPM restarted by its WD re-adopts the jobs still on its node,
+	// starting ones included, so their exits still reach the submitter.
+	for _, svc := range h.Host().Procs() {
+		if j, ok := h.Host().Spawned(svc).(*JobProc); ok {
+			d.jobs[j.Spec().ID] = j.Spec()
+		}
+	}
 	d.cancelWatch = h.Host().Watch(func(ev simhost.ProcEvent) {
 		if ev.Started || !strings.HasPrefix(ev.Service, "job/") {
 			return

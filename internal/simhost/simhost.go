@@ -289,10 +289,21 @@ func (h *Host) Proc(service string) Process {
 	return nil
 }
 
-// Watch registers a local process-lifecycle watcher (used by the GSD to
-// supervise the kernel services co-located with it, and by the detectors
-// and PPM to track jobs). The returned function cancels the watch; daemons
-// cancel from OnStop so a dead daemon stops observing.
+// Spawned returns the process behind a service slot, running or still
+// paying its exec latency, or nil while the slot is empty. A restarted
+// daemon uses it to re-adopt the processes it manages; unlike Proc's, the
+// result may not have started yet.
+func (h *Host) Spawned(service string) Process {
+	if e, ok := h.procs[service]; ok {
+		return e.proc
+	}
+	return nil
+}
+
+// Watch registers a local process-lifecycle watcher (used by the
+// detectors, PPM and the PBS mom to track jobs). The returned function
+// cancels the watch; daemons cancel from OnStop so a dead daemon stops
+// observing.
 func (h *Host) Watch(fn func(ProcEvent)) (cancel func()) {
 	h.watcherSeq++
 	id := h.watcherSeq
@@ -376,8 +387,8 @@ func (h *Host) SpawnService(service string, spec any) (types.ProcID, error) {
 	}
 	f, ok := h.factories[service]
 	if !ok {
-		// Families of services ("job/<id>", "biz/<app>/<tier>/<i>") share
-		// the factory registered under their first path segment.
+		// A family of services ("job/<id>") shares the factory
+		// registered under its first path segment.
 		if i := strings.IndexByte(service, '/'); i > 0 {
 			f, ok = h.factories[service[:i]]
 		}
