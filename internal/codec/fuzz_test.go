@@ -38,6 +38,30 @@ func wireIDs(t testing.TB) map[uint16]reflect.Type {
 // targets keep it as a seed: old bytes must fail or round-trip cleanly.
 var retiredID100 = []byte("\x0e\x0e\t\x0e\x00\t\x00?\xf8\x00\x00\x00\x00\x00\x00")
 
+// retiredPayload is a payload as a build that still registered its wire
+// ID wrote it.
+type retiredPayload struct {
+	id      uint16
+	payload []byte
+}
+
+// retiredBizrt holds the last payloads written for wire IDs 288-294, the
+// business runtime's request, response, routing, latency and spawn-spec
+// types, retired with it. Both fuzz targets keep them as seeds.
+var retiredBizrt = []retiredPayload{
+	{288, []byte("\t\x01x\x0e\x0e\x01x\x00\x00")},
+	{289, []byte("\t\x01x\x01\x00\x00")},
+	{290, []byte("\x01x\x0e\x00")},
+	{291, []byte("\t\x01x")},
+	{292, []byte("\t\x00")},
+	{293, []byte("\x01x\x0e\x01")},
+	{294, []byte("\x01x\x00\x0e\x0e\x0e\x0e")},
+}
+
+// retiredSpawnReq is a simhost spawn request (wire ID 114, still live)
+// whose spec is a retired bizrt instance spawn spec, wire ID 294.
+var retiredSpawnReq = []byte("\x03svc\xa6\x02\x04shop\x01\x03web\x04\x00\x80\xa8\xd6\xb9\a\x02\x04\x06\x06")
+
 // FuzzDecodeMessage asserts the codec-level half of the live-node
 // invariant: no body, however malformed, may panic DecodeMessage. Valid
 // bodies must also re-encode.
@@ -61,6 +85,25 @@ func FuzzDecodeMessage(f *testing.F) {
 		To: types.Addr{Node: 1, Service: types.SvcGossip}, Type: "gsp.live"}); err == nil {
 		binary.BigEndian.PutUint16(old, 100)
 		f.Add(append(old, retiredID100...))
+	}
+	// Business-runtime messages as a build that still registered wire IDs
+	// 288-294 sent them, bare and nested in a spawn request: each must be
+	// refused.
+	for _, r := range append(retiredBizrt, retiredPayload{114, retiredSpawnReq}) {
+		old, err := codec.Encode(types.Message{
+			From: types.Addr{Node: 1, Service: types.SvcWD},
+			To:   types.Addr{Node: 2, Service: types.SvcGSD},
+			NIC:  1, Type: "seed",
+		})
+		if err != nil {
+			f.Fatal(err)
+		}
+		binary.BigEndian.PutUint16(old, r.id)
+		old = append(old, r.payload...)
+		if _, err := codec.Decode(old); err == nil {
+			f.Fatalf("retired payload (wire ID %d) decoded", r.id)
+		}
+		f.Add(old)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := codec.Decode(data) // must not panic
@@ -90,6 +133,9 @@ func FuzzPayloadDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add(retiredID100)
+	for _, r := range retiredBizrt {
+		f.Add(r.payload)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, typ := range ids {
 			p := reflect.New(typ)
