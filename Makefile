@@ -50,7 +50,9 @@ race:
 # engine accepts one -fuzz target per invocation, hence one run each: the
 # wire frame parser, the address-book parser, the codec envelope decoder,
 # every registered payload type's plan, the gossip payloads, and the
-# chaos scenario parser (seeded from its tests' scripts).
+# chaos scenario parser (seeded from its tests' scripts and
+# internal/chaos/testdata/every_op.chaos, which uses every op, the svc=
+# and node= forms included).
 fuzz:
 	$(GO) test -fuzz '^FuzzDecode$$' -fuzztime 10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz '^FuzzParseBook$$' -fuzztime 10s -run '^$$' ./internal/wire/
@@ -68,11 +70,12 @@ fuzz:
 alloc:
 	$(GO) test -run 'ZeroAllocs' -count=1 ./internal/codec/ ./internal/simnet/
 
-# The simulator gate: run cmd/phoenix-sim through a WD kill with its
-# per-type traffic table and require the run to finish (the done: line)
-# and the table to count heartbeats (a nonzero wd.hb row).
+# The simulator gate: run cmd/phoenix-sim through a WD kill (a chaos
+# scenario read from stdin) with its per-type traffic table and require
+# the run to finish (the done: line) and the table to count heartbeats (a
+# nonzero wd.hb row).
 sim-smoke:
-	@out=$$($(GO) run ./cmd/phoenix-sim -partitions 2 -size 8 -run 20s -snapshot 20s -scenario "5s kill-wd 10" -trace) || exit 1; \
+	@out=$$(echo 'at 5s kill node=10 svc=wd' | $(GO) run ./cmd/phoenix-sim -partitions 2 -size 8 -run 20s -snapshot 20s -chaos /dev/stdin -trace) || exit 1; \
 	echo "$$out" | grep -q '^done: ' || { echo "sim-smoke: no done: line"; exit 1; }; \
 	echo "$$out" | awk '$$1 == "wd.hb" && $$2 > 0 { ok = 1 } END { exit !ok }' || { echo "sim-smoke: no nonzero wd.hb row"; exit 1; }; \
 	echo "sim-smoke: ok"

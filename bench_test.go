@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/experiments"
-	"repro/internal/faultinject"
 	"repro/internal/linpack"
 	"repro/internal/sim"
 	"repro/internal/types"
@@ -22,15 +21,14 @@ import (
 
 // benchFault runs one Table 1-3 scenario per iteration and reports the
 // three phases.
-func benchFault(b *testing.B, comp faultinject.Component, kind types.FaultKind) {
+func benchFault(b *testing.B, svc string, kind types.FaultKind) {
 	b.Helper()
 	var detect, diagnose, recover float64
 	for i := 0; i < b.N; i++ {
-		res, err := faultinject.Scenario(cluster.PaperTestbed(), comp, kind)
+		in, err := experiments.RunFault(cluster.PaperTestbed(), svc, kind)
 		if err != nil {
 			b.Fatal(err)
 		}
-		in := res.Incident
 		detect += in.Detect().Seconds()
 		diagnose += in.Diagnose().Seconds()
 		recover += in.Recover().Seconds()
@@ -44,21 +42,21 @@ func benchFault(b *testing.B, comp faultinject.Component, kind types.FaultKind) 
 func BenchmarkTable1WDFault(b *testing.B) {
 	for _, kind := range []types.FaultKind{types.FaultProcess, types.FaultNode, types.FaultNIC} {
 		kind := kind
-		b.Run(kind.String(), func(b *testing.B) { benchFault(b, faultinject.CompWD, kind) })
+		b.Run(kind.String(), func(b *testing.B) { benchFault(b, types.SvcWD, kind) })
 	}
 }
 
 func BenchmarkTable2GSDFault(b *testing.B) {
 	for _, kind := range []types.FaultKind{types.FaultProcess, types.FaultNode, types.FaultNIC} {
 		kind := kind
-		b.Run(kind.String(), func(b *testing.B) { benchFault(b, faultinject.CompGSD, kind) })
+		b.Run(kind.String(), func(b *testing.B) { benchFault(b, types.SvcGSD, kind) })
 	}
 }
 
 func BenchmarkTable3ESFault(b *testing.B) {
 	for _, kind := range []types.FaultKind{types.FaultProcess, types.FaultNode, types.FaultNIC} {
 		kind := kind
-		b.Run(kind.String(), func(b *testing.B) { benchFault(b, faultinject.CompES, kind) })
+		b.Run(kind.String(), func(b *testing.B) { benchFault(b, types.SvcES, kind) })
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/faultinject"
+	"repro/internal/types"
 )
 
 func main() {
@@ -27,65 +27,16 @@ func main() {
 	flag.Parse()
 
 	runners := map[string]func() error{
-		"table1": func() error { return faultTable(faultinject.CompWD) },
-		"table2": func() error { return faultTable(faultinject.CompGSD) },
-		"table3": func() error { return faultTable(faultinject.CompES) },
-		"table4": func() error {
-			t, err := experiments.RunTable4(*quick)
-			if err != nil {
-				return err
-			}
-			fmt.Println(t.Render())
-			return nil
-		},
-		"fig3": func() error {
-			r, err := experiments.RunFig3()
-			if err != nil {
-				return err
-			}
-			fmt.Println(r.Render())
-			return nil
-		},
-		"fig5": func() error {
-			r, err := experiments.RunFig5()
-			if err != nil {
-				return err
-			}
-			fmt.Println(r.Render())
-			return nil
-		},
-		"fig6": func() error {
-			r, err := experiments.RunFig6(nil)
-			if err != nil {
-				return err
-			}
-			fmt.Println(r.Render())
-			return nil
-		},
-		"pws": func() error {
-			r, err := experiments.RunPWSvsPBS()
-			if err != nil {
-				return err
-			}
-			fmt.Println(r.Render())
-			return nil
-		},
-		"ablation-partition": func() error {
-			r, err := experiments.RunAblationPartitioning(nil)
-			if err != nil {
-				return err
-			}
-			fmt.Println(r.Render())
-			return nil
-		},
-		"ablation-interval": func() error {
-			r, err := experiments.RunIntervalSweep(nil)
-			if err != nil {
-				return err
-			}
-			fmt.Println(r.Render())
-			return nil
-		},
+		"table1":             func() error { return show(experiments.RunFaultTable(types.SvcWD)) },
+		"table2":             func() error { return show(experiments.RunFaultTable(types.SvcGSD)) },
+		"table3":             func() error { return show(experiments.RunFaultTable(types.SvcES)) },
+		"table4":             func() error { return show(experiments.RunTable4(*quick)) },
+		"fig3":               func() error { return show(experiments.RunFig3()) },
+		"fig5":               func() error { return show(experiments.RunFig5()) },
+		"fig6":               func() error { return show(experiments.RunFig6(nil)) },
+		"pws":                func() error { return show(experiments.RunPWSvsPBS()) },
+		"ablation-partition": func() error { return show(experiments.RunAblationPartitioning(nil)) },
+		"ablation-interval":  func() error { return show(experiments.RunIntervalSweep(nil)) },
 	}
 	order := []string{"table1", "table2", "table3", "table4", "fig3", "fig5", "fig6", "pws",
 		"ablation-partition", "ablation-interval"}
@@ -111,11 +62,11 @@ func main() {
 	}
 }
 
-func faultTable(comp faultinject.Component) error {
-	t, err := experiments.RunFaultTable(comp)
+// show prints an experiment's rendered report, or returns its error.
+func show[R interface{ Render() string }](r R, err error) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(t.Render())
+	fmt.Println(r.Render())
 	return nil
 }

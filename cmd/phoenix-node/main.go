@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/clock"
 	"repro/internal/config"
 	"repro/internal/metrics"
 	"repro/internal/noded"
@@ -120,7 +121,9 @@ func main() {
 
 	// Chaos fabric: the scenario's fault schedule replays against this
 	// node's transport on the wall clock; a kill step naming this node
-	// terminates the process abruptly, like a crash.
+	// terminates the process abruptly, like a crash, or with svc= kills
+	// that one service through the node's host.
+	var n *noded.Node
 	var chaosRunner *chaos.Runner
 	var chaosScenario *chaos.Scenario
 	if *chaosPth != "" {
@@ -135,8 +138,17 @@ func main() {
 		if *chaosSd != 0 {
 			chaosScenario.Seed = *chaosSd
 		}
-		inj := chaos.New(chaosScenario.Seed)
-		chaosRunner = chaos.NewRunner(inj, id, func() {
+		inj := chaos.New(chaosScenario.Seed, clock.Real{})
+		chaosRunner = chaos.NewRunner(inj, id, func(svc string) {
+			if svc != "" {
+				log.Printf("phoenix-node: %v: chaos kill of %s", id, svc)
+				n.Do(func() {
+					if err := n.Host().Kill(svc); err != nil {
+						log.Printf("phoenix-node: %v: chaos kill of %s: %v", id, svc, err)
+					}
+				})
+				return
+			}
 			log.Printf("phoenix-node: %v: chaos kill — exiting like a crash", id)
 			os.Exit(137)
 		})
@@ -160,7 +172,7 @@ func main() {
 	} else if *pprofOn {
 		log.Fatal("phoenix-node: -pprof needs -admin")
 	}
-	n, err := noded.Start(id, topo, opts...)
+	n, err = noded.Start(id, topo, opts...)
 	if err != nil {
 		log.Fatalf("phoenix-node: %v", err)
 	}

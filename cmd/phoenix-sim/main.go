@@ -1,15 +1,18 @@
 // Command phoenix-sim boots a simulated Phoenix cluster, optionally
-// injects faults from a small scenario language, and prints the cluster
-// state as virtual time advances.
+// injects faults from a chaos scenario file, and prints the cluster state
+// as virtual time advances.
 //
 // Usage:
 //
 //	phoenix-sim -partitions 8 -size 17 -run 120s
-//	phoenix-sim -scenario "30s kill-wd 12; 60s poweroff 33; 90s fail-nic 40 2"
+//	phoenix-sim -chaos faults.txt
 //
-// Scenario steps are "offset action args" separated by semicolons; actions
-// are kill-wd <node>, kill-gsd <node>, kill-es <node>, poweroff <node>,
-// poweron <node>, fail-nic <node> <nic>, fix-nic <node> <nic>.
+// The scenario is the chaos DSL phoenix-node -chaos replays (see
+// phoenix-chaos), timed from the end of boot, for example:
+//
+//	at 30s kill node=12 svc=wd
+//	at 60s kill node=33
+//	at 90s nic-down plane=2 node=40
 package main
 
 import (
@@ -17,14 +20,13 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/gridview"
 	"repro/internal/metrics"
-	"repro/internal/types"
 )
 
 func main() {
@@ -32,7 +34,7 @@ func main() {
 	size := flag.Int("size", 8, "nodes per partition (server + backup + compute)")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	runFor := flag.Duration("run", 60*time.Second, "virtual time to simulate")
-	scenario := flag.String("scenario", "", "semicolon-separated fault schedule")
+	chaosPath := flag.String("chaos", "", "chaos scenario file to replay, timed from the end of boot")
 	snapshotEvery := flag.Duration("snapshot", 20*time.Second, "status print period")
 	showTrace := flag.Bool("trace", false, "print the sent messages and bytes per message type at the end")
 	flag.Parse()
@@ -54,16 +56,20 @@ func main() {
 		fail(err)
 	}
 
-	steps, err := parseScenario(*scenario)
-	if err != nil {
-		fail(err)
-	}
-	for _, st := range steps {
-		st := st
-		c.Engine.AfterFunc(st.at-c.Engine.Elapsed(), func() {
-			fmt.Printf("[%7.1fs] inject: %s\n", c.Engine.Elapsed().Seconds(), st.desc)
-			st.apply(c)
-		})
+	if *chaosPath != "" {
+		raw, err := os.ReadFile(*chaosPath)
+		if err != nil {
+			fail(err)
+		}
+		sc, err := chaos.Parse(string(raw))
+		if err != nil {
+			fail(err)
+		}
+		for _, st := range sc.Resolve() {
+			st := st
+			c.Engine.AfterFunc(st.At, func() { fmt.Printf("[%7.1fs] inject: %v\n", c.Engine.Elapsed().Seconds(), st) })
+		}
+		c.Chaos().Run(sc)
 	}
 
 	fmt.Printf("phoenix-sim: %d nodes in %d partitions, heartbeat %v, seed %d\n",
@@ -106,62 +112,6 @@ func trafficTable(s metrics.Snapshot) string {
 		fmt.Fprintf(&b, "%-22s %10g %12g\n", r.Name, r.Value, bytesOf[r.Name])
 	}
 	return b.String()
-}
-
-type step struct {
-	at    time.Duration
-	desc  string
-	apply func(c *cluster.Cluster)
-}
-
-func parseScenario(s string) ([]step, error) {
-	var out []step
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	for _, item := range strings.Split(s, ";") {
-		fields := strings.Fields(item)
-		if len(fields) < 3 {
-			return nil, fmt.Errorf("scenario step %q: want \"offset action node [nic]\"", item)
-		}
-		at, err := time.ParseDuration(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("scenario step %q: %v", item, err)
-		}
-		node, err := strconv.Atoi(fields[2])
-		if err != nil {
-			return nil, fmt.Errorf("scenario step %q: bad node: %v", item, err)
-		}
-		id := types.NodeID(node)
-		action := fields[1]
-		st := step{at: at, desc: item}
-		switch action {
-		case "kill-wd":
-			st.apply = func(c *cluster.Cluster) { _ = c.Host(id).Kill(types.SvcWD) }
-		case "kill-gsd":
-			st.apply = func(c *cluster.Cluster) { _ = c.Host(id).Kill(types.SvcGSD) }
-		case "kill-es":
-			st.apply = func(c *cluster.Cluster) { _ = c.Host(id).Kill(types.SvcES) }
-		case "poweroff":
-			st.apply = func(c *cluster.Cluster) { c.Host(id).PowerOff() }
-		case "poweron":
-			st.apply = func(c *cluster.Cluster) { c.Host(id).PowerOn() }
-		case "fail-nic", "fix-nic":
-			if len(fields) < 4 {
-				return nil, fmt.Errorf("scenario step %q: want nic index", item)
-			}
-			nic, err := strconv.Atoi(fields[3])
-			if err != nil {
-				return nil, fmt.Errorf("scenario step %q: bad nic: %v", item, err)
-			}
-			up := action == "fix-nic"
-			st.apply = func(c *cluster.Cluster) { _ = c.Net.SetNICUp(id, nic, up) }
-		default:
-			return nil, fmt.Errorf("scenario step %q: unknown action %q", item, action)
-		}
-		out = append(out, st)
-	}
-	return out, nil
 }
 
 func fail(err error) {

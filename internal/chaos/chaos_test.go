@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/types"
 )
 
@@ -35,7 +36,7 @@ func TestDeterministicSameSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inj := New(sc.Seed)
+		inj := New(sc.Seed, clock.Real{})
 		r := NewRunner(inj, 0, nil)
 		for _, st := range sc.Resolve() {
 			r.Apply(st)
@@ -68,7 +69,7 @@ func TestLaneIndependence(t *testing.T) {
 	lane := laneKey{peer: 5, plane: 0, dir: DirOut}
 	other := laneKey{peer: 6, plane: 0, dir: DirOut}
 	seq := func(interleave bool) []Action {
-		inj := New(42)
+		inj := New(42, clock.Real{})
 		inj.AddRule(Rule{Peer: AnyPeer, Plane: AnyPlane, Drop: 0.5})
 		var out []Action
 		inj.Trace = func(a Action) {
@@ -92,7 +93,7 @@ func TestLaneIndependence(t *testing.T) {
 
 func TestSeedChangesSequence(t *testing.T) {
 	seq := func(seed int64) []Action {
-		inj := New(seed)
+		inj := New(seed, clock.Real{})
 		inj.AddRule(Rule{Peer: AnyPeer, Plane: AnyPlane, Drop: 0.5})
 		return trace(inj, []laneKey{{peer: 1, plane: 0, dir: DirOut}}, 100)
 	}
@@ -102,7 +103,7 @@ func TestSeedChangesSequence(t *testing.T) {
 }
 
 func TestPlaneDownAndHeal(t *testing.T) {
-	inj := New(1)
+	inj := New(1, clock.Real{})
 	delivered := 0
 	count := func() { delivered++ }
 	inj.SetPlaneDown(0, true)
@@ -122,7 +123,7 @@ func TestPlaneDownAndHeal(t *testing.T) {
 }
 
 func TestPartitionBlocksOtherGroups(t *testing.T) {
-	inj := New(1)
+	inj := New(1, clock.Real{})
 	groups := [][]types.NodeID{{0, 1}, {2, 3}}
 	inj.Partition(0, groups)
 	delivered := 0
@@ -137,7 +138,7 @@ func TestPartitionBlocksOtherGroups(t *testing.T) {
 }
 
 func TestDelayPostponesDelivery(t *testing.T) {
-	inj := New(1)
+	inj := New(1, clock.Real{})
 	inj.AddRule(Rule{Peer: AnyPeer, Plane: AnyPlane, Delay: 30 * time.Millisecond})
 	ch := make(chan time.Time, 1)
 	start := time.Now()
@@ -192,19 +193,33 @@ func TestRunnerKillTargetsSelfOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	killed := make(chan struct{}, 1)
-	inj := New(1)
-	r := NewRunner(inj, 3, func() { killed <- struct{}{} })
+	killed := make(chan string, 2)
+	inj := New(1, clock.Real{})
+	r := NewRunner(inj, 3, func(svc string) { killed <- svc })
 	r.Run(sc)
 	defer r.Stop()
-	select {
-	case <-killed:
-	case <-time.After(2 * time.Second):
-		t.Fatal("kill step never fired for the named node")
+	got := map[string]bool{}
+	for len(got) < 2 {
+		select {
+		case svc := <-killed:
+			got[svc] = true
+		case <-time.After(2 * time.Second):
+			t.Fatalf("kill steps fired for the named node: %v, want the node and its gsd", got)
+		}
 	}
-	// A runner for a different node must not fire its kill hook.
-	other := NewRunner(New(1), 4, func() { t.Error("kill fired on wrong node") })
+	if !got[""] || !got["gsd"] {
+		t.Fatalf("kills = %v, want the whole node and its gsd", got)
+	}
+	// A runner for a different node must not fire its kill hook, and only
+	// the node a nic step names takes its plane down.
+	other := New(1, clock.Real{})
 	for _, st := range sc.Resolve() {
-		other.Apply(st)
+		NewRunner(other, 4, func(string) { t.Error("kill fired on wrong node") }).Apply(st)
+	}
+	other.Outbound()(1, 0, nil, func() { t.Error("node 4's plane 0 still delivers") })
+	delivered := false
+	inj.Outbound()(1, 0, nil, func() { delivered = true })
+	if !delivered {
+		t.Fatal("node 3 took its plane 0 down for a step naming node 4")
 	}
 }

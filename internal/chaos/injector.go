@@ -1,12 +1,15 @@
-// Package chaos is the deterministic fault fabric for the real wire
-// transport: an Injector plugs into wire.WithOutboundFilter and
-// wire.WithInboundFilter and subjects every datagram to seeded,
-// reproducible faults — probabilistic drop/duplicate/delay rules per
-// (peer, plane, direction), whole network planes taken down ("NIC down"),
-// and full network partitions (peer sets blackholed). A Scenario is a
-// small text DSL of timed steps (nic-down, partition, heal, kill, …) that
-// a Runner replays against the injector on the wall clock, from tests or
-// from phoenix-node -chaos.
+// Package chaos is the repository's one fault language and its
+// deterministic fault fabric. An Injector subjects every datagram to
+// seeded, reproducible faults — probabilistic drop/duplicate/delay rules
+// per (peer, plane, direction), whole network planes taken down ("NIC
+// down"), and full network partitions (peer sets blackholed). A Scenario
+// is a small text DSL of timed steps (nic-down, partition, heal, kill, …)
+// that runs on either substrate: a Runner replays it against one real
+// node's injector (plugged into wire.WithOutboundFilter and
+// wire.WithInboundFilter) on the wall clock, from tests or from
+// phoenix-node -chaos; a SimApplier replays it in the discrete-event
+// simulator, with one injector per simulated node, for the paper's
+// Tables 1-3, phoenix-sim and the simulator tests.
 //
 // Determinism: every (peer, plane, direction) lane draws from its own
 // rand.Rand seeded from the injector seed and the lane identity, and each
@@ -18,9 +21,11 @@ package chaos
 import (
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/types"
 )
 
@@ -85,6 +90,7 @@ type laneKey struct {
 // paths, while a Runner reconfigures it from timer goroutines.
 type Injector struct {
 	seed int64
+	clk  clock.Clock // ramps and delays: clock.Real{} on the wire
 
 	// Trace, when non-nil, receives every decision. Set it before traffic
 	// flows; it is read without the lock.
@@ -98,10 +104,12 @@ type Injector struct {
 	counts    map[string]int64
 }
 
-// New builds an injector whose fault sequences derive from seed.
-func New(seed int64) *Injector {
+// New builds an injector whose fault sequences derive from seed and
+// whose delays and ramps run on clk.
+func New(seed int64, clk clock.Clock) *Injector {
 	return &Injector{
 		seed:      seed,
+		clk:       clk,
 		planeDown: make(map[int]bool),
 		blocked:   make(map[types.NodeID]bool),
 		rngs:      make(map[laneKey]*rand.Rand),
@@ -133,23 +141,23 @@ func (inj *Injector) laneRNG(key laneKey) *rand.Rand {
 // the first match decides.
 func (inj *Injector) AddRule(r Rule) {
 	if r.Ramp > 0 && r.Start.IsZero() {
-		r.Start = time.Now()
+		r.Start = inj.clk.Now()
 	}
 	inj.mu.Lock()
 	inj.rules = append(inj.rules, r)
 	inj.mu.Unlock()
 }
 
-// effectiveDelay resolves a rule's latency at the current moment,
-// accounting for the ramp of a gray-failure rule.
-func (r Rule) effectiveDelay() time.Duration {
+// effectiveDelay resolves a rule's latency at now, accounting for the
+// ramp of a gray-failure rule.
+func (r Rule) effectiveDelay(now time.Time) time.Duration {
 	if r.Delay <= 0 {
 		return 0
 	}
 	if r.Ramp <= 0 {
 		return r.Delay
 	}
-	elapsed := time.Since(r.Start)
+	elapsed := now.Sub(r.Start)
 	if elapsed >= r.Ramp {
 		return r.Delay
 	}
@@ -192,24 +200,11 @@ func (inj *Injector) Block(peers ...types.NodeID) {
 // every listed node outside self's group becomes unreachable. Nodes in no
 // group keep full connectivity.
 func (inj *Injector) Partition(self types.NodeID, groups [][]types.NodeID) {
-	mine := -1
-	for i, g := range groups {
-		for _, n := range g {
-			if n == self {
-				mine = i
-			}
+	for _, g := range groups {
+		if !slices.Contains(g, self) {
+			inj.Block(g...)
 		}
 	}
-	inj.mu.Lock()
-	for i, g := range groups {
-		if i == mine {
-			continue
-		}
-		for _, n := range g {
-			inj.blocked[n] = true
-		}
-	}
-	inj.mu.Unlock()
 }
 
 // Heal restores full connectivity: partitions lifted, planes back up,
@@ -272,7 +267,7 @@ func (inj *Injector) decide(key laneKey) (deliveries int, delay time.Duration) {
 			inj.record(key, "dup")
 			deliveries = 2
 		}
-		if d := r.effectiveDelay(); d > 0 {
+		if d := r.effectiveDelay(inj.clk.Now()); d > 0 {
 			if deliveries == 1 {
 				inj.record(key, "delay")
 			}
@@ -298,7 +293,7 @@ func (inj *Injector) run(key laneKey, forward func()) {
 		return
 	}
 	if delay > 0 {
-		time.AfterFunc(delay, emit)
+		inj.clk.AfterFunc(delay, emit)
 		return
 	}
 	emit()

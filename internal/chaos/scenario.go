@@ -13,13 +13,14 @@ import (
 // Step is one timed action of a scenario.
 type Step struct {
 	At time.Duration
-	// Op is one of: nic-down, nic-up, drop, dup, delay, clear, partition,
-	// heal, kill.
+	// Op is one of: nic-down, nic-up, drop, dup, delay, slow, clear,
+	// partition, heal, kill.
 	Op string
 
 	Plane  int              // nic-down/nic-up/drop/dup/delay/slow (AnyPlane = all)
 	Peer   types.NodeID     // drop/dup/delay/slow (AnyPeer = all)
-	Node   types.NodeID     // kill target
+	Node   types.NodeID     // kill target; nic-down/nic-up node (AnyPeer = every node)
+	Svc    string           // kill: the one service to kill ("" = the whole node)
 	Dir    string           // drop/dup/delay/slow: out, in or both
 	Prob   float64          // drop/dup probability
 	Delay  time.Duration    // delay/slow: latency target
@@ -34,6 +35,9 @@ func (st Step) String() string {
 	switch st.Op {
 	case "nic-down", "nic-up":
 		fmt.Fprintf(&sb, " plane=%d", st.Plane)
+		if st.Node != AnyPeer {
+			fmt.Fprintf(&sb, " node=%d", st.Node)
+		}
 	case "drop", "dup":
 		fmt.Fprintf(&sb, " p=%g", st.Prob)
 		sb.WriteString(st.matchSuffix())
@@ -55,6 +59,9 @@ func (st Step) String() string {
 		sb.WriteString(" " + strings.Join(groups, "|"))
 	case "kill":
 		fmt.Fprintf(&sb, " node=%d", st.Node)
+		if st.Svc != "" {
+			fmt.Fprintf(&sb, " svc=%s", st.Svc)
+		}
 	}
 	return sb.String()
 }
@@ -92,8 +99,8 @@ func (sc *Scenario) Resolve() []Step {
 // comment. Grammar:
 //
 //	seed <int>
-//	at <dur> nic-down plane=<n>
-//	at <dur> nic-up plane=<n>
+//	at <dur> nic-down plane=<n> [node=<node>]
+//	at <dur> nic-up plane=<n> [node=<node>]
 //	at <dur> drop p=<prob> [peer=<node>] [plane=<n>] [dir=out|in|both]
 //	at <dur> dup p=<prob> [peer=<node>] [plane=<n>] [dir=out|in|both]
 //	at <dur> delay d=<dur> [peer=<node>] [plane=<n>] [dir=out|in|both]
@@ -101,10 +108,13 @@ func (sc *Scenario) Resolve() []Step {
 //	at <dur> clear
 //	at <dur> partition <a,b|c,d>
 //	at <dur> heal
-//	at <dur> kill node=<n>
+//	at <dur> kill node=<n> [svc=<service>]
 //
-// Durations use Go syntax (500ms, 3s). kill terminates the phoenix-node
-// process whose -node matches, like a crash (other nodes ignore it).
+// Durations use Go syntax (500ms, 3s). nic-down/nic-up without node= act
+// on the plane cluster-wide. kill without svc= crashes the whole node
+// (phoenix-node exits; the simulator powers the node off); with svc= it
+// kills that one kernel service on the node, which its supervisor
+// restarts. Only the named node acts on a kill or a node= nic step.
 func Parse(text string) (*Scenario, error) {
 	sc := &Scenario{Seed: 1}
 	for lineNo, line := range strings.Split(text, "\n") {
@@ -136,7 +146,7 @@ func Parse(text string) (*Scenario, error) {
 		if err != nil {
 			return fail("bad time %q", fields[1])
 		}
-		st := Step{At: at, Op: fields[2], Plane: AnyPlane, Peer: AnyPeer, Node: -1}
+		st := Step{At: at, Op: fields[2], Plane: AnyPlane, Peer: AnyPeer, Node: AnyPeer}
 		var args *kvArgs
 		if st.Op != "partition" { // partition's group spec is not key=value
 			if args, err = parseArgs(fields[3:]); err != nil {
@@ -148,6 +158,11 @@ func Parse(text string) (*Scenario, error) {
 			if st.Plane, err = args.intArg("plane", -1); err != nil || st.Plane < 0 {
 				return fail("%s wants plane=<n>", st.Op)
 			}
+			n, err := args.intArg("node", int(AnyPeer))
+			if err != nil || n < int(AnyPeer) {
+				return fail("%s: bad node", st.Op)
+			}
+			st.Node = types.NodeID(n)
 		case "drop", "dup":
 			if st.Prob, err = args.floatArg("p"); err != nil {
 				return fail("%s wants p=<prob>: %v", st.Op, err)
@@ -207,6 +222,13 @@ func Parse(text string) (*Scenario, error) {
 				return fail("kill wants node=<n>")
 			}
 			st.Node = types.NodeID(n)
+			if svc, ok := args.vals["svc"]; ok {
+				args.used["svc"] = true
+				if !killable[svc] {
+					return fail("kill: unknown service %q", svc)
+				}
+				st.Svc = svc
+			}
 		default:
 			return fail("unknown op %q", st.Op)
 		}
@@ -218,6 +240,14 @@ func Parse(text string) (*Scenario, error) {
 		sc.Steps = append(sc.Steps, st)
 	}
 	return sc, nil
+}
+
+// killable is the set of service names a kill step may target.
+var killable = map[string]bool{
+	types.SvcAgent: true, types.SvcWD: true, types.SvcGSD: true, types.SvcES: true,
+	types.SvcDB: true, types.SvcCkpt: true, types.SvcConfig: true, types.SvcSecurity: true,
+	types.SvcPPM: true, types.SvcDetector: true, types.SvcPWS: true, types.SvcPBS: true,
+	types.SvcPBSMom: true, types.SvcGridView: true, types.SvcGossip: true,
 }
 
 // kvArgs holds a directive's key=value arguments.

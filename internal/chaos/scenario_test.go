@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -24,7 +25,7 @@ at 4s partition 0,1|2,3
 at 6s heal
 at 8s kill node=2
 `
-	killScript = "at 1ms kill node=3\nat 1ms nic-down plane=0"
+	killScript = "at 1ms kill node=3\nat 1ms kill node=3 svc=gsd\nat 1ms nic-down plane=0 node=4"
 )
 
 var garbageScripts = []string{
@@ -35,6 +36,8 @@ var garbageScripts = []string{
 	"at 1s drop p=NaN",
 	"at 1s nic-down",
 	"at 1s kill",
+	"at 1s kill node=2 svc=nosuch",
+	"at 1s nic-down plane=0 node=-2",
 	"at 1s partition 0,1",
 	"at 1s drop p=0.1 dir=sideways",
 	"at 1s heal extra=arg",
@@ -56,8 +59,13 @@ func repeatScript() string {
 // a round trip through Step.String — what phoenix-chaos prints parses
 // back to the same steps.
 func FuzzParse(f *testing.F) {
+	everyOp, err := os.ReadFile("testdata/every_op.chaos")
+	if err != nil {
+		f.Fatal(err)
+	}
 	for _, s := range append([]string{ruleScript, mixedScript, killScript, repeatScript(),
-		"at 3s slow d=200ms ramp=2s peer=4 plane=1 dir=both\nat 9s clear\nat 9s nic-up plane=1"}, garbageScripts...) {
+		"at 3s slow d=200ms ramp=2s peer=4 plane=1 dir=both\nat 9s clear\nat 9s nic-up plane=1"},
+		append(garbageScripts, string(everyOp))...) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, text string) {

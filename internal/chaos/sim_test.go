@@ -2,6 +2,7 @@ package chaos_test
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -49,12 +50,8 @@ func TestPartitionHealConverges256(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap := chaos.NewSimApplier(c.Engine, c.Net, nil)
-	ap.Run(sc)
+	c.Chaos().Run(sc)
 	c.RunFor(40 * time.Second) // cut at +1s, heal at +6s, then settle
-	if skipped := ap.Skipped(); len(skipped) != 0 {
-		t.Fatalf("simulator skipped steps: %v", skipped)
-	}
 
 	// One gossip instance per partition, wherever its GSD put it.
 	engines := make(map[types.PartitionID]*gossip.Engine, parts)
@@ -112,6 +109,135 @@ func TestPartitionHealConverges256(t *testing.T) {
 		}
 		if st.Rounds == 0 {
 			t.Fatalf("partition %v ran no gossip rounds", p)
+		}
+	}
+}
+
+// TestSimAppliesEveryOp replays testdata/every_op.chaos — every op of the
+// DSL in its own window — on the Small cluster and sees each step take
+// effect in what the injectors decide and the network delivers.
+func TestSimAppliesEveryOp(t *testing.T) {
+	raw, err := os.ReadFile("testdata/every_op.chaos")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := chaos.Parse(string(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cluster.Build(cluster.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.WarmUp()
+	t0 := c.Engine.Now()
+	since := func(at time.Time) time.Duration { return at.Sub(t0) }
+
+	// verdicts[op][second] counts the injectors' rule verdicts by the
+	// second of the script they fell in.
+	verdicts := map[string]map[int]int{}
+	ap := c.Chaos()
+	ap.Trace = func(_ types.NodeID, act chaos.Action) {
+		v := act.Verdict + fmt.Sprint(act.Plane)
+		if verdicts[v] == nil {
+			verdicts[v] = map[int]int{}
+		}
+		verdicts[v][int(since(c.Engine.Now())/time.Second)]++
+	}
+	type delivery struct {
+		sent, lat time.Duration
+		from, to  types.NodeID
+		plane     int
+	}
+	var got []delivery
+	c.Net.Trace = func(m types.Message) {
+		got = append(got, delivery{since(m.Sent), c.Engine.Now().Sub(m.Sent), m.From.Node, m.To.Node, m.NIC})
+	}
+	ap.Run(sc)
+	c.RunFor(10*time.Second + time.Millisecond)
+	if h := c.Host(6); !h.Up() || h.Running(types.SvcWD) {
+		t.Errorf("kill node=6 svc=wd: node up %v, wd running %v; want the node up without its wd", h.Up(), h.Running(types.SvcWD))
+	}
+	if c.Host(7).Up() {
+		t.Error("kill node=7 left the node powered")
+	}
+	c.RunFor(5 * time.Second)
+	if !c.Host(6).Running(types.SvcWD) {
+		t.Error("node 6's wd was not restarted after its kill")
+	}
+	// A kill naming no node of the cluster is nobody's to act on.
+	ap.Apply(chaos.Step{Op: "kill", Node: 32})
+	ap.Apply(chaos.Step{Op: "kill", Node: 32, Svc: types.SvcWD})
+
+	// Rule verdicts fall only in their own windows.
+	only := func(v string, seconds ...int) {
+		t.Helper()
+		want := map[int]bool{}
+		for _, s := range seconds {
+			want[s] = true
+		}
+		for s, n := range verdicts[v] {
+			if !want[s] {
+				t.Errorf("%d %s verdicts in second %d, want them only in %v", n, v, s, seconds)
+			}
+		}
+		if len(verdicts[v]) == 0 {
+			t.Errorf("no %s verdicts, want some in %v", v, seconds)
+		}
+	}
+	only("drop0", 1)
+	only("dup0", 2)
+	only("delay0", 3, 4, 5)
+	only("delay2", 8)
+
+	// sent reports whether plane-p deliveries matching keep were sent in
+	// [from, to) of the script, and whether all of them took lat.
+	type window struct{ any, all bool }
+	sent := func(from, to time.Duration, p int, keep func(delivery) bool, lat func(time.Duration) bool) window {
+		w := window{all: true}
+		for _, d := range got {
+			if d.plane == p && d.sent >= from && d.sent < to && (keep == nil || keep(d)) {
+				w.any = true
+				w.all = w.all && (lat == nil || lat(d.lat))
+			}
+		}
+		return w
+	}
+	ms := time.Millisecond
+	atLeast := func(min time.Duration) func(time.Duration) bool {
+		return func(l time.Duration) bool { return l >= min }
+	}
+	below := func(max time.Duration) func(time.Duration) bool { return func(l time.Duration) bool { return l < max } }
+	sec := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
+	touches := func(n types.NodeID) func(delivery) bool {
+		return func(d delivery) bool { return d.from == n || d.to == n }
+	}
+	crosses := func(d delivery) bool { return d.from < 16 != (d.to < 16) }
+	for _, tc := range []struct {
+		what string
+		w    window
+		want window
+	}{
+		{"plane 0 before any rule: fabric latency", sent(0, sec(1), 0, nil, below(ms)), window{true, true}},
+		{"delay d=40ms, both directions", sent(sec(3), sec(3.9), 0, nil, atLeast(80*ms)), window{true, true}},
+		{"slow: early in the ramp", sent(sec(4), sec(4.4), 0, nil, below(100*ms)), window{true, true}},
+		{"slow: after the ramp", sent(sec(5), sec(5.9), 0, nil, atLeast(200*ms)), window{true, true}},
+		{"clear", sent(sec(6.5), sec(8), 0, nil, below(ms)), window{true, true}},
+		{"plane 1 before nic-down", sent(sec(5), sec(6), 1, nil, nil), window{true, true}},
+		{"nic-down plane=1", sent(sec(6.01), sec(7), 1, nil, nil), window{false, true}},
+		{"nic-up plane=1", sent(sec(7.01), sec(8), 1, nil, nil), window{true, true}},
+		{"nic-down plane=2 node=5", sent(sec(7.01), sec(8), 2, touches(5), nil), window{false, true}},
+		{"nic-down plane=2 node=5: other nodes", sent(sec(7.01), sec(8), 2, nil, nil), window{true, true}},
+		{"nic-up plane=2 node=5", sent(sec(8.01), sec(10), 2, touches(5), nil), window{true, true}},
+		{"nic-down plane=1 node=3", sent(sec(8.01), sec(9), 1, touches(3), nil), window{false, true}},
+		{"heal: node 3's plane 1 back", sent(sec(9.01), sec(10), 1, touches(3), nil), window{true, true}},
+		{"partition", sent(sec(8.01), sec(9), 0, crosses, nil), window{false, true}},
+		{"heal: cut lifted", sent(sec(9.01), sec(10), 0, crosses, nil), window{true, true}},
+		{"delay d=30ms on plane 2", sent(sec(8.01), sec(8.9), 2, nil, atLeast(60*ms)), window{true, true}},
+		{"heal: rules cleared", sent(sec(9.01), sec(10), 2, nil, below(ms)), window{true, true}},
+	} {
+		if tc.w != tc.want {
+			t.Errorf("%s: deliveries seen %v, all within bounds %v; want %v, %v", tc.what, tc.w.any, tc.w.all, tc.want.any, tc.want.all)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -121,6 +122,14 @@ func (c *Cluster) WarmUp() { c.Engine.RunFor(c.BootTime()) }
 
 // Host returns the host for a node ID.
 func (c *Cluster) Host(id types.NodeID) *simhost.Host { return c.Hosts[id] }
+
+// Chaos returns an applier that replays chaos scenarios on this cluster:
+// a kill step powers its node off, or with svc= kills that service on it.
+func (c *Cluster) Chaos() *chaos.SimApplier {
+	ap := chaos.NewSimApplier(c.Engine, c.Net, func(n types.NodeID) { c.Host(n).PowerOff() })
+	ap.Host = c.Host
+	return ap
+}
 
 // RunFor advances virtual time.
 func (c *Cluster) RunFor(d time.Duration) { c.Engine.RunFor(d) }

@@ -3,10 +3,13 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/bulletin"
+	"repro/internal/chaos"
 	"repro/internal/config"
 	"repro/internal/gsd"
 	"repro/internal/heartbeat"
@@ -55,12 +58,11 @@ func TestRefutationWithoutShardChurn(t *testing.T) {
 	st0 := d.Monitor().Stats()
 	mapBefore := maxMapVersion(c)
 
-	c.Net.Filter = func(m types.Message) bool {
-		if m.Type != heartbeat.MsgHeartbeat || m.From.Node != victim {
-			return true
-		}
+	c.Net.Filter = func(m types.Message, deliver func()) {
 		hb, ok := m.Payload.(heartbeat.Heartbeat)
-		return ok && hb.Inc > 0 // only refutation beats get through
+		if m.Type != heartbeat.MsgHeartbeat || m.From.Node != victim || ok && hb.Inc > 0 {
+			deliver() // of the victim's beats only refutations get through
+		}
 	}
 	c.RunFor(3 * time.Second)
 	c.Net.Filter = nil
@@ -124,13 +126,15 @@ func TestNoFalseVerdictsUnderLivenessLoss(t *testing.T) {
 			// Loss starts after boot: the claim is about steady state.
 			p := float64(tc.lossPct) / 100
 			rng := rand.New(rand.NewSource(int64(tc.lossPct)*7919 + int64(tc.parts)))
-			c.Net.Filter = func(m types.Message) bool {
+			c.Net.Filter = func(m types.Message, deliver func()) {
 				switch m.Type {
 				case heartbeat.MsgHeartbeat, heartbeat.MsgSuspect,
 					heartbeat.MsgIndirectProbe, heartbeat.MsgIndirectAck:
-					return rng.Float64() >= p
+					if rng.Float64() < p {
+						return
+					}
 				}
-				return true
+				deliver()
 			}
 			// Let the accrual windows adapt to the lossy arrivals first.
 			c.RunFor(10 * time.Second)
@@ -221,4 +225,51 @@ func TestFencedStaleGSDStandsDown(t *testing.T) {
 		}
 	}
 	t.Fatalf("no replacement GSD above epoch %d within 60s", epoch)
+}
+
+// TestDetectSoakScheduleInSim replays scripts/detect_soak.sh's chaos
+// schedule — 20 % outbound loss on plane 0, plane 1 ramping to a 120 ms
+// one-way delay — on the soak's shape (2 partitions of 2 nodes, 2
+// planes, fast preset) for its 60 s soak, under ten cluster seeds. The
+// rules must bite on their planes; the false node-fail verdicts and GSD
+// takeovers each seed shows are logged. simnet has no wire retransmit, so
+// every dropped datagram is lost for good: a harsher fabric than the
+// real soak's.
+func TestDetectSoakScheduleInSim(t *testing.T) {
+	raw, err := os.ReadFile("../../scripts/detect_soak.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, text, _ := strings.Cut(string(raw), "<<'EOF'\n")
+	text, _, ok := strings.Cut(text, "\nEOF\n")
+	if !ok {
+		t.Fatal("no chaos heredoc in scripts/detect_soak.sh")
+	}
+	sc, err := chaos.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	takeoverSeeds := 0
+	for seed := int64(1); seed <= 10; seed++ {
+		c, err := Build(Spec{Partitions: 2, PartitionSize: 2, NICs: 2, Seed: seed, Params: config.FastParams()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.WarmUp()
+		verdicts := map[string]int{}
+		ap := c.Chaos()
+		ap.Trace = func(_ types.NodeID, act chaos.Action) { verdicts[fmt.Sprint(act.Verdict, act.Plane)]++ }
+		ap.Run(sc)
+		c.RunFor(62 * time.Second)
+		if verdicts["drop0"] == 0 || verdicts["delay1"] == 0 {
+			t.Fatalf("seed %d: rules did not bite: %v", seed, verdicts)
+		}
+		st, takeovers := detectorTotals(c)
+		t.Logf("seed %d: %d plane-0 drops, %d plane-1 delays; %d suspicions, %d fail verdicts, %d takeovers",
+			seed, verdicts["drop0"], verdicts["delay1"], st.Suspects, st.FailVerdicts, takeovers)
+		if takeovers > 0 {
+			takeoverSeeds++
+		}
+	}
+	t.Logf("%d of 10 seeds took over a GSD", takeoverSeeds)
 }

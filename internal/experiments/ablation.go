@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/faultinject"
 	"repro/internal/types"
 )
 
@@ -144,13 +143,13 @@ func RunIntervalSweep(intervals []time.Duration) (IntervalSweepResult, error) {
 		rate := (c.Metrics.Counter("net.msgs").Value() - before) / window.Seconds()
 
 		// Detection time for a WD process fault.
-		res, err := faultinject.Scenario(spec, faultinject.CompWD, types.FaultProcess)
+		in, err := RunFault(spec, types.SvcWD, types.FaultProcess)
 		if err != nil {
 			return out, err
 		}
 		out.Points = append(out.Points, IntervalPoint{
 			Interval:   interval,
-			DetectTime: res.Incident.Detect(),
+			DetectTime: in.Detect(),
 			MsgsPerSec: rate,
 		})
 	}

@@ -9,11 +9,17 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/cluster"
-	"repro/internal/faultinject"
+	"repro/internal/core"
+	"repro/internal/heartbeat"
+	"repro/internal/membership"
+	"repro/internal/metrics"
+	"repro/internal/simhost"
 	"repro/internal/types"
 )
 
@@ -23,78 +29,201 @@ type FaultRow struct {
 	PaperDetect   time.Duration
 	PaperDiagnose time.Duration
 	PaperRecover  time.Duration
-	Measured      faultinject.Result
+	Measured      *metrics.Incident
 }
 
 // FaultTable is a complete Table 1, 2 or 3.
 type FaultTable struct {
 	Number    int
-	Component faultinject.Component
+	Component string // the daemon under test: types.SvcWD, SvcGSD or SvcES
 	Rows      []FaultRow
 }
 
 // paperFaultNumbers holds the values printed in the paper (OCR-corrected;
 // the WD process-recovery cell is illegible in the source and taken as
 // ~0.1 s from the row sum).
-var paperFaultNumbers = map[faultinject.Component]map[types.FaultKind][3]time.Duration{
-	faultinject.CompWD: {
+var paperFaultNumbers = map[string]map[types.FaultKind][3]time.Duration{
+	types.SvcWD: {
 		types.FaultProcess: {30 * time.Second, 290 * time.Millisecond, 100 * time.Millisecond},
 		types.FaultNode:    {30 * time.Second, 2 * time.Second, 0},
 		types.FaultNIC:     {30 * time.Second, 348 * time.Microsecond, 0},
 	},
-	faultinject.CompGSD: {
+	types.SvcGSD: {
 		types.FaultProcess: {30 * time.Second, 290 * time.Millisecond, 2030 * time.Millisecond},
 		types.FaultNode:    {30 * time.Second, 300 * time.Millisecond, 2950 * time.Millisecond},
 		types.FaultNIC:     {30 * time.Second, 348 * time.Microsecond, 0},
 	},
-	faultinject.CompES: {
+	types.SvcES: {
 		types.FaultProcess: {30 * time.Second, 12 * time.Microsecond, 120 * time.Millisecond},
 		types.FaultNode:    {30 * time.Second, 300 * time.Millisecond, 2950 * time.Millisecond},
 		types.FaultNIC:     {30 * time.Second, 12 * time.Microsecond, 0},
 	},
 }
 
-func tableNumber(comp faultinject.Component) int {
-	switch comp {
-	case faultinject.CompWD:
-		return 1
-	case faultinject.CompGSD:
-		return 2
-	default:
-		return 3
-	}
-}
+var tableNumber = map[string]int{types.SvcWD: 1, types.SvcGSD: 2, types.SvcES: 3}
 
-// RunFaultTable reproduces one of Tables 1-3 on the paper's 136-node
-// testbed configuration.
-func RunFaultTable(comp faultinject.Component) (FaultTable, error) {
-	results, err := faultinject.Table(cluster.PaperTestbed(), comp)
-	if err != nil {
-		return FaultTable{}, err
-	}
-	table := FaultTable{Number: tableNumber(comp), Component: comp}
-	for _, res := range results {
-		ref := paperFaultNumbers[comp][res.Fault]
+// RunFaultTable reproduces one of Tables 1-3 — the three unhealthy
+// situations for svc — on the paper's 136-node testbed configuration,
+// one fresh cluster per situation.
+func RunFaultTable(svc string) (FaultTable, error) {
+	table := FaultTable{Number: tableNumber[svc], Component: svc}
+	for _, kind := range []types.FaultKind{types.FaultProcess, types.FaultNode, types.FaultNIC} {
+		in, err := RunFault(cluster.PaperTestbed(), svc, kind)
+		if err != nil {
+			return table, err
+		}
+		ref := paperFaultNumbers[svc][kind]
 		table.Rows = append(table.Rows, FaultRow{
-			Fault:         res.Fault,
+			Fault:         kind,
 			PaperDetect:   ref[0],
 			PaperDiagnose: ref[1],
 			PaperRecover:  ref[2],
-			Measured:      res,
+			Measured:      in,
 		})
 	}
 	return table, nil
+}
+
+// RunFault injects one of the paper's §5.1 "unhealthy situations" —
+// daemon process failure, node failure, network-interface failure —
+// against svc (the watch daemon, group service daemon or event service)
+// on a fresh cluster built from spec, and splits the incident into
+// detecting, diagnosing and recovery time by observing the kernel's own
+// failure/recovery events. The fault is one chaos step, applied just
+// after the victim's last heartbeat, as the paper's measurements imply
+// (detection time equals the full heartbeat interval).
+func RunFault(spec cluster.Spec, svc string, kind types.FaultKind) (*metrics.Incident, error) {
+	c, err := cluster.Build(spec)
+	if err != nil {
+		return nil, err
+	}
+	c.WarmUp()
+
+	// The recorder stamps the incident's phases from the kernel's own
+	// suspect, fail and recover events, each phase at its first event.
+	var in *metrics.Incident
+	recProc := core.NewClientProc("recorder", 0, 0)
+	subscribed := false
+	recProc.OnStart = func(cp *core.ClientProc) {
+		cp.Events.Subscribe(slices.Concat(phaseEvents[:]...), -1, "", func(ev types.Event) {
+			if in == nil {
+				return
+			}
+			for i, stamp := range []*time.Time{&in.DetectedAt, &in.DiagnosedAt, &in.RecoveredAt} {
+				if slices.Contains(phaseEvents[i], ev.Type) && stamp.IsZero() {
+					*stamp = ev.When
+				}
+			}
+		}, func(id uint64) { subscribed = id != 0 })
+	}
+	// The recorder lives on a compute node of partition 0; victims live in
+	// partition 2 so recorder-side services are never the failed component.
+	recNode := c.Topo.Partitions[0].Members[3]
+	if _, err := c.Host(recNode).Spawn(recProc); err != nil {
+		return nil, err
+	}
+	c.RunFor(time.Second)
+	if !subscribed {
+		return nil, fmt.Errorf("experiments: recorder subscription failed")
+	}
+	// Let detectors and monitors settle into steady state.
+	c.RunFor(c.Spec.Params.HeartbeatInterval + c.Spec.Params.HeartbeatInterval/2)
+
+	// The WD under test runs on a compute node, the GSD and ES on the
+	// partition server. Recovery is a no-op by design for one NIC of three
+	// (not fatal) and for a dead node's WD (a WD only represents its own
+	// node, so it is not migrated).
+	part := c.Topo.Partitions[2]
+	victim := part.Server
+	if svc == types.SvcWD {
+		victim = part.Members[len(part.Members)-1]
+	}
+	op := map[types.FaultKind]string{
+		types.FaultProcess: fmt.Sprintf("kill node=%d svc=%s", victim, svc),
+		types.FaultNode:    fmt.Sprintf("kill node=%d", victim),
+		types.FaultNIC:     fmt.Sprintf("nic-down plane=2 node=%d", victim),
+	}[kind]
+	sc, err := chaos.Parse("at 0s " + op)
+	if err != nil {
+		return nil, err
+	}
+	noRecovery := kind == types.FaultNIC || kind == types.FaultNode && svc == types.SvcWD
+
+	alignTo(c, svc, kind, victim)
+	in = &metrics.Incident{InjectedAt: c.Engine.Now(), NoRecovery: noRecovery}
+	c.Chaos().Apply(sc.Steps[0])
+
+	// Run until the incident completes (or give up after several
+	// intervals — recovery for node faults includes migration).
+	deadline := c.Engine.Elapsed() + 5*c.Spec.Params.HeartbeatInterval + 30*time.Second
+	for c.Engine.Elapsed() < deadline && !in.Complete() {
+		c.RunFor(500 * time.Millisecond)
+	}
+	if !in.Complete() {
+		return in, fmt.Errorf("experiments: %s/%v incident incomplete: %+v", svc, kind, in)
+	}
+	return in, nil
+}
+
+// phaseEvents lists the events that stamp an incident's detected,
+// diagnosed and recovered phases.
+var phaseEvents = [3][]types.EventType{
+	{types.EvNodeSuspect, types.EvNetSuspect, types.EvServiceSuspect, types.EvMemberSuspect},
+	{types.EvProcFail, types.EvNodeFail, types.EvNetFail, types.EvServiceFail, types.EvMemberFail},
+	{types.EvProcRecover, types.EvNodeRecover, types.EvNetRecover, types.EvServiceRecover, types.EvMemberRecover},
+}
+
+// alignTo advances the simulation to 10 ms past the next liveness check
+// relevant to the scenario, so detection measures a full interval (the
+// paper's injection discipline: detecting time equals the heartbeat
+// interval).
+func alignTo(c *cluster.Cluster, svc string, kind types.FaultKind, victim types.NodeID) {
+	// The ES process-failure path is detected by the GSD's periodic local
+	// service check, which ticks from the GSD's start (boot + its exec
+	// latency); there is no message to observe, so compute the next tick.
+	if svc == types.SvcES && kind == types.FaultProcess {
+		period := c.Spec.Params.LocalCheckPeriod
+		gsdStart := simhost.DefaultCosts().ExecLatency[types.SvcGSD]
+		now := c.Engine.Elapsed()
+		k := (now-gsdStart)/period + 1
+		c.Engine.RunUntil(gsdStart + k*period + 10*time.Millisecond)
+		return
+	}
+	// A GSD fault, or the death of the ES's server node, is detected by
+	// the meta-group ring successor missing the victim's meta heartbeat;
+	// a NIC fault on the server node by the victim GSD's own partition
+	// monitor through its local WD's heartbeats, and every WD fault
+	// through the victim compute node's heartbeats.
+	typ := heartbeat.MsgHeartbeat
+	if kind != types.FaultNIC && (svc == types.SvcGSD || svc == types.SvcES) {
+		typ = membership.MsgMetaHB
+	}
+	seen := false
+	prev := c.Net.Trace
+	c.Net.Trace = func(m types.Message) {
+		if prev != nil {
+			prev(m)
+		}
+		if m.Type == typ && m.From.Node == victim {
+			seen = true
+		}
+	}
+	guard := c.Engine.Elapsed() + 4*c.Spec.Params.HeartbeatInterval
+	for !seen && c.Engine.Elapsed() < guard && c.Engine.Step() {
+	}
+	c.Net.Trace = prev
+	c.RunFor(10 * time.Millisecond)
 }
 
 // Render draws the table with paper-vs-measured columns.
 func (t FaultTable) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table %d — three unhealthy situations for %s (heartbeat interval 30s)\n",
-		t.Number, strings.ToUpper(string(t.Component)))
+		t.Number, strings.ToUpper(t.Component))
 	fmt.Fprintf(&b, "%-9s | %-28s | %-28s\n", "fault", "paper (detect/diag/recover)", "measured (detect/diag/recover)")
 	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 76))
 	for _, r := range t.Rows {
-		in := r.Measured.Incident
+		in := r.Measured
 		fmt.Fprintf(&b, "%-9v | %9v %10v %7v | %9v %12v %9v\n",
 			r.Fault,
 			r.PaperDetect.Round(time.Second), r.PaperDiagnose, r.PaperRecover,

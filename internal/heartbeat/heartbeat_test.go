@@ -360,8 +360,10 @@ func TestHeartbeatLossFalseAlarm(t *testing.T) {
 	eng, net, _, g, _ := rig(t)
 	eng.RunFor(3 * tInterval)
 	// Swallow every heartbeat from node 1; probes still flow.
-	net.Filter = func(m types.Message) bool {
-		return m.Type != heartbeat.MsgHeartbeat
+	net.Filter = func(m types.Message, deliver func()) {
+		if m.Type != heartbeat.MsgHeartbeat {
+			deliver()
+		}
 	}
 	eng.RunFor(3 * tInterval)
 	if len(g.suspects) == 0 {

@@ -89,8 +89,10 @@ func TestIndirectProbeRelaysPastCutPath(t *testing.T) {
 	g.mon.Watch(1)
 	eng.RunFor(3 * tInterval)
 
-	net.Filter = func(m types.Message) bool {
-		return !(m.From.Node == 0 && m.To.Node == 1 || m.From.Node == 1 && m.To.Node == 0)
+	net.Filter = func(m types.Message, deliver func()) {
+		if !(m.From.Node == 0 && m.To.Node == 1 || m.From.Node == 1 && m.To.Node == 0) {
+			deliver()
+		}
 	}
 	eng.RunFor(5 * tInterval)
 	if len(g.suspects) == 0 {

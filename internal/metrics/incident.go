@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"sync"
-	"time"
-)
+import "time"
 
 // Incident is one fault-tolerance episode split into the three phases the
 // paper's Tables 1-3 report: detecting time (fault injection until a missed
@@ -13,7 +9,6 @@ import (
 // failed component is back in service, or zero when no recovery action is
 // needed).
 type Incident struct {
-	Label       string // e.g. "wd/process"
 	InjectedAt  time.Time
 	DetectedAt  time.Time
 	DiagnosedAt time.Time
@@ -63,43 +58,3 @@ func (in *Incident) Sum() time.Duration {
 
 // Complete reports whether every phase has been stamped.
 func (in *Incident) Complete() bool { return in.Sum() >= 0 }
-
-// String renders the incident as a paper-style table row.
-func (in *Incident) String() string {
-	return fmt.Sprintf("%-14s detect=%v diagnose=%v recover=%v sum=%v",
-		in.Label, in.Detect(), in.Diagnose(), in.Recover(), in.Sum())
-}
-
-// Timeline collects incidents during a fault-injection experiment.
-type Timeline struct {
-	mu        sync.Mutex
-	incidents []*Incident
-}
-
-// Begin opens a new incident stamped with the injection time.
-func (t *Timeline) Begin(label string, at time.Time) *Incident {
-	in := &Incident{Label: label, InjectedAt: at}
-	t.mu.Lock()
-	t.incidents = append(t.incidents, in)
-	t.mu.Unlock()
-	return in
-}
-
-// Incidents returns the recorded incidents in order.
-func (t *Timeline) Incidents() []*Incident {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]*Incident, len(t.incidents))
-	copy(out, t.incidents)
-	return out
-}
-
-// Last returns the most recently begun incident, or nil.
-func (t *Timeline) Last() *Incident {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.incidents) == 0 {
-		return nil
-	}
-	return t.incidents[len(t.incidents)-1]
-}

@@ -207,8 +207,7 @@ func TestHistogramSummaryEmpty(t *testing.T) {
 
 func TestIncidentPhases(t *testing.T) {
 	base := time.Unix(1000, 0)
-	var tl Timeline
-	in := tl.Begin("wd/process", base)
+	in := &Incident{InjectedAt: base}
 	in.DetectedAt = base.Add(30 * time.Second)
 	in.DiagnosedAt = base.Add(30*time.Second + 290*time.Millisecond)
 	in.RecoveredAt = base.Add(30*time.Second + 290*time.Millisecond + 100*time.Millisecond)
@@ -231,7 +230,7 @@ func TestIncidentPhases(t *testing.T) {
 
 func TestIncidentNoRecovery(t *testing.T) {
 	base := time.Unix(0, 0)
-	in := &Incident{Label: "wd/network", InjectedAt: base, NoRecovery: true}
+	in := &Incident{InjectedAt: base, NoRecovery: true}
 	in.DetectedAt = base.Add(30 * time.Second)
 	in.DiagnosedAt = in.DetectedAt.Add(348 * time.Microsecond)
 	if got := in.Recover(); got != 0 {
@@ -243,24 +242,11 @@ func TestIncidentNoRecovery(t *testing.T) {
 }
 
 func TestIncidentIncomplete(t *testing.T) {
-	in := &Incident{Label: "x", InjectedAt: time.Unix(0, 0)}
+	in := &Incident{InjectedAt: time.Unix(0, 0)}
 	if in.Complete() {
 		t.Fatal("unstamped incident reported complete")
 	}
 	if in.Sum() != -1 {
 		t.Fatalf("incomplete sum = %v, want -1", in.Sum())
-	}
-}
-
-func TestTimelineOrder(t *testing.T) {
-	var tl Timeline
-	a := tl.Begin("a", time.Unix(0, 0))
-	b := tl.Begin("b", time.Unix(1, 0))
-	got := tl.Incidents()
-	if len(got) != 2 || got[0] != a || got[1] != b {
-		t.Fatal("timeline order broken")
-	}
-	if tl.Last() != b {
-		t.Fatal("Last did not return most recent incident")
 	}
 }

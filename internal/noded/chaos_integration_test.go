@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/clock"
 	"repro/internal/config"
 	"repro/internal/metrics"
 	"repro/internal/noded"
@@ -239,7 +240,7 @@ func TestPlaneDownFailoverKeepsClusterAlive(t *testing.T) {
 	// plane-0 lanes fault (and be marked down) within a second.
 	injectors := make(map[types.NodeID]*chaos.Injector)
 	transports, book := bindCluster(t, topo.NumNodes(), planes, func(id types.NodeID) []wire.Option {
-		inj := chaos.New(100 + int64(id))
+		inj := chaos.New(100+int64(id), clock.Real{})
 		injectors[id] = inj
 		return []wire.Option{
 			wire.WithOutboundFilter(inj.Outbound()),
@@ -282,7 +283,7 @@ func TestPlaneDownFailoverKeepsClusterAlive(t *testing.T) {
 
 	// Take plane 0 down everywhere — the same nic-down step a scenario
 	// file would apply on every node via `phoenix-node -chaos`.
-	step := chaos.Step{Op: "nic-down", Plane: 0}
+	step := chaos.Step{Op: "nic-down", Plane: 0, Node: chaos.AnyPeer}
 	for id, inj := range injectors {
 		chaos.NewRunner(inj, id, nil).Apply(step)
 	}

@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/bulletin"
 	"repro/internal/chaos"
+	"repro/internal/clock"
 	"repro/internal/config"
 	"repro/internal/noded"
 	"repro/internal/opshttp"
@@ -126,7 +127,7 @@ func TestResilientRPCSurvivesChaos(t *testing.T) {
 
 	injectors := make(map[types.NodeID]*chaos.Injector)
 	transports, book := bindCluster(t, topo.NumNodes(), planes, func(id types.NodeID) []wire.Option {
-		inj := chaos.New(900 + int64(id))
+		inj := chaos.New(900+int64(id), clock.Real{})
 		injectors[id] = inj
 		return []wire.Option{
 			wire.WithOutboundFilter(inj.Outbound()),

@@ -82,11 +82,11 @@ func TestSubmitsAckedThroughCheckpointOutage(t *testing.T) {
 	server := c.Host(c.Topo.Partitions[0].Server)
 	// Count the saves the scheduler sends that find no instance to answer.
 	lost := 0
-	c.Net.Filter = func(msg types.Message) bool {
+	c.Net.Filter = func(msg types.Message, deliver func()) {
 		if msg.Type == checkpoint.MsgSave && msg.From.Service == types.SvcPWS && !server.Running(types.SvcCkpt) {
 			lost++
 		}
-		return true
+		deliver()
 	}
 	if err := server.Kill(types.SvcCkpt); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestNoSubmitAckBeforeItsSave(t *testing.T) {
 
 	saved := make(map[types.JobID]bool)
 	saves, acks := 0, 0
-	c.Net.Filter = func(msg types.Message) bool {
+	c.Net.Filter = func(msg types.Message, deliver func()) {
 		switch p := msg.Payload.(type) {
 		case checkpoint.SaveReq:
 			if p.Owner != "pws/0" {
@@ -201,7 +201,7 @@ func TestNoSubmitAckBeforeItsSave(t *testing.T) {
 				t.Errorf("SubmitAck for job %d sent before any save holding it", p.ID)
 			}
 		}
-		return true
+		deliver()
 	}
 	const jobs = 50
 	ids := submitAll(t, client, jobs, nil)
@@ -221,11 +221,11 @@ func TestRetryOfQueuedSubmitIsOneJob(t *testing.T) {
 	c, _, client, _ := rig(t, partition1Pool(), false)
 	useCkpt(t, c, &slowCkpt{delay: 1500 * time.Millisecond})
 	submits := 0
-	c.Net.Filter = func(msg types.Message) bool {
+	c.Net.Filter = func(msg types.Message, deliver func()) {
 		if msg.Type == pws.MsgSubmit {
 			submits++
 		}
-		return true
+		deliver()
 	}
 	first := submitAll(t, client, 1, nil) // its save is in flight for 1.5 s
 	c.RunFor(10 * time.Millisecond)
@@ -249,11 +249,11 @@ func TestUndecodableRestoreIsLogged(t *testing.T) {
 	defer log.SetOutput(log.Writer())
 	log.SetOutput(&logged)
 	ready := 0
-	c.Net.Filter = func(msg types.Message) bool {
+	c.Net.Filter = func(msg types.Message, deliver func()) {
 		if r, ok := msg.Payload.(events.ReadyMsg); ok && r.Service == types.SvcPWS {
 			ready++
 		}
-		return true
+		deliver()
 	}
 	server := c.Host(c.Topo.Partitions[0].Server)
 	if err := server.Kill(types.SvcPWS); err != nil {

@@ -32,19 +32,6 @@ type Params struct {
 	NICs        int           // network interfaces per node; the paper's nodes had 3
 	BaseLatency time.Duration // one-way propagation+switching delay
 	Jitter      time.Duration // uniform extra delay in [0, Jitter)
-	// PlaneLatency overrides BaseLatency per network plane: the Dawning
-	// 4000A's three networks were heterogeneous fabrics (a fast compute
-	// interconnect plus slower management/backup Ethernets). Missing or
-	// zero entries fall back to BaseLatency.
-	PlaneLatency []time.Duration
-}
-
-// latencyFor returns the one-way delay of a plane.
-func (p Params) latencyFor(nic int) time.Duration {
-	if nic >= 0 && nic < len(p.PlaneLatency) && p.PlaneLatency[nic] > 0 {
-		return p.PlaneLatency[nic]
-	}
-	return p.BaseLatency
 }
 
 // DefaultParams mirrors a gigabit-class cluster fabric: three NICs,
@@ -75,11 +62,13 @@ type Network struct {
 
 	// Trace, when non-nil, observes every successfully delivered message.
 	Trace func(msg types.Message)
-	// Filter, when non-nil, vets every otherwise-deliverable message;
-	// returning false loses it in flight. Fault injection uses it for
-	// selective loss (e.g. swallowing one daemon's heartbeats while its
-	// node stays reachable).
-	Filter func(msg types.Message) bool
+	// Filter, when non-nil, sees every otherwise-deliverable message in
+	// the wire filter's shape: deliver puts the message in flight, and the
+	// filter may call it never (the message is lost), twice (duplicated)
+	// or later (delayed). Fault injection uses it for selective loss
+	// (e.g. swallowing one daemon's heartbeats while its node stays
+	// reachable); what it swallows is its own to count, not net.lost.
+	Filter func(msg types.Message, deliver func())
 }
 
 type pair struct{ a, b types.NodeID }
@@ -131,8 +120,8 @@ func New(clk clock.Clock, rng *rand.Rand, nodes int, params Params, reg *metrics
 	return n
 }
 
-// Params returns the network's configuration.
-func (n *Network) Params() Params { return n.params }
+// Nodes reports how many nodes the network was built for (IDs 0..Nodes-1).
+func (n *Network) Nodes() int { return len(n.nodeUp) }
 
 // Metrics exposes the registry the network accounts into.
 func (n *Network) Metrics() *metrics.Registry { return n.reg }
@@ -244,9 +233,6 @@ func (n *Network) Send(msg types.Message) error {
 	msg.Sent = n.clk.Now()
 
 	deliverable := n.pathOK(msg.From.Node, msg.To.Node, nic) && n.nodeUp[msg.From.Node]
-	if deliverable && n.Filter != nil && !n.Filter(msg) {
-		deliverable = false
-	}
 	n.account(msg, deliverable)
 	if !deliverable {
 		// The sender's NIC must at least be up to put bits on the wire;
@@ -256,14 +242,23 @@ func (n *Network) Send(msg types.Message) error {
 		}
 		return nil
 	}
+	if n.Filter != nil {
+		m := msg
+		n.Filter(m, func() { n.transmit(m) })
+		return nil
+	}
+	n.transmit(msg)
+	return nil
+}
 
-	delay := n.params.latencyFor(nic)
+// transmit puts a message in flight: it arrives after the fabric's
+// latency plus jitter.
+func (n *Network) transmit(msg types.Message) {
+	delay := n.params.BaseLatency
 	if n.params.Jitter > 0 {
 		delay += time.Duration(n.rng.Int63n(int64(n.params.Jitter)))
 	}
-	m := msg
-	n.clk.AfterFunc(delay, func() { n.deliver(m) })
-	return nil
+	n.clk.AfterFunc(delay, func() { n.deliver(msg) })
 }
 
 func (n *Network) deliver(msg types.Message) {
