@@ -96,7 +96,8 @@ type Options struct {
 	// a second GSD would split the meta-group. The surviving GSDs re-admit
 	// the node (member-recover) or re-seed a GSD here through the normal
 	// takeover machinery; noded keeps a fallback for the
-	// whole-cluster-restart case. Master and per-node services still spawn.
+	// whole-cluster-restart case. Master and per-node services still spawn;
+	// the WD is marked rejoining so it can ask a migrated GSD to re-admit it.
 	Rejoin bool
 }
 
@@ -285,6 +286,9 @@ func (k *Kernel) spawnNodeDaemons(host *simhost.Host, id types.NodeID, opts Opti
 		Supervise: true, DetectorSample: params.DetectorSampleInterval,
 	})
 	wd.UseStore(opts.IncarnationStore)
+	if opts.Rejoin {
+		wd.MarkRejoin()
+	}
 	if _, err := host.Spawn(wd); err != nil {
 		return fmt.Errorf("core: spawn WD on %v: %w", id, err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -14,12 +15,14 @@ type span struct{ lo, hi time.Duration }
 
 func (s span) has(d time.Duration) bool { return d >= s.lo && d <= s.hi }
 
-// TestRunFaultTables runs the nine scenarios of Tables 1-3 and holds each
-// cell to the paper's shape: detection takes one heartbeat interval;
-// diagnosis is sub-second for process and NIC faults and equals the probe
-// timeout for node faults; recovery is zero where the paper reports zero,
-// small for process restarts, and includes the migration cost for node
-// faults of server daemons.
+// TestRunFaultTables runs the nine scenarios of Tables 1-3 once and holds
+// each cell, in a subtest of its own (Table1WDNetwork ... Table3ESProcess),
+// to the paper's shape: detection takes one heartbeat interval; diagnosis
+// is sub-second for process and NIC faults and equals the probe timeout
+// for node faults; recovery is zero where the paper reports zero, small
+// for process restarts, and includes the migration cost for node faults of
+// server daemons. RowsComplete checks every table has its three rows, each
+// with every phase stamped, and renders.
 func TestRunFaultTables(t *testing.T) {
 	const ns = time.Nanosecond
 	exact := func(d time.Duration) span { return span{d, d} }
@@ -42,28 +45,51 @@ func TestRunFaultTables(t *testing.T) {
 			types.FaultNIC:     {unbounded, exact(0)},
 		},
 	}
-	for _, svc := range []string{types.SvcWD, types.SvcGSD, types.SvcES} {
+	faultName := map[types.FaultKind]string{
+		types.FaultNIC: "Network", types.FaultNode: "Node", types.FaultProcess: "Process",
+	}
+	svcs := []string{types.SvcWD, types.SvcGSD, types.SvcES}
+	tables := make([]FaultTable, len(svcs))
+	for i, svc := range svcs {
 		table, err := RunFaultTable(svc)
 		if err != nil {
 			t.Fatalf("%s: %v", svc, err)
 		}
-		if len(table.Rows) != 3 {
-			t.Fatalf("%s rows = %d", svc, len(table.Rows))
+		tables[i] = table
+	}
+
+	t.Run("RowsComplete", func(t *testing.T) {
+		for i, table := range tables {
+			if len(table.Rows) != 3 {
+				t.Errorf("%s rows = %d", svcs[i], len(table.Rows))
+			}
+			for _, row := range table.Rows {
+				if !row.Measured.Complete() {
+					t.Errorf("%s/%v: incomplete row %+v", svcs[i], row.Fault, row.Measured)
+				}
+			}
+			if !strings.Contains(table.Render(), "Table") {
+				t.Errorf("%s: render missing header", svcs[i])
+			}
 		}
+	})
+
+	for i, table := range tables {
+		svc := svcs[i]
 		for _, row := range table.Rows {
 			in, cell := row.Measured, want[svc][row.Fault]
-			if d := in.Detect(); d < 29*time.Second || d > 31*time.Second {
-				t.Errorf("%s/%v detect = %v, want one 30 s interval", svc, row.Fault, d)
-			}
-			if g := in.Diagnose(); !cell[0].has(g) {
-				t.Errorf("%s/%v diagnose = %v, want %v..%v", svc, row.Fault, g, cell[0].lo, cell[0].hi)
-			}
-			if r := in.Recover(); !cell[1].has(r) {
-				t.Errorf("%s/%v recover = %v, want %v..%v (paper %v)", svc, row.Fault, r, cell[1].lo, cell[1].hi, row.PaperRecover)
-			}
-		}
-		if !strings.Contains(table.Render(), "Table") {
-			t.Fatal("render missing header")
+			name := fmt.Sprintf("Table%d%s%s", i+1, strings.ToUpper(svc), faultName[row.Fault])
+			t.Run(name, func(t *testing.T) {
+				if d := in.Detect(); d < 29*time.Second || d > 31*time.Second {
+					t.Errorf("detect = %v, want one 30 s interval", d)
+				}
+				if g := in.Diagnose(); !cell[0].has(g) {
+					t.Errorf("diagnose = %v, want %v..%v", g, cell[0].lo, cell[0].hi)
+				}
+				if r := in.Recover(); !cell[1].has(r) {
+					t.Errorf("recover = %v, want %v..%v (paper %v)", r, cell[1].lo, cell[1].hi, row.PaperRecover)
+				}
+			})
 		}
 	}
 }

@@ -321,6 +321,16 @@ func (g *Daemon) Receive(msg types.Message) {
 		if hb, ok := msg.Payload.(heartbeat.Heartbeat); ok {
 			g.mon.HandleHeartbeat(hb, msg.NIC)
 		}
+	case heartbeat.MsgRejoin:
+		// A crash-restarted member beats the GSD its topology names; the
+		// beat refutes our suspicion, the announce redirects its WD and
+		// detector here and re-admits it.
+		if hb, ok := msg.Payload.(heartbeat.Heartbeat); ok {
+			if ni, ok := g.spec.Topo.Node(hb.Node); ok && ni.Partition == g.spec.Partition {
+				g.mon.HandleHeartbeat(hb, msg.NIC)
+				g.announceTo(hb.Node)
+			}
+		}
 	case heartbeat.MsgIndirectAck:
 		if ack, ok := msg.Payload.(heartbeat.IndirectProbeAck); ok {
 			g.mon.HandleIndirectAck(ack)

@@ -48,6 +48,11 @@ const MsgIndirectProbe = "gsd.iprobe"
 // silence.
 const MsgIndirectAck = "wd.iprobe.ack"
 
+// MsgRejoin is a crash-restarted WD's heartbeat to a GSD that suspected
+// it from a node the WD did not beat: the partition migrated while the
+// node was down. The GSD takes the beat and announces itself.
+const MsgRejoin = "wd.rejoin"
+
 // MsgFenced is a WD's rejection of a stale GSD announce: the partition
 // has moved on to a higher fencing epoch, and the announcing primary must
 // stand down.
@@ -106,7 +111,7 @@ type Fenced struct {
 
 func init() {
 	wirebin.Intern(MsgHeartbeat, MsgGSDAnnounce, MsgSuspect, MsgIndirectProbe,
-		MsgIndirectAck, MsgFenced)
+		MsgIndirectAck, MsgFenced, MsgRejoin)
 	codec.Register(32, Heartbeat{})
 	codec.Register(33, GSDAnnounce{})
 	codec.Register(34, SuspectNotice{})

@@ -101,3 +101,57 @@ func TestWDRefutesSuspicionWithIncarnationBump(t *testing.T) {
 		t.Fatalf("foreign suspect notice bumped incarnation: %d -> %d", inc, wd.Incarnation())
 	}
 }
+
+// A WD booted on a crash-restarted node beats the GSD its topology names.
+// When a GSD elsewhere suspects it before any announce arrived, the
+// partition migrated while the node was down: the WD asks that GSD to
+// re-admit it. A WD that has heard an announce, or was not restarted,
+// only refutes.
+func TestRejoiningWDAsksSuspectingGSD(t *testing.T) {
+	eng, net, _, wd, got := rig(t)
+	eng.RunFor(1200 * time.Millisecond)
+	suspect := func(from types.NodeID) []types.Message {
+		*got = nil
+		_ = net.Send(types.Message{
+			From: types.Addr{Node: from, Service: types.SvcGSD},
+			To:   types.Addr{Node: 1, Service: types.SvcWD},
+			NIC:  0, Type: heartbeat.MsgSuspect,
+			Payload: heartbeat.SuspectNotice{Node: 1, Inc: wd.Incarnation()},
+		})
+		eng.RunFor(100 * time.Millisecond)
+		var rejoins []types.Message
+		for _, m := range *got {
+			if m.Type == heartbeat.MsgRejoin {
+				rejoins = append(rejoins, m)
+			}
+		}
+		return rejoins
+	}
+
+	if r := suspect(2); len(r) != 0 {
+		t.Fatalf("WD not marked rejoining sent %d rejoin requests", len(r))
+	}
+	wd.MarkRejoin()
+	if r := suspect(0); len(r) != 0 {
+		t.Fatalf("suspicion from the WD's own GSD drew %d rejoin requests", len(r))
+	}
+	r := suspect(2)
+	if len(r) != 1 || r[0].To.Node != 2 {
+		t.Fatalf("rejoin requests after a suspicion from node 2: %+v, want one to node 2", r)
+	}
+	if hb := r[0].Payload.(heartbeat.Heartbeat); hb.Node != 1 || hb.Inc != wd.Incarnation() {
+		t.Fatalf("rejoin request beat %+v, want node 1 at incarnation %d", hb, wd.Incarnation())
+	}
+
+	// Once a GSD has announced itself, suspicions are only refuted.
+	_ = net.Send(types.Message{
+		From: types.Addr{Node: 2, Service: types.SvcGSD},
+		To:   types.Addr{Node: 1, Service: types.SvcWD},
+		NIC:  0, Type: heartbeat.MsgGSDAnnounce,
+		Payload: heartbeat.GSDAnnounce{Partition: 0, GSDNode: 2, Epoch: 1},
+	})
+	eng.RunFor(100 * time.Millisecond)
+	if r := suspect(0); len(r) != 0 {
+		t.Fatalf("re-admitted WD sent %d rejoin requests", len(r))
+	}
+}

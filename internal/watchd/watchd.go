@@ -58,6 +58,7 @@ type WD struct {
 	inc    uint64
 	store  IncarnationStore
 	epoch  uint64 // highest GSD fencing epoch seen
+	rejoin bool
 	prober *heartbeat.Prober
 }
 
@@ -72,6 +73,12 @@ func (w *WD) UseStore(s IncarnationStore) {
 		w.inc = s.Load()
 	}
 }
+
+// MarkRejoin flags a WD booted on a crash-restarted node. Its GSD
+// target comes from the topology, and the partition may have migrated
+// while the node was down; until a GSD announces itself, a suspicion from
+// a GSD on another node is answered with a rejoin request to that GSD.
+func (w *WD) MarkRejoin() { w.rejoin = true }
 
 // Service implements simhost.Process.
 func (w *WD) Service() string { return types.SvcWD }
@@ -145,6 +152,9 @@ func (w *WD) Receive(msg types.Message) {
 		if w.store != nil {
 			w.store.Store(w.inc)
 		}
+		if w.rejoin && w.anns == 0 && msg.From.Service == types.SvcGSD && msg.From.Node != w.gsd {
+			w.h.Send(msg.From, msg.NIC, heartbeat.MsgRejoin, w.heartbeat())
+		}
 		w.beat()
 	case heartbeat.MsgIndirectProbe:
 		q, ok := msg.Payload.(heartbeat.IndirectProbeReq)
@@ -184,16 +194,20 @@ func (w *WD) Announces() int { return w.anns }
 
 func (w *WD) beat() {
 	w.seq++
-	hb := heartbeat.Heartbeat{
+	hb := w.heartbeat()
+	to := types.Addr{Node: w.gsd, Service: types.SvcGSD}
+	for nic := 0; nic < w.spec.NICs; nic++ {
+		w.h.Send(to, nic, heartbeat.MsgHeartbeat, hb)
+	}
+}
+
+func (w *WD) heartbeat() heartbeat.Heartbeat {
+	return heartbeat.Heartbeat{
 		Node:     w.h.Node(),
 		Seq:      w.seq,
 		Interval: w.spec.Interval,
 		Boot:     w.boot,
 		Inc:      w.inc,
-	}
-	to := types.Addr{Node: w.gsd, Service: types.SvcGSD}
-	for nic := 0; nic < w.spec.NICs; nic++ {
-		w.h.Send(to, nic, heartbeat.MsgHeartbeat, hb)
 	}
 }
 
