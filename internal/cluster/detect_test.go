@@ -89,19 +89,33 @@ func TestRefutationWithoutShardChurn(t *testing.T) {
 	}
 }
 
-// detectorTotals sums the monitor stats and takeover counts of every GSD
-// instance in the cluster.
+// detectorTotals sums the partition monitor stats and takeover counts of
+// every GSD instance in the cluster.
 func detectorTotals(c *Cluster) (st heartbeat.Stats, takeovers uint64) {
 	for _, h := range c.Hosts {
 		if d, ok := h.Proc(types.SvcGSD).(*gsd.Daemon); ok {
-			s := d.Monitor().Stats()
-			st.Suspects += s.Suspects
-			st.Refutations += s.Refutations
-			st.FailVerdicts += s.FailVerdicts
+			st = addStats(st, d.Monitor().Stats())
 			takeovers += d.Takeovers()
 		}
 	}
 	return st, takeovers
+}
+
+// ringTotals sums the ring monitor stats of every GSD instance.
+func ringTotals(c *Cluster) (st heartbeat.Stats) {
+	for _, h := range c.Hosts {
+		if d, ok := h.Proc(types.SvcGSD).(*gsd.Daemon); ok {
+			st = addStats(st, d.Member().Stats())
+		}
+	}
+	return st
+}
+
+func addStats(a, b heartbeat.Stats) heartbeat.Stats {
+	a.Suspects += b.Suspects
+	a.Refutations += b.Refutations
+	a.FailVerdicts += b.FailVerdicts
+	return a
 }
 
 // TestNoFalseVerdictsUnderLivenessLoss holds the suspicion lifecycle to
@@ -231,10 +245,10 @@ func TestFencedStaleGSDStandsDown(t *testing.T) {
 // schedule — 20 % outbound loss on plane 0, plane 1 ramping to a 120 ms
 // one-way delay — on the soak's shape (2 partitions of 2 nodes, 2
 // planes, fast preset) for its 60 s soak, under ten cluster seeds. The
-// rules must bite on their planes; the false node-fail verdicts and GSD
-// takeovers each seed shows are logged. simnet has no wire retransmit, so
-// every dropped datagram is lost for good: a harsher fabric than the
-// real soak's.
+// rules must bite on their planes, and no seed may give a node-fail
+// verdict (from a partition or a ring monitor) or take over a GSD:
+// nothing fails. simnet has no wire retransmit, so every dropped datagram
+// is lost for good: a harsher fabric than the real soak's.
 func TestDetectSoakScheduleInSim(t *testing.T) {
 	raw, err := os.ReadFile("../../scripts/detect_soak.sh")
 	if err != nil {
@@ -249,7 +263,6 @@ func TestDetectSoakScheduleInSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	takeoverSeeds := 0
 	for seed := int64(1); seed <= 10; seed++ {
 		c, err := Build(Spec{Partitions: 2, PartitionSize: 2, NICs: 2, Seed: seed, Params: config.FastParams()})
 		if err != nil {
@@ -265,11 +278,13 @@ func TestDetectSoakScheduleInSim(t *testing.T) {
 			t.Fatalf("seed %d: rules did not bite: %v", seed, verdicts)
 		}
 		st, takeovers := detectorTotals(c)
-		t.Logf("seed %d: %d plane-0 drops, %d plane-1 delays; %d suspicions, %d fail verdicts, %d takeovers",
-			seed, verdicts["drop0"], verdicts["delay1"], st.Suspects, st.FailVerdicts, takeovers)
-		if takeovers > 0 {
-			takeoverSeeds++
+		ring := ringTotals(c)
+		t.Logf("seed %d: %d plane-0 drops, %d plane-1 delays; partitions: %d suspicions, %d refuted, %d fail verdicts; ring: %d suspicions, %d refuted, %d fail verdicts; %d takeovers",
+			seed, verdicts["drop0"], verdicts["delay1"], st.Suspects, st.Refutations, st.FailVerdicts,
+			ring.Suspects, ring.Refutations, ring.FailVerdicts, takeovers)
+		if fails := st.FailVerdicts + ring.FailVerdicts; fails != 0 || takeovers != 0 {
+			t.Errorf("seed %d: %d false node-fail verdicts, %d GSD takeovers with nothing failed",
+				seed, fails, takeovers)
 		}
 	}
-	t.Logf("%d of 10 seeds took over a GSD", takeoverSeeds)
 }

@@ -77,7 +77,7 @@ func requireRepeatable(t *testing.T, wantN int, wantSum uint64, run func(t *test
 // TestSimRepeatablePerSeed: the Small cluster through a server-node kill,
 // two compute kills and a partition/heal.
 func TestSimRepeatablePerSeed(t *testing.T) {
-	requireRepeatable(t, 30202, 0x3b32777d7a41192f, func(t *testing.T) (uint64, int) {
+	requireRepeatable(t, 30387, 0xb534420db0968838, func(t *testing.T) (uint64, int) {
 		c, err := cluster.Build(cluster.Small())
 		if err != nil {
 			t.Fatal(err)
@@ -109,7 +109,7 @@ func TestSimRepeatablePerSeed(t *testing.T) {
 // The scheduler's failover replays its checkpoint and re-audits every
 // running job.
 func TestSimRepeatablePerSeedWithPWS(t *testing.T) {
-	requireRepeatable(t, 51734, 0x59f02b51afec8458, func(t *testing.T) (uint64, int) {
+	requireRepeatable(t, 51812, 0x2d9b841d5f52bb7d, func(t *testing.T) (uint64, int) {
 		c := pwsCluster(t)
 		sum := traceHash(c)
 		c.WarmUp()

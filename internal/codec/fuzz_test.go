@@ -58,6 +58,12 @@ var retiredBizrt = []retiredPayload{
 	{294, []byte("\x01x\x00\x0e\x0e\x0e\x0e")},
 }
 
+// retiredMetaHB is the last payload written for wire ID 208, the
+// meta-group ring beat (partition, view version), retired when the ring
+// began beating heartbeat.Heartbeat (ID 32). Both fuzz targets keep it as
+// a seed.
+var retiredMetaHB = retiredPayload{208, []byte("\x02\x0e")}
+
 // retiredSpawnReq is a simhost spawn request (wire ID 114, still live)
 // whose spec is a retired bizrt instance spawn spec, wire ID 294.
 var retiredSpawnReq = []byte("\x03svc\xa6\x02\x04shop\x01\x03web\x04\x00\x80\xa8\xd6\xb9\a\x02\x04\x06\x06")
@@ -87,9 +93,9 @@ func FuzzDecodeMessage(f *testing.F) {
 		f.Add(append(old, retiredID100...))
 	}
 	// Business-runtime messages as a build that still registered wire IDs
-	// 288-294 sent them, bare and nested in a spawn request: each must be
-	// refused.
-	for _, r := range append(retiredBizrt, retiredPayload{114, retiredSpawnReq}) {
+	// 288-294 sent them, bare and nested in a spawn request, and an old
+	// ring beat (ID 208): each must be refused.
+	for _, r := range append(retiredBizrt, retiredPayload{114, retiredSpawnReq}, retiredMetaHB) {
 		old, err := codec.Encode(types.Message{
 			From: types.Addr{Node: 1, Service: types.SvcWD},
 			To:   types.Addr{Node: 2, Service: types.SvcGSD},
@@ -133,7 +139,7 @@ func FuzzPayloadDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add(retiredID100)
-	for _, r := range retiredBizrt {
+	for _, r := range append(retiredBizrt, retiredMetaHB) {
 		f.Add(r.payload)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

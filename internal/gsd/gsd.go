@@ -17,7 +17,6 @@ package gsd
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -129,27 +128,7 @@ type Daemon struct {
 	// peer partitions (the migration counter the detection soak asserts
 	// stays zero under pure packet loss).
 	takeovers uint64
-	// metaFlap tracks flap scores for the meta-group slots this member
-	// monitors; a flapping partition server is quarantined in the
-	// replicated view, which excludes it from shard ownership until the
-	// score decays.
-	metaFlap map[types.PartitionID]*metaFlapState
 }
-
-type metaFlapState struct {
-	score float64
-	at    time.Time
-}
-
-const (
-	// metaFlapThreshold quarantines a meta-group slot whose decaying flap
-	// score reaches it, and clears the slot at half of it: the partition
-	// monitor's node threshold, applied to the ring.
-	metaFlapThreshold float64 = 3
-	// metaFlapHalfLifeBeats is the slot flap-score half-life in meta ring
-	// heartbeat intervals.
-	metaFlapHalfLifeBeats = 20
-)
 
 // New builds a GSD.
 func New(spec Spec) *Daemon {
@@ -165,7 +144,6 @@ func New(spec Spec) *Daemon {
 		wdRespawning:    make(map[types.NodeID]bool),
 		reintegrating:   make(map[types.NodeID]bool),
 		takeoverPending: make(map[types.PartitionID]time.Time),
-		metaFlap:        make(map[types.PartitionID]*metaFlapState),
 	}
 }
 
@@ -225,6 +203,7 @@ func (g *Daemon) Start(h *simhost.Handle) {
 		Grace:        p.HeartbeatGrace,
 		ProbeTimeout: p.PartitionProbeTimeout,
 		NICs:         g.spec.Topo.NICs,
+		Service:      types.SvcWD,
 		Peers:        g.indirectPeers,
 	}, heartbeat.Callbacks{
 		OnSuspect:      g.onNodeSuspect,
@@ -233,20 +212,28 @@ func (g *Daemon) Start(h *simhost.Handle) {
 		OnRecovered:    g.onNodeRecovered,
 		OnNICRecovered: g.onNICRecovered,
 		OnRefuted:      g.onNodeRefuted,
-		OnQuarantine:   g.onNodeQuarantine,
+		OnQuarantine: func(node types.NodeID, on bool) {
+			g.publishQuarantine(types.Event{Node: node}, on)
+		},
 	})
 
-	g.member = membership.NewMember(h, membership.Config{
+	// The ring monitor: the same detector at the meta-group's cadence and
+	// probe timeout (paper Table 2), without indirect probes.
+	g.member = membership.NewMember(h, heartbeat.Config{
 		Interval:     p.MetaHeartbeatInterval,
 		Grace:        p.HeartbeatGrace,
 		ProbeTimeout: p.MetaProbeTimeout,
 		NICs:         g.spec.Topo.NICs,
+		Service:      types.SvcGSD,
 	}, g.spec.Partition, view, membership.Callbacks{
 		OnSuspect:    g.onMemberSuspect,
 		OnDiagnosed:  g.onMemberDiagnosed,
 		OnTakeover:   g.onTakeover,
 		OnJoin:       g.onMemberJoin,
 		OnViewChange: g.onViewChange,
+		OnQuarantine: func(part types.PartitionID, on bool) {
+			g.publishQuarantine(types.Event{Service: types.SvcGSD, Detail: part.String()}, on)
+		},
 	})
 
 	g.syncFedView(g.member.View())
@@ -481,15 +468,16 @@ func (g *Daemon) onNodeRefuted(node types.NodeID, inc uint64) {
 		Detail: "suspicion refuted"})
 }
 
-// onNodeQuarantine reacts to flap-quarantine transitions of partition
-// member nodes by publishing the scheduling-exclusion event. The node
-// stays a member and stays monitored.
-func (g *Daemon) onNodeQuarantine(node types.NodeID, on bool) {
-	typ := types.EvNodeQuarantine
+// publishQuarantine publishes a flap-quarantine transition of a partition
+// member node (the scheduling-exclusion event) or, with Service SvcGSD, of
+// the ring slot this member watches. Either stays a member and stays
+// monitored.
+func (g *Daemon) publishQuarantine(ev types.Event, on bool) {
+	ev.Type = types.EvNodeQuarantine
 	if !on {
-		typ = types.EvNodeStable
+		ev.Type = types.EvNodeStable
 	}
-	g.publish(types.Event{Type: typ, Node: node})
+	g.publish(ev)
 }
 
 // indirectPeers lists healthy partition members that can relay a probe to
@@ -743,64 +731,6 @@ func (g *Daemon) ensureLocalServices(restart bool) {
 func (g *Daemon) onMemberSuspect(part types.PartitionID, node types.NodeID) {
 	g.publish(types.Event{Type: types.EvMemberSuspect, Node: node, Service: types.SvcGSD,
 		Detail: part.String()})
-	g.bumpMetaFlap(part)
-}
-
-// bumpMetaFlap advances the flap score of a meta-group slot this member
-// monitors; crossing the threshold quarantines the slot in the replicated
-// view (shard ownership moves to stable partitions, membership and
-// monitoring continue).
-func (g *Daemon) bumpMetaFlap(part types.PartitionID) {
-	fs, ok := g.metaFlap[part]
-	if !ok {
-		fs = &metaFlapState{}
-		g.metaFlap[part] = fs
-	}
-	now := g.h.Now()
-	fs.score = fs.decayed(now, g.metaHalfLife()) + 1
-	fs.at = now
-	if fs.score >= metaFlapThreshold && !g.member.View().Quarantined(part) {
-		g.member.SetQuarantined(part, true)
-		g.publish(types.Event{Type: types.EvNodeQuarantine, Service: types.SvcGSD,
-			Detail: part.String()})
-	}
-}
-
-// metaFlapSweep clears quarantined slots whose flap score decayed below
-// half the threshold; only the slot's current ring monitor acts, so there
-// is a single writer per slot.
-func (g *Daemon) metaFlapSweep() {
-	v := g.member.View()
-	now := g.h.Now()
-	for part, fs := range g.metaFlap {
-		if !v.Quarantined(part) {
-			continue
-		}
-		if succ, ok := v.Successor(part); !ok || succ != g.spec.Partition {
-			continue
-		}
-		if fs.decayed(now, g.metaHalfLife()) <= metaFlapThreshold/2 {
-			g.member.SetQuarantined(part, false)
-			g.publish(types.Event{Type: types.EvNodeStable, Service: types.SvcGSD,
-				Detail: part.String()})
-		}
-	}
-}
-
-// metaHalfLife scales the flap decay to the meta ring's cadence.
-func (g *Daemon) metaHalfLife() time.Duration {
-	return metaFlapHalfLifeBeats * g.spec.Params.MetaHeartbeatInterval
-}
-
-func (fs *metaFlapState) decayed(now time.Time, halfLife time.Duration) float64 {
-	if fs.score == 0 || halfLife <= 0 {
-		return fs.score
-	}
-	dt := now.Sub(fs.at)
-	if dt <= 0 {
-		return fs.score
-	}
-	return fs.score * math.Exp2(-float64(dt)/float64(halfLife))
 }
 
 func (g *Daemon) onMemberDiagnosed(part types.PartitionID, node types.NodeID, kind types.FaultKind) {
@@ -914,7 +844,6 @@ func (g *Daemon) spawnGSD(part types.PartitionID, target types.NodeID, onFail fu
 // re-attempts the candidate walk, now including the node the GSD last died
 // on (it may have rebooted).
 func (g *Daemon) deadSlotSweep() {
-	g.metaFlapSweep()
 	v := g.member.View()
 	for _, part := range v.Order {
 		if part == g.spec.Partition || v.Alive(part) || g.takeoverActive(part) {

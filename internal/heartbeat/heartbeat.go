@@ -2,7 +2,8 @@
 // protocol (paper §4.3, evaluated in §5.1): watch daemons send heartbeats
 // to their partition's group service daemon over every network interface;
 // the GSD analyses the receipt pattern to detect failures, then diagnoses
-// them by probing the node's OS agent.
+// them by probing the node's OS agent. The GSDs' meta-group ring (package
+// membership, paper Table 2) runs the same Monitor over its ring beats.
 //
 // Diagnosis follows the paper's three-way split:
 //
@@ -206,6 +207,10 @@ type Config struct {
 	Grace        time.Duration // slack before declaring a miss
 	ProbeTimeout time.Duration // agent-probe deadline for node-fault diagnosis
 	NICs         int
+	// Service is the daemon under watch on each node: types.SvcWD for a
+	// partition's nodes, types.SvcGSD for the meta-group ring. Suspicion
+	// notices go to it, and direct and indirect probes ask about it.
+	Service string
 	// Peers supplies candidate indirect-probe relays (healthy partition
 	// members, excluding the suspect); nil sends no indirect probes.
 	Peers func(exclude types.NodeID) []types.NodeID
@@ -250,8 +255,9 @@ type NodeInfo struct {
 	Quarantined bool         `json:"quarantined,omitempty"`
 }
 
-// Monitor is the GSD-side receipt tracker and diagnosis engine for the
-// nodes of one partition.
+// Monitor is the GSD-side receipt tracker and diagnosis engine: for the
+// nodes of one partition, or for the node of one meta-group ring
+// predecessor.
 type Monitor struct {
 	rt      rt.Runtime
 	cfg     Config
@@ -309,7 +315,8 @@ func (m *Monitor) MarkDown(node types.NodeID) {
 	tr.diagnosing = false
 }
 
-// Unwatch stops tracking a node (decommissioning).
+// Unwatch stops tracking a node and drops its state, flap score
+// included; a diagnosis in flight is abandoned without a verdict.
 func (m *Monitor) Unwatch(node types.NodeID) {
 	tr, ok := m.nodes[node]
 	if !ok {
@@ -318,6 +325,7 @@ func (m *Monitor) Unwatch(node types.NodeID) {
 	if tr.deadline != nil {
 		tr.deadline.Stop()
 	}
+	m.pending.Cancel(tr.probeToken)
 	delete(m.nodes, node)
 }
 
@@ -392,13 +400,16 @@ func (m *Monitor) flapHalfLife() time.Duration {
 }
 
 // HandleHeartbeat processes one received heartbeat. nic is the interface
-// it arrived on; at is the receive time.
+// it arrived on, or types.AnyNIC for a beat sent on whichever interface
+// the transport picked (the meta-group ring's): such a beat carries no
+// per-interface evidence, so it neither recovers nor fails a NIC.
 func (m *Monitor) HandleHeartbeat(hb Heartbeat, nic int) {
 	tr, ok := m.nodes[hb.Node]
-	if !ok || nic < 0 || nic >= m.cfg.NICs {
+	if !ok || nic < types.AnyNIC || nic >= m.cfg.NICs {
 		return
 	}
 	now := m.rt.Now()
+	perNIC := nic != types.AnyNIC
 
 	// Accrual sampling: one inter-arrival sample per beat sequence — the
 	// sibling copies a beat fans out over the other NICs must not count,
@@ -445,7 +456,7 @@ func (m *Monitor) HandleHeartbeat(hb Heartbeat, nic int) {
 	}
 
 	// Per-NIC recovery.
-	if tr.nicDown[nic] {
+	if perNIC && tr.nicDown[nic] {
 		tr.nicDown[nic] = false
 		if m.cb.OnNICRecovered != nil {
 			m.cb.OnNICRecovered(hb.Node, nic)
@@ -459,14 +470,16 @@ func (m *Monitor) HandleHeartbeat(hb Heartbeat, nic int) {
 	// interval missed the beat — its interface has failed. The grace
 	// delay is what separates "in flight" from "missing" and keeps
 	// detection at one heartbeat interval.
-	if tr.status == StatusHealthy && !tr.nicCheckPending {
+	if perNIC && tr.status == StatusHealthy && !tr.nicCheckPending {
 		tr.nicCheckPending = true
 		node := hb.Node
 		m.rt.After(m.cfg.Grace, func() { m.siblingCheck(node) })
 	}
 
 	tr.lastSeen = now
-	tr.lastPerNIC[nic] = now
+	if perNIC {
+		tr.lastPerNIC[nic] = now
+	}
 	// Incarnations only rise within one boot; a restarted WD starts a
 	// fresh incarnation line (it may have no persistent state dir).
 	if hb.Inc > tr.inc || !hb.Boot.Equal(tr.lastBoot) {
@@ -545,10 +558,10 @@ func (m *Monitor) deadlineExpired(node types.NodeID) {
 	if m.cb.OnSuspect != nil {
 		m.cb.OnSuspect(node)
 	}
-	// Give the node itself the chance to refute: a live WD bumps its
+	// Give the node itself the chance to refute: a live daemon bumps its
 	// incarnation and beats back immediately.
 	for nic := 0; nic < m.cfg.NICs; nic++ {
-		m.rt.Send(types.Addr{Node: node, Service: types.SvcWD}, nic,
+		m.rt.Send(types.Addr{Node: node, Service: m.cfg.Service}, nic,
 			MsgSuspect, SuspectNotice{Node: node, Inc: tr.inc})
 	}
 	m.probe(node, tr)
@@ -597,7 +610,7 @@ func (m *Monitor) probe(node types.NodeID, tr *nodeTrack) {
 	tr.probeToken = token
 	for nic := 0; nic < m.cfg.NICs; nic++ {
 		m.rt.Send(types.Addr{Node: node, Service: types.SvcAgent}, nic,
-			simhost.MsgProbe, simhost.ProbeReq{Service: types.SvcWD, Token: token})
+			simhost.MsgProbe, simhost.ProbeReq{Service: m.cfg.Service, Token: token})
 	}
 	if m.cfg.Peers == nil {
 		return
@@ -608,7 +621,7 @@ func (m *Monitor) probe(node types.NodeID, tr *nodeTrack) {
 			break
 		}
 		m.rt.Send(types.Addr{Node: peer, Service: types.SvcWD}, i%m.cfg.NICs,
-			MsgIndirectProbe, IndirectProbeReq{Target: node, Service: types.SvcWD, Token: token})
+			MsgIndirectProbe, IndirectProbeReq{Target: node, Service: m.cfg.Service, Token: token})
 	}
 }
 

@@ -94,7 +94,7 @@ func rig(t *testing.T) (*sim.Engine, *simnet.Network, []*simhost.Host, *gsdStub,
 		simhost.New(1, net, eng, eng.Rand(), simhost.DefaultCosts()),
 	}
 	g := &gsdStub{cfg: heartbeat.Config{
-		Interval: tInterval, Grace: tGrace, ProbeTimeout: tProbeTO, NICs: 3,
+		Interval: tInterval, Grace: tGrace, ProbeTimeout: tProbeTO, NICs: 3, Service: types.SvcWD,
 	}}
 	if _, err := hosts[0].Spawn(g); err != nil {
 		t.Fatal(err)

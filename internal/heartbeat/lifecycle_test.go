@@ -74,7 +74,7 @@ func TestIndirectProbeRelaysPastCutPath(t *testing.T) {
 		hosts[i] = simhost.New(types.NodeID(i), net, eng, eng.Rand(), simhost.DefaultCosts())
 	}
 	g := &gsdStub{cfg: heartbeat.Config{
-		Interval: tInterval, Grace: tGrace, ProbeTimeout: tProbeTO, NICs: 3,
+		Interval: tInterval, Grace: tGrace, ProbeTimeout: tProbeTO, NICs: 3, Service: types.SvcWD,
 		Peers: func(exclude types.NodeID) []types.NodeID { return []types.NodeID{2} },
 	}}
 	if _, err := hosts[0].Spawn(g); err != nil {

@@ -17,9 +17,9 @@ type ProbeResult struct {
 }
 
 // Prober issues agent probes over every interface and reports the first
-// answer (or silence). It is the diagnosis primitive shared by the
-// partition monitor and the meta-group membership layer, which differ only
-// in their timeouts (paper Tables 1 vs 2).
+// answer (or silence). The GSD uses it to probe down nodes for
+// reintegration and takeover candidates before a spawn, and a WD to relay
+// an indirect probe; the Monitor's diagnosis keeps its own probe path.
 type Prober struct {
 	rt      rt.Runtime
 	pending *rpc.Pending

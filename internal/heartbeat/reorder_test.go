@@ -23,7 +23,7 @@ func reorderRig(t *testing.T) (*sim.Engine, *simnet.Network, *gsdStub) {
 		simhost.New(1, net, eng, eng.Rand(), simhost.DefaultCosts()),
 	}
 	g := &gsdStub{cfg: heartbeat.Config{
-		Interval: tInterval, Grace: tGrace, ProbeTimeout: tProbeTO, NICs: 3,
+		Interval: tInterval, Grace: tGrace, ProbeTimeout: tProbeTO, NICs: 3, Service: types.SvcWD,
 	}}
 	if _, err := hosts[0].Spawn(g); err != nil {
 		t.Fatal(err)
@@ -121,5 +121,35 @@ func TestReorderedAndDuplicatedHeartbeats(t *testing.T) {
 		if v.Kind == types.FaultNode {
 			t.Fatalf("live node (agent answering) misdiagnosed as node failure: %+v", v)
 		}
+	}
+}
+
+// TestAnyNICBeatsCarryNoNICEvidence pins the ring's use of the monitor:
+// beats handed in as types.AnyNIC (sent on whichever interface the
+// transport picked) keep the node healthy but neither fail nor recover an
+// interface, however stale the per-interface receipt times grow; silence
+// is still detected at the fixed deadline.
+func TestAnyNICBeatsCarryNoNICEvidence(t *testing.T) {
+	eng, _, g := reorderRig(t)
+	boot := time.Unix(1000, 0)
+	for seq := uint64(1); seq <= 10; seq++ {
+		g.mon.HandleHeartbeat(heartbeat.Heartbeat{Node: 1, Seq: seq, Interval: tInterval, Boot: boot}, types.AnyNIC)
+		eng.RunFor(tInterval)
+	}
+	if len(g.suspects) != 0 || len(g.nicSuspects) != 0 || len(g.verdicts) != 0 {
+		t.Fatalf("AnyNIC beats raised suspects %v, NIC suspects %v, verdicts %v",
+			g.suspects, g.nicSuspects, g.verdicts)
+	}
+	for nic := 0; nic < 3; nic++ {
+		if g.mon.NICDown(1, nic) {
+			t.Fatalf("NIC %d marked down by AnyNIC beats", nic)
+		}
+	}
+	if g.mon.Status(1) != heartbeat.StatusHealthy {
+		t.Fatalf("status %v after steady AnyNIC beats", g.mon.Status(1))
+	}
+	eng.RunFor(tInterval + tGrace)
+	if len(g.suspects) != 1 {
+		t.Fatalf("silence after AnyNIC beats: suspects %v, want one", g.suspects)
 	}
 }

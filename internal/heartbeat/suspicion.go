@@ -1,9 +1,9 @@
 // Adaptive accrual suspicion (phi-accrual style, Hayashibara et al.) and
-// flap-score dampening for the partition monitor. The fixed
-// Interval+Grace deadline of the paper's §4.3 detection stays the floor:
-// the accrual window can only stretch the deadline when the observed
-// inter-arrival distribution is noisier than the configured period, never
-// shrink it below the paper's bound.
+// flap-score dampening for the Monitor. The fixed Interval+Grace deadline
+// of the paper's §4.3 detection stays the floor: the accrual window can
+// only stretch the deadline when the observed inter-arrival distribution
+// is noisier than the configured period, never shrink it below the
+// paper's bound.
 package heartbeat
 
 import (

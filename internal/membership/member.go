@@ -1,8 +1,6 @@
 package membership
 
 import (
-	"time"
-
 	"repro/internal/clock"
 	"repro/internal/codec"
 	"repro/internal/heartbeat"
@@ -11,18 +9,14 @@ import (
 	"repro/internal/types"
 )
 
-// Meta-group message types.
+// Meta-group message types. The ring beat's payload is a
+// heartbeat.Heartbeat; a member refutes a heartbeat.MsgSuspect notice
+// about its own node the way a watch daemon does.
 const (
 	MsgMetaHB   = "meta.hb"   // ring heartbeat to the successor
 	MsgMetaView = "meta.view" // full-view broadcast after a mutation
 	MsgMetaJoin = "meta.join" // a (re)started GSD announcing itself
 )
-
-// MetaHB is the ring heartbeat payload.
-type MetaHB struct {
-	Part    types.PartitionID
-	Version uint64
-}
 
 // ViewMsg broadcasts a mutated view.
 type ViewMsg struct{ View *View }
@@ -34,19 +28,8 @@ type JoinMsg struct {
 }
 
 func init() {
-	codec.Register(208, MetaHB{})
 	codec.Register(209, ViewMsg{})
 	codec.Register(210, JoinMsg{})
-}
-
-// Config tunes the meta-group protocol. The meta probe timeout is tighter
-// than partition monitoring (paper Table 2: GSD node diagnosis ≈ 0.3 s
-// versus Table 1's 2 s).
-type Config struct {
-	Interval     time.Duration
-	Grace        time.Duration
-	ProbeTimeout time.Duration
-	NICs         int
 }
 
 // Callbacks notify the owning GSD about membership milestones.
@@ -54,7 +37,8 @@ type Callbacks struct {
 	// OnSuspect fires when this member's monitored predecessor misses
 	// its ring heartbeat deadline (detection).
 	OnSuspect func(part types.PartitionID, node types.NodeID)
-	// OnDiagnosed fires when the suspicion is classified.
+	// OnDiagnosed fires when the suspicion is classified as a process or
+	// node fault.
 	OnDiagnosed func(part types.PartitionID, node types.NodeID, kind types.FaultKind)
 	// OnTakeover fires on the member responsible for recovery (the ring
 	// successor of the failed slot): it must restart or migrate the
@@ -66,41 +50,60 @@ type Callbacks struct {
 	OnLeaderChange func(leader types.PartitionID)
 	// OnViewChange fires after any view adoption.
 	OnViewChange func(v *View)
+	// OnQuarantine fires when this member, as the slot's watcher, sets
+	// (on=true) or clears a slot's flap quarantine in the view.
+	OnQuarantine func(part types.PartitionID, on bool)
 }
 
-// Member is one GSD's participation in the meta-group ring.
+// Member is one GSD's participation in the meta-group ring. Its monitor
+// watches one node: that of the current ring predecessor.
 type Member struct {
-	rt     rt.Runtime
-	cfg    Config
-	cb     Callbacks
-	self   types.PartitionID
-	view   *View
-	prober *heartbeat.Prober
+	rt   rt.Runtime
+	cfg  heartbeat.Config
+	cb   Callbacks
+	self types.PartitionID
+	view *View
+	mon  *heartbeat.Monitor
 
-	monitored  types.PartitionID // current predecessor under watch
-	hasMon     bool
-	deadline   clock.Timer
-	ticker     *clock.Ticker
-	diagnosing bool
+	pred     types.PartitionID // the predecessor under watch, on node watched
+	watched  types.NodeID
+	watching bool
+	ticker   clock.Timer
+	hb       heartbeat.Heartbeat // the ring beat; refuting a suspicion bumps Inc
 }
 
 // NewMember builds the ring participation for partition self with an
-// initial view. Call Start once the daemon runs.
-func NewMember(r rt.Runtime, cfg Config, self types.PartitionID, view *View, cb Callbacks) *Member {
-	return &Member{
-		rt: r, cfg: cfg, cb: cb, self: self, view: view,
-		prober: heartbeat.NewProber(r, cfg.NICs),
-	}
+// initial view; cfg.Service is types.SvcGSD. Call Start once the daemon
+// runs.
+func NewMember(r rt.Runtime, cfg heartbeat.Config, self types.PartitionID, view *View, cb Callbacks) *Member {
+	m := &Member{rt: r, cfg: cfg, cb: cb, self: self, view: view,
+		hb: heartbeat.Heartbeat{Node: r.Node(), Interval: cfg.Interval, Boot: r.Now()}}
+	m.mon = heartbeat.NewMonitor(r, cfg, heartbeat.Callbacks{
+		OnSuspect: func(node types.NodeID) {
+			if cb.OnSuspect != nil {
+				cb.OnSuspect(m.pred, node)
+			}
+		},
+		// A NIC verdict means the agent saw the GSD running while its
+		// beats were lost: the monitor resumes watching, nothing fails.
+		OnDiagnosed: func(v heartbeat.Verdict) {
+			if v.Kind == types.FaultProcess || v.Kind == types.FaultNode {
+				m.memberFailed(m.pred, v.Kind)
+			}
+		},
+		OnQuarantine: func(_ types.NodeID, on bool) { m.SetQuarantined(m.pred, on) },
+	})
+	return m
 }
 
 // View exposes the member's current view.
 func (m *Member) View() *View { return m.view }
 
-// Self reports the member's partition.
-func (m *Member) Self() types.PartitionID { return m.self }
-
 // IsLeader reports whether this member currently leads the meta-group.
 func (m *Member) IsLeader() bool { return m.view.Leader == m.self }
+
+// Stats reports the ring monitor's lifecycle counters.
+func (m *Member) Stats() heartbeat.Stats { return m.mon.Stats() }
 
 // Start begins heartbeating and monitoring, and (for a rejoining member)
 // announces itself to every peer.
@@ -122,81 +125,53 @@ func (m *Member) Start(announce bool) {
 		m.view.MarkAlive(m.self, m.rt.Node())
 		m.afterViewChange(oldLeader)
 	}
+	m.tick()
+	m.watchPredecessor()
+}
+
+// tick beats now and again every interval until Stop.
+func (m *Member) tick() {
 	m.beat()
-	m.ticker = clock.NewTicker(rtClock{m.rt}, m.cfg.Interval, m.beat)
-	m.rearmMonitor()
+	m.ticker = m.rt.After(m.cfg.Interval, m.tick)
 }
 
-// rtClock adapts rt.Runtime to clock.Clock for tickers.
-type rtClock struct{ r rt.Runtime }
-
-func (c rtClock) Now() time.Time { return c.r.Now() }
-func (c rtClock) AfterFunc(d time.Duration, f func()) clock.Timer {
-	return c.r.After(d, f)
-}
-
+// beat sends one ring heartbeat to the successor on whichever interface
+// the transport picks.
 func (m *Member) beat() {
 	succ, ok := m.view.Successor(m.self)
 	if !ok || succ == m.self {
 		return
 	}
+	m.hb.Seq++
 	info := m.view.Members[succ]
-	m.rt.Send(types.Addr{Node: info.Node, Service: types.SvcGSD}, types.AnyNIC,
-		MsgMetaHB, MetaHB{Part: m.self, Version: m.view.Version})
+	m.rt.Send(types.Addr{Node: info.Node, Service: types.SvcGSD}, types.AnyNIC, MsgMetaHB, m.hb)
 }
 
-// rearmMonitor points the deadline at the current predecessor.
-func (m *Member) rearmMonitor() {
-	if m.deadline != nil {
-		m.deadline.Stop()
-		m.deadline = nil
-	}
+// watchPredecessor points the monitor at the current predecessor's node
+// and reports whether the watch moved. A moved watch starts afresh: a
+// flap score stays with the watcher that counted it.
+func (m *Member) watchPredecessor() bool {
 	pred, ok := m.view.Predecessor(m.self)
-	if !ok || pred == m.self {
-		m.hasMon = false
-		return
+	node := m.view.Members[pred].Node
+	if ok = ok && pred != m.self; ok && m.watching && node == m.watched {
+		return false
 	}
-	m.monitored = pred
-	m.hasMon = true
-	m.deadline = m.rt.After(m.cfg.Interval+m.cfg.Grace, m.predecessorMissed)
-}
-
-func (m *Member) predecessorMissed() {
-	if !m.hasMon || m.diagnosing {
-		return
+	m.mon.Unwatch(m.watched)
+	m.pred, m.watched, m.watching = pred, node, ok
+	if ok {
+		m.mon.Watch(node)
 	}
-	part := m.monitored
-	info := m.view.Members[part]
-	if !info.Alive {
-		m.rearmMonitor()
-		return
-	}
-	m.diagnosing = true
-	if m.cb.OnSuspect != nil {
-		m.cb.OnSuspect(part, info.Node)
-	}
-	m.prober.Probe(info.Node, types.SvcGSD, m.cfg.ProbeTimeout, func(res heartbeat.ProbeResult) {
-		m.diagnosing = false
-		if res.NodeAlive && res.ServiceRunning {
-			// False alarm (heartbeats delayed); resume monitoring.
-			m.rearmMonitor()
-			return
-		}
-		kind := types.FaultNode
-		if res.NodeAlive {
-			kind = types.FaultProcess
-		}
-		if m.cb.OnDiagnosed != nil {
-			m.cb.OnDiagnosed(part, info.Node, kind)
-		}
-		m.memberFailed(part, info, kind)
-	})
+	return ok
 }
 
 // memberFailed applies the failure locally, broadcasts the new view, and —
 // since the detecting member is by construction the failed slot's ring
 // successor — triggers the takeover callback.
-func (m *Member) memberFailed(part types.PartitionID, info MemberInfo, kind types.FaultKind) {
+func (m *Member) memberFailed(part types.PartitionID, kind types.FaultKind) {
+	info := m.view.Members[part]
+	if m.cb.OnDiagnosed != nil {
+		m.cb.OnDiagnosed(part, info.Node, kind)
+	}
 	oldLeader := m.view.Leader
 	m.view.MarkDead(part)
 	m.broadcastView()
@@ -207,9 +182,11 @@ func (m *Member) memberFailed(part types.PartitionID, info MemberInfo, kind type
 }
 
 // SetQuarantined flips a slot's flap-quarantine flag in the replicated
-// view and broadcasts the change. MarkAlive on a rejoin clears nothing —
-// quarantine outlives restarts by design — so only the flap-score decay
-// path should call this with on=false.
+// view and broadcasts the change. The slot's watcher is the only writer:
+// its monitor sets the flag when the flap score reaches the threshold and
+// clears it when the score decays, and a member that takes up the watch of
+// a still-quarantined slot clears it, having counted no flaps of its own.
+// MarkAlive on a rejoin clears nothing.
 func (m *Member) SetQuarantined(part types.PartitionID, on bool) {
 	if m.view.Quarantined(part) == on {
 		return
@@ -217,6 +194,9 @@ func (m *Member) SetQuarantined(part types.PartitionID, on bool) {
 	oldLeader := m.view.Leader
 	m.view.SetQuarantined(part, on)
 	m.broadcastView()
+	if m.cb.OnQuarantine != nil {
+		m.cb.OnQuarantine(part, on)
+	}
 	m.afterViewChange(oldLeader)
 }
 
@@ -235,12 +215,15 @@ func (m *Member) broadcastView() {
 }
 
 func (m *Member) afterViewChange(oldLeader types.PartitionID) {
-	m.rearmMonitor()
+	moved := m.watchPredecessor()
 	if m.view.Leader != oldLeader && m.cb.OnLeaderChange != nil {
 		m.cb.OnLeaderChange(m.view.Leader)
 	}
 	if m.cb.OnViewChange != nil {
 		m.cb.OnViewChange(m.view)
+	}
+	if moved {
+		m.SetQuarantined(m.pred, false)
 	}
 }
 
@@ -249,12 +232,18 @@ func (m *Member) afterViewChange(oldLeader types.PartitionID) {
 func (m *Member) HandleMessage(msg types.Message) bool {
 	switch msg.Type {
 	case MsgMetaHB:
-		hb, ok := msg.Payload.(MetaHB)
-		if !ok {
-			return true
+		if hb, ok := msg.Payload.(heartbeat.Heartbeat); ok {
+			m.mon.HandleHeartbeat(hb, types.AnyNIC)
 		}
-		if m.hasMon && hb.Part == m.monitored && !m.diagnosing {
-			m.rearmMonitor()
+		return true
+	case heartbeat.MsgSuspect:
+		// Refute: outbid the incarnation the suspicion was raised at and
+		// beat at once. A notice below our incarnation is another NIC's
+		// copy of one refuted already; a second beat at the same instant
+		// would feed the watcher's accrual window a near-zero gap.
+		if n, ok := msg.Payload.(heartbeat.SuspectNotice); ok && n.Node == m.rt.Node() && n.Inc >= m.hb.Inc {
+			m.hb.Inc = n.Inc + 1
+			m.beat()
 		}
 		return true
 	case MsgMetaView:
@@ -296,7 +285,7 @@ func (m *Member) HandleMessage(msg types.Message) bool {
 		return true
 	case simhost.MsgProbeAck:
 		if ack, ok := msg.Payload.(simhost.ProbeAck); ok {
-			m.prober.HandleProbeAck(ack)
+			m.mon.HandleProbeAck(ack)
 		}
 		// Probe acks may belong to other subsystems of the GSD; report
 		// unconsumed so the partition monitor also sees them.
@@ -310,8 +299,5 @@ func (m *Member) Stop() {
 	if m.ticker != nil {
 		m.ticker.Stop()
 	}
-	if m.deadline != nil {
-		m.deadline.Stop()
-	}
-	m.hasMon = false
+	m.mon.Unwatch(m.watched)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/heartbeat"
 	"repro/internal/membership"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -39,9 +40,9 @@ func (p *memberProc) OnStop() {
 	}
 }
 func (p *memberProc) Start(h *simhost.Handle) {
-	cfg := membership.Config{
+	cfg := heartbeat.Config{
 		Interval: time.Second, Grace: 100 * time.Millisecond,
-		ProbeTimeout: 300 * time.Millisecond, NICs: 3,
+		ProbeTimeout: 300 * time.Millisecond, NICs: 3, Service: types.SvcGSD,
 	}
 	p.m = membership.NewMember(h, cfg, p.part, p.view, membership.Callbacks{
 		OnSuspect: func(part types.PartitionID, node types.NodeID) {
@@ -217,5 +218,31 @@ func TestTwoSurvivorsKeepMonitoringEachOther(t *testing.T) {
 	v := procs[1].m.View()
 	if v.AliveCount() != 1 || v.Leader != 1 || v.Princess != 1 {
 		t.Fatalf("single survivor view: %v", v)
+	}
+}
+
+// TestNewWatcherClearsQuarantine pins who owns a slot's flap quarantine:
+// the slot's watcher. When the watcher dies, the member that takes up the
+// watch has counted no flaps of the slot, so it clears the flag in every
+// live view.
+func TestNewWatcherClearsQuarantine(t *testing.T) {
+	eng, hosts, procs := ringRig(t)
+	eng.RunFor(5 * time.Second)
+	procs[2].m.SetQuarantined(1, true) // member 2 watches slot 1
+	eng.RunFor(time.Second)
+	for i, p := range procs {
+		if !p.m.View().Quarantined(1) {
+			t.Fatalf("member %d did not adopt slot 1's quarantine", i)
+		}
+	}
+	if err := hosts[2].Kill(types.SvcGSD); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(4 * time.Second)
+	// Member 0 took over slot 2 and now watches slot 1.
+	for _, i := range []int{0, 1} {
+		if v := procs[i].m.View(); v.Alive(2) || v.Quarantined(1) {
+			t.Fatalf("member %d after the watcher's death: %v, slot 1 quarantined %v", i, v, v.Quarantined(1))
+		}
 	}
 }

@@ -355,6 +355,7 @@ func (n *Node) Status() opshttp.Status {
 					Suspects: ms.Suspects, Refutations: ms.Refutations,
 					IndirectAcks: ms.IndirectAcks, FailVerdicts: ms.FailVerdicts,
 					FenceEpoch: g.Epoch(), Takeovers: g.Takeovers(),
+					Ring: g.Member().Stats(),
 				}
 				for _, ni := range mon.Snapshot() {
 					switch ni.Status {

@@ -271,10 +271,13 @@ func RenderTable(w io.Writer, reports []NodeReport) {
 			gs = fmt.Sprintf("r%d:fv%d d%d g%d", g.Rounds, g.FedVersion, g.DeltasRx, g.Gaps)
 		}
 		// Detection standing of the hosted GSD: fencing epoch, then
-		// cumulative suspects/refutations/fail-verdicts.
+		// cumulative suspects/refutations/fail-verdicts of its partition
+		// monitor and of its ring monitor.
 		det := "-"
 		if d := st.Detect; d != nil {
-			det = fmt.Sprintf("e%d s%d/r%d/f%d", d.FenceEpoch, d.Suspects, d.Refutations, d.FailVerdicts)
+			det = fmt.Sprintf("e%d s%d/r%d/f%d ring %d/%d/%d", d.FenceEpoch,
+				d.Suspects, d.Refutations, d.FailVerdicts,
+				d.Ring.Suspects, d.Ring.Refutations, d.Ring.FailVerdicts)
 		}
 		// Scheduler standing on the node hosting PWS: per-pool
 		// queued/running and the shed ladder rung when raised. Every other

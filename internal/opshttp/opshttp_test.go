@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/bulletin"
+	"repro/internal/heartbeat"
 	"repro/internal/metrics"
 	"repro/internal/types"
 	"repro/internal/wire"
@@ -470,5 +471,50 @@ func TestPWSStatusConsistentAcrossSurfaces(t *testing.T) {
 	defer srv2.Close()
 	if _, prom2 := get(t, srv2, "/metrics"); strings.Contains(prom2, "phoenix_pws_") {
 		t.Fatal("phoenix_pws_* series on scheduler-less node")
+	}
+}
+
+// TestDetectStatusConsistentAcrossSurfaces checks that a GSD's two
+// monitors — the partition monitor and the ring monitor watching its
+// predecessor GSD — reach /statusz, /metrics, the status line and the
+// admin table side by side.
+func TestDetectStatusConsistentAcrossSurfaces(t *testing.T) {
+	st := testStatus()
+	st.Detect = &Detect{
+		Suspects: 4, Refutations: 3, FailVerdicts: 1, FenceEpoch: 2, Takeovers: 1,
+		Ring: heartbeat.Stats{Suspects: 7, Refutations: 5, FailVerdicts: 1},
+	}
+	srv := httptest.NewServer(Handler(Config{Status: func() Status { return st }}))
+	defer srv.Close()
+
+	_, body := get(t, srv, "/statusz")
+	var got Status
+	if err := json.Unmarshal([]byte(body), &got); err != nil {
+		t.Fatalf("decode statusz: %v", err)
+	}
+	if got.Detect == nil || got.Detect.Ring != st.Detect.Ring || got.Detect.Suspects != 4 {
+		t.Fatalf("statusz detect section: got %+v, want %+v", got.Detect, st.Detect)
+	}
+
+	_, prom := get(t, srv, "/metrics")
+	for _, want := range []string{
+		"phoenix_detect_suspects_total 4",
+		"phoenix_detect_takeovers_total 1",
+		"phoenix_detect_ring_suspects_total 7",
+		"phoenix_detect_ring_refutations_total 5",
+		"phoenix_detect_ring_fail_verdicts_total 1",
+	} {
+		if !strings.Contains(prom, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+
+	if line, want := st.Line(), "detect e2 s4 r3 f1 ring s7 r5 f1"; !strings.Contains(line, want) {
+		t.Errorf("status line missing %q: %s", want, line)
+	}
+	var sb strings.Builder
+	RenderTable(&sb, []NodeReport{{Node: 3, Status: st}})
+	if want := "e2 s4/r3/f1 ring 7/5/1"; !strings.Contains(sb.String(), want) {
+		t.Errorf("admin table missing %q:\n%s", want, sb.String())
 	}
 }

@@ -169,6 +169,9 @@ func writeStatusProm(w io.Writer, st Status) {
 		counter("phoenix_detect_indirect_acks_total", d.IndirectAcks)
 		counter("phoenix_detect_fail_verdicts_total", d.FailVerdicts)
 		counter("phoenix_detect_takeovers_total", d.Takeovers)
+		counter("phoenix_detect_ring_suspects_total", d.Ring.Suspects)
+		counter("phoenix_detect_ring_refutations_total", d.Ring.Refutations)
+		counter("phoenix_detect_ring_fail_verdicts_total", d.Ring.FailVerdicts)
 	}
 	fmt.Fprintf(w, "# TYPE phoenix_node_utilisation gauge\nphoenix_node_utilisation %s\n", promFloat(st.Util))
 	fmt.Fprintf(w, "# TYPE phoenix_draining gauge\nphoenix_draining %s\n", b(st.Draining))

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bulletin"
 	"repro/internal/gossip"
+	"repro/internal/heartbeat"
 	"repro/internal/rpc"
 	"repro/internal/wire"
 )
@@ -160,6 +161,10 @@ type Detect struct {
 	// across watched members.
 	MaxSuspicion float64 `json:"max_suspicion"`
 	MaxFlap      float64 `json:"max_flap"`
+	// Ring counts the lifecycle of the hosted GSD's ring monitor, which
+	// watches its ring predecessor's GSD; the counters above are the
+	// partition monitor's. A takeover follows a ring monitor verdict.
+	Ring heartbeat.Stats `json:"ring"`
 }
 
 // Line renders the status as the one-line form phoenix-node logs
@@ -189,8 +194,9 @@ func (st Status) Line() string {
 			gs.Rounds, gs.FedVersion, gs.DeltasRx, gs.DeltasTx, gs.Gaps)
 	}
 	if d := st.Detect; d != nil {
-		fmt.Fprintf(&sb, ", detect e%d s%d r%d f%d",
-			d.FenceEpoch, d.Suspects, d.Refutations, d.FailVerdicts)
+		fmt.Fprintf(&sb, ", detect e%d s%d r%d f%d ring s%d r%d f%d",
+			d.FenceEpoch, d.Suspects, d.Refutations, d.FailVerdicts,
+			d.Ring.Suspects, d.Ring.Refutations, d.Ring.FailVerdicts)
 		if len(d.Suspect) > 0 || len(d.Quarantined) > 0 {
 			fmt.Fprintf(&sb, " (suspect %d, quarantined %d)",
 				len(d.Suspect), len(d.Quarantined))
