@@ -33,6 +33,11 @@ const (
 	MsgFetchAck = "db.fetch.ack"
 )
 
+// Reply tokens (rpc.Reply): the instance's own fetch and sync tables
+// resolve these; the client routes its query, put and get acks itself.
+func (a FetchAck) ReplyToken() uint64 { return a.Token }
+func (a SyncAck) ReplyToken() uint64  { return a.Token }
+
 func init() {
 	wirebin.Intern(
 		"db.put", "db.query", "db.result", "db.fetch", "db.get", "db.sync",
@@ -199,6 +204,9 @@ func (s *Service) Entries() int { return len(s.res) }
 
 // Receive implements simhost.Process.
 func (s *Service) Receive(msg types.Message) {
+	if s.pending.Handle(msg) {
+		return
+	}
 	switch msg.Type {
 	case MsgPut:
 		req, ok := msg.Payload.(PutReq)
@@ -237,24 +245,12 @@ func (s *Service) Receive(msg types.Message) {
 			return
 		}
 		s.rt.Send(msg.From, types.AnyNIC, MsgFetchAck, FetchAck{Token: req.Token, Snap: s.local()})
-	case MsgFetchAck:
-		ack, ok := msg.Payload.(FetchAck)
-		if !ok {
-			return
-		}
-		s.pending.Resolve(ack.Token, ack)
 	case MsgSync:
 		req, ok := msg.Payload.(SyncReq)
 		if !ok {
 			return
 		}
 		s.serveSync(msg.From, req)
-	case MsgSyncAck:
-		ack, ok := msg.Payload.(SyncAck)
-		if !ok {
-			return
-		}
-		s.pending.Resolve(ack.Token, ack)
 	case gossip.MsgDeliver:
 		if d, ok := msg.Payload.(gossip.DeliverMsg); ok {
 			s.onGossipDelta(d)
@@ -364,9 +360,12 @@ func (s *Service) query(replyTo types.Addr, req QueryReq) {
 		peerPart := peerPart
 		tok := s.pending.New(s.cfg.FetchTimeout,
 			func(payload any) {
-				ack := payload.(FetchAck)
-				gathered = append(gathered, ack.Snap)
-				s.cacheSnap(peerPart, ack.Snap)
+				if ack, ok := payload.(FetchAck); ok {
+					gathered = append(gathered, ack.Snap)
+					s.cacheSnap(peerPart, ack.Snap)
+				} else {
+					missing = append(missing, peerPart)
+				}
 				finish()
 			},
 			func() {

@@ -20,9 +20,7 @@ import (
 // layer's budget — never a user-visible failure (ErrWrongShard documents
 // the protocol; callers only ever see rpc sentinels on final failure).
 type Client struct {
-	rt     rt.Runtime
-	caller *rpc.Caller
-	target func() (types.Addr, bool)
+	rpc.Client
 
 	smap     shard.Map
 	rr       int                     // read round-robin over a key's copy holders
@@ -43,9 +41,7 @@ type getCall struct {
 // shard map's instances are added to the failover pool and reads are
 // spread across them.
 func NewClient(r rt.Runtime, opts rpc.Options, target func() (types.Addr, bool)) *Client {
-	c := &Client{rt: r, target: target,
-		gets:     make(map[uint64]*getCall),
-		servedBy: make(map[types.NodeID]uint64)}
+	c := &Client{gets: make(map[uint64]*getCall), servedBy: make(map[types.NodeID]uint64)}
 	userPeers := opts.Peers
 	opts.Spread = true
 	opts.Peers = func() []types.Addr {
@@ -55,7 +51,7 @@ func NewClient(r rt.Runtime, opts rpc.Options, target func() (types.Addr, bool))
 		}
 		return out
 	}
-	c.caller = rpc.NewCaller(r, opts)
+	c.Client = rpc.NewClient(r, opts, target)
 	return c
 }
 
@@ -70,14 +66,6 @@ func (c *Client) ServedBy() map[types.NodeID]uint64 { return c.servedBy }
 // adopt-and-retry.
 func (c *Client) Rerouted() uint64 { return c.rerouted }
 
-// targets adapts the single-access-point resolver to the caller.
-func (c *Client) targets() []types.Addr {
-	if addr, ok := c.target(); ok {
-		return []types.Addr{addr}
-	}
-	return nil
-}
-
 // adopt keeps the newest piggybacked shard map.
 func (c *Client) adopt(has bool, m shard.Map) {
 	if has && m.Version > c.smap.Version {
@@ -87,16 +75,12 @@ func (c *Client) adopt(has bool, m shard.Map) {
 
 // ExportResources pushes a physical-resource sample (fire-and-forget).
 func (c *Client) ExportResources(res types.ResourceStats) {
-	if addr, ok := c.target(); ok {
-		c.rt.Send(addr, types.AnyNIC, MsgPut, PutReq{Kind: "res", Res: res})
-	}
+	c.Notify(MsgPut, PutReq{Kind: "res", Res: res})
 }
 
 // ExportApp pushes an application-state sample (fire-and-forget).
 func (c *Client) ExportApp(app types.AppState) {
-	if addr, ok := c.target(); ok {
-		c.rt.Send(addr, types.AnyNIC, MsgPut, PutReq{Kind: "app", App: app})
-	}
+	c.Notify(MsgPut, PutReq{Kind: "app", App: app})
 }
 
 // put runs one acked data-plane write: targeted at the key's primary, with
@@ -104,10 +88,10 @@ func (c *Client) ExportApp(app types.AppState) {
 // reroutes the retry).
 func (c *Client) put(req PutReq, done func(ok bool)) {
 	key := shard.NodeKey(req.Res.Node)
-	c.caller.Go(rpc.Call{
+	c.Caller().Go(rpc.Call{
 		Targets: func() []types.Addr {
 			if c.smap.Empty() {
-				return c.targets()
+				return c.Targets()
 			}
 			return c.smap.OwnerAddrs(key, types.SvcDB)
 		},
@@ -115,7 +99,7 @@ func (c *Client) put(req PutReq, done func(ok bool)) {
 			r := req
 			r.Token = token
 			r.MapVersion = c.smap.Version
-			c.rt.Send(to, types.AnyNIC, MsgPut, r)
+			c.Runtime().Send(to, types.AnyNIC, MsgPut, r)
 		},
 		Done: func(payload any, err error) {
 			if done != nil {
@@ -138,10 +122,10 @@ func (c *Client) Get(node types.NodeID, done func(ack GetAck, ok bool)) {
 	key := shard.NodeKey(node)
 	gc := &getCall{rot: c.rr}
 	c.rr++
-	c.caller.Go(rpc.Call{
+	c.Caller().Go(rpc.Call{
 		Targets: func() []types.Addr {
 			if c.smap.Empty() {
-				return c.targets()
+				return c.Targets()
 			}
 			all := c.smap.OwnerAddrs(key, types.SvcDB)
 			reps := c.smap.Replicas
@@ -161,7 +145,7 @@ func (c *Client) Get(node types.NodeID, done func(ack GetAck, ok bool)) {
 		Send: func(token uint64, to types.Addr) {
 			gc.token = token
 			c.gets[token] = gc
-			c.rt.Send(to, types.AnyNIC, MsgGet, GetReq{
+			c.Runtime().Send(to, types.AnyNIC, MsgGet, GetReq{
 				Token: token, Node: node, MapVersion: c.smap.Version,
 			})
 		},
@@ -181,15 +165,15 @@ func (c *Client) Get(node types.NodeID, done func(ack GetAck, ok bool)) {
 // included) is exhausted. Cluster-scope queries spread across the mapped
 // instances — any one is a valid access point.
 func (c *Client) Query(scope Scope, done func(ack QueryAck, ok bool)) {
-	c.caller.Go(rpc.Call{
+	c.Caller().Go(rpc.Call{
 		Targets: func() []types.Addr {
 			if scope == ScopeCluster && !c.smap.Empty() {
 				return nil // the Peers pool (all mapped instances) serves
 			}
-			return c.targets()
+			return c.Targets()
 		},
 		Send: func(token uint64, to types.Addr) {
-			c.rt.Send(to, types.AnyNIC, MsgQuery, QueryReq{
+			c.Runtime().Send(to, types.AnyNIC, MsgQuery, QueryReq{
 				Token: token, Scope: scope, MapVersion: c.smap.Version,
 			})
 		},
@@ -210,7 +194,7 @@ func (c *Client) Handle(msg types.Message) bool {
 	case MsgResult:
 		if ack, ok := msg.Payload.(QueryAck); ok {
 			c.adopt(ack.HasMap, ack.Map)
-			if c.caller.ResolveFrom(ack.Token, msg.From, ack) {
+			if c.Caller().ResolveFrom(ack.Token, msg.From, ack) {
 				c.servedBy[msg.From.Node]++
 			}
 		}
@@ -223,10 +207,10 @@ func (c *Client) Handle(msg types.Message) bool {
 				// map and retry; the refuser answered, so its breaker
 				// is credited, not charged.
 				c.rerouted++
-				c.caller.Reject(ack.Token, msg.From)
+				c.Caller().Reject(ack.Token, msg.From)
 				return true
 			}
-			c.caller.ResolveFrom(ack.Token, msg.From, ack)
+			c.Caller().ResolveFrom(ack.Token, msg.From, ack)
 		}
 		return true
 	case MsgGetAck:
@@ -234,17 +218,17 @@ func (c *Client) Handle(msg types.Message) bool {
 			c.adopt(ack.HasMap, ack.Map)
 			if ack.Wrong {
 				c.rerouted++
-				c.caller.Reject(ack.Token, msg.From)
+				c.Caller().Reject(ack.Token, msg.From)
 				return true
 			}
 			if gc, live := c.gets[ack.Token]; live && !ack.Found && !ack.Primary && !gc.escalated {
 				// The replica may simply not have caught up: believe a
 				// miss only from the primary.
 				gc.escalated = true
-				c.caller.Reject(ack.Token, msg.From)
+				c.Caller().Reject(ack.Token, msg.From)
 				return true
 			}
-			if c.caller.ResolveFrom(ack.Token, msg.From, ack) {
+			if c.Caller().ResolveFrom(ack.Token, msg.From, ack) {
 				c.servedBy[msg.From.Node]++
 			}
 		}

@@ -96,6 +96,13 @@ type FetchAck struct {
 	Data  []byte
 }
 
+// Reply tokens (rpc.Reply): the checkpoint client resolves the first
+// three, a peer instance's fetch table the last.
+func (a SaveAck) ReplyToken() uint64    { return a.Token }
+func (a RestoreAck) ReplyToken() uint64 { return a.Token }
+func (a DeleteAck) ReplyToken() uint64  { return a.Token }
+func (a FetchAck) ReplyToken() uint64   { return a.Token }
+
 func init() {
 	codec.Register(128, SaveReq{})
 	codec.Register(129, SaveAck{})
@@ -201,6 +208,9 @@ func (s *Service) Len() int {
 
 // Receive implements simhost.Process.
 func (s *Service) Receive(msg types.Message) {
+	if s.pending.Handle(msg) {
+		return
+	}
 	switch msg.Type {
 	case MsgSave:
 		req, ok := msg.Payload.(SaveReq)
@@ -241,12 +251,6 @@ func (s *Service) Receive(msg types.Message) {
 		s.rt.Send(msg.From, types.AnyNIC, MsgFetchAck, FetchAck{
 			Token: req.Token, Found: found && !rec.deleted, Seq: rec.seq, Data: rec.data,
 		})
-	case MsgFetchAck:
-		ack, ok := msg.Payload.(FetchAck)
-		if !ok {
-			return
-		}
-		s.pending.Resolve(ack.Token, ack)
 	case federation.MsgView:
 		if vm, ok := msg.Payload.(federation.ViewMsg); ok {
 			s.view.Adopt(vm.View)
@@ -317,7 +321,7 @@ func (s *Service) restore(replyTo types.Addr, req RestoreReq) {
 	for _, peer := range peers {
 		tok := s.pending.New(s.fetchTO,
 			func(payload any) {
-				ack := payload.(FetchAck)
+				ack, _ := payload.(FetchAck)
 				if ack.Found && ack.Seq > best.seq {
 					best = record{seq: ack.Seq, data: ack.Data}
 					found = true

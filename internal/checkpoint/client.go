@@ -16,108 +16,56 @@ import (
 // are allocated once per logical call, so a retried save cannot supersede
 // itself.
 type Client struct {
-	rt       rt.Runtime
-	caller   *rpc.Caller
-	target   func() (types.Addr, bool) // current checkpoint instance to talk to
-	versions map[string]uint64         // per-owner monotonic save versions
+	rpc.Client
+	versions map[string]uint64 // per-owner monotonic save versions
 }
 
 // NewClient builds a client. target resolves the checkpoint instance at
 // call time (it changes when services migrate), opts the retry behaviour.
 func NewClient(r rt.Runtime, opts rpc.Options, target func() (types.Addr, bool)) *Client {
-	return &Client{rt: r, caller: rpc.NewCaller(r, opts), target: target,
-		versions: make(map[string]uint64)}
-}
-
-// targets adapts the single-instance resolver to the caller.
-func (c *Client) targets() []types.Addr {
-	if addr, ok := c.target(); ok {
-		return []types.Addr{addr}
-	}
-	return nil
+	return &Client{Client: rpc.NewClient(r, opts, target), versions: make(map[string]uint64)}
 }
 
 // Save stores a snapshot; done (optional) reports success.
 func (c *Client) Save(owner string, data []byte, done func(ok bool)) {
 	c.versions[owner]++
 	version := c.versions[owner]
-	c.caller.Go(rpc.Call{
-		Targets: c.targets,
-		Send: func(token uint64, to types.Addr) {
-			c.rt.Send(to, types.AnyNIC, MsgSave, SaveReq{
-				Token: token, Owner: owner, Version: version, Data: data,
-			})
-		},
-		Done: func(_ any, err error) {
-			if done != nil {
-				done(err == nil)
-			}
-		},
+	rpc.Ask(&c.Client, MsgSave, func(token uint64) any {
+		return SaveReq{Token: token, Owner: owner, Version: version, Data: data}
+	}, func(_ SaveAck, err error) {
+		if done != nil {
+			done(err == nil)
+		}
 	})
 }
 
 // Restore retrieves the newest snapshot; done receives (nil, false) when no
 // instance holds one or the deadline budget is exhausted.
 func (c *Client) Restore(owner string, done func(data []byte, found bool)) {
-	c.caller.Go(rpc.Call{
-		Targets: c.targets,
-		Send: func(token uint64, to types.Addr) {
-			c.rt.Send(to, types.AnyNIC, MsgRestore, RestoreReq{Token: token, Owner: owner})
-		},
-		Done: func(payload any, err error) {
+	rpc.Ask(&c.Client, MsgRestore, func(token uint64) any { return RestoreReq{Token: token, Owner: owner} },
+		func(ack RestoreAck, err error) {
 			if err != nil {
 				done(nil, false)
 				return
 			}
-			ack := payload.(RestoreAck)
 			// Resume versioning above the restored state so later saves
 			// supersede it.
 			if ack.Seq > c.versions[owner] {
 				c.versions[owner] = ack.Seq
 			}
 			done(ack.Data, ack.Found)
-		},
-	})
+		})
 }
 
 // Delete removes an owner's snapshots federation-wide.
 func (c *Client) Delete(owner string, done func(ok bool)) {
 	c.versions[owner]++
 	version := c.versions[owner]
-	c.caller.Go(rpc.Call{
-		Targets: c.targets,
-		Send: func(token uint64, to types.Addr) {
-			c.rt.Send(to, types.AnyNIC, MsgDelete, DeleteReq{
-				Token: token, Owner: owner, Version: version,
-			})
-		},
-		Done: func(_ any, err error) {
-			if done != nil {
-				done(err == nil)
-			}
-		},
+	rpc.Ask(&c.Client, MsgDelete, func(token uint64) any {
+		return DeleteReq{Token: token, Owner: owner, Version: version}
+	}, func(_ DeleteAck, err error) {
+		if done != nil {
+			done(err == nil)
+		}
 	})
-}
-
-// Handle routes checkpoint acks arriving at the owning daemon; it reports
-// whether the message was consumed.
-func (c *Client) Handle(msg types.Message) bool {
-	switch msg.Type {
-	case MsgSaveAck:
-		if ack, ok := msg.Payload.(SaveAck); ok {
-			c.caller.ResolveFrom(ack.Token, msg.From, ack)
-		}
-		return true
-	case MsgRestoreAck:
-		if ack, ok := msg.Payload.(RestoreAck); ok {
-			c.caller.ResolveFrom(ack.Token, msg.From, ack)
-		}
-		return true
-	case MsgDeleteAck:
-		if ack, ok := msg.Payload.(DeleteAck); ok {
-			c.caller.ResolveFrom(ack.Token, msg.From, ack)
-		}
-		return true
-	}
-	return false
 }

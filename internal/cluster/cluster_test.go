@@ -485,13 +485,6 @@ func TestPExecTreeFanout(t *testing.T) {
 		cp.H.Send(types.Addr{Node: nodes[0], Service: types.SvcPPM}, types.AnyNIC,
 			ppm.MsgPExec, ppm.PExecReq{Token: tok, Cmd: "hostname", Nodes: nodes, Fanout: 4})
 	}
-	client.OnMessage = func(cp *core.ClientProc, msg types.Message) {
-		if msg.Type == ppm.MsgPExecAck {
-			if ack, ok := msg.Payload.(ppm.PExecAck); ok {
-				cp.Pending.Resolve(ack.Token, ack)
-			}
-		}
-	}
 	if _, err := c.Host(0).Spawn(client); err != nil {
 		t.Fatal(err)
 	}

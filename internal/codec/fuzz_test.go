@@ -64,6 +64,18 @@ var retiredBizrt = []retiredPayload{
 // a seed.
 var retiredMetaHB = retiredPayload{208, []byte("\x02\x0e")}
 
+// retiredAgent holds the last payloads written for wire IDs 116-119, the
+// OS agent's kill and exec requests and acks, retired when the unused
+// agent.kill and agent.exec RPCs were deleted (PPM kills through the host
+// and runs commands through Host.RunCommand). Both fuzz targets keep them
+// as seeds.
+var retiredAgent = []retiredPayload{
+	{116, []byte("\x02es\x02")},
+	{117, []byte("\x02\x02es\x01\x00\x02")},
+	{118, []byte("\x06uptime\x01\x02-p\x03")},
+	{119, []byte("\x02\x06uptime\x06up 42s\x00\x03")},
+}
+
 // retiredSpawnReq is a simhost spawn request (wire ID 114, still live)
 // whose spec is a retired bizrt instance spawn spec, wire ID 294.
 var retiredSpawnReq = []byte("\x03svc\xa6\x02\x04shop\x01\x03web\x04\x00\x80\xa8\xd6\xb9\a\x02\x04\x06\x06")
@@ -93,9 +105,11 @@ func FuzzDecodeMessage(f *testing.F) {
 		f.Add(append(old, retiredID100...))
 	}
 	// Business-runtime messages as a build that still registered wire IDs
-	// 288-294 sent them, bare and nested in a spawn request, and an old
-	// ring beat (ID 208): each must be refused.
-	for _, r := range append(retiredBizrt, retiredPayload{114, retiredSpawnReq}, retiredMetaHB) {
+	// 288-294 sent them, bare and nested in a spawn request, an old ring
+	// beat (ID 208) and old agent kill/exec messages (IDs 116-119): each
+	// must be refused.
+	retired := append(append(retiredBizrt, retiredAgent...), retiredPayload{114, retiredSpawnReq}, retiredMetaHB)
+	for _, r := range retired {
 		old, err := codec.Encode(types.Message{
 			From: types.Addr{Node: 1, Service: types.SvcWD},
 			To:   types.Addr{Node: 2, Service: types.SvcGSD},
@@ -139,7 +153,7 @@ func FuzzPayloadDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add(retiredID100)
-	for _, r := range append(retiredBizrt, retiredMetaHB) {
+	for _, r := range append(append(retiredBizrt, retiredAgent...), retiredMetaHB) {
 		f.Add(r.payload)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -12,60 +12,27 @@ import (
 // to fail over to — but calls still run through a resilient rpc.Caller:
 // retries within the deadline budget ride out lost datagrams and the
 // master's breaker stops a partitioned client from re-dialing it forever.
-type Client struct {
-	rt     rt.Runtime
-	caller *rpc.Caller
-	target func() (types.Addr, bool) // the config-service instance (master node)
-}
+// Its Handle resolves the service's replies.
+type Client struct{ rpc.Client }
 
 // NewClient builds a client; target resolves the config service's address,
 // opts the retry/breaker behaviour.
 func NewClient(r rt.Runtime, opts rpc.Options, target func() (types.Addr, bool)) *Client {
-	return &Client{rt: r, caller: rpc.NewCaller(r, opts), target: target}
-}
-
-// targets adapts the single-instance resolver to the caller.
-func (c *Client) targets() []types.Addr {
-	if addr, ok := c.target(); ok {
-		return []types.Addr{addr}
-	}
-	return nil
+	return &Client{rpc.NewClient(r, opts, target)}
 }
 
 // Get fetches the current topology; ok=false when the budget is exhausted.
 func (c *Client) Get(done func(topo *Topology, ok bool)) {
-	c.caller.Go(rpc.Call{
-		Targets: c.targets,
-		Send: func(token uint64, to types.Addr) {
-			c.rt.Send(to, types.AnyNIC, MsgGet, GetReq{Token: token})
-		},
-		Done: func(payload any, err error) {
-			if err != nil {
-				done(nil, false)
-				return
-			}
-			done(payload.(GetAck).Topology, true)
-		},
-	})
+	rpc.Ask(&c.Client, MsgGet, func(token uint64) any { return GetReq{Token: token} },
+		func(ack GetAck, err error) { done(ack.Topology, err == nil) })
 }
 
 // Introspect runs the self-introspection probe sweep; ok=false when the
 // budget is exhausted. Introspection itself probes every agent with
 // PartitionProbeTimeout, so the budget should comfortably exceed that.
 func (c *Client) Introspect(done func(ack IntrospectAck, ok bool)) {
-	c.caller.Go(rpc.Call{
-		Targets: c.targets,
-		Send: func(token uint64, to types.Addr) {
-			c.rt.Send(to, types.AnyNIC, MsgIntrospect, IntrospectReq{Token: token})
-		},
-		Done: func(payload any, err error) {
-			if err != nil {
-				done(IntrospectAck{}, false)
-				return
-			}
-			done(payload.(IntrospectAck), true)
-		},
-	})
+	rpc.Ask(&c.Client, MsgIntrospect, func(token uint64) any { return IntrospectReq{Token: token} },
+		func(ack IntrospectAck, err error) { done(ack, err == nil) })
 }
 
 // Reconfig applies a dynamic reconfiguration (OpAddNode / OpRemoveNode);
@@ -73,41 +40,7 @@ func (c *Client) Introspect(done func(ack IntrospectAck, ok bool)) {
 // retries, so the service can treat a retried request as the same one.
 func (c *Client) Reconfig(op string, node types.NodeID, partition types.PartitionID,
 	done func(ack ReconfigAck, ok bool)) {
-	c.caller.Go(rpc.Call{
-		Targets: c.targets,
-		Send: func(token uint64, to types.Addr) {
-			c.rt.Send(to, types.AnyNIC, MsgReconfig,
-				ReconfigReq{Token: token, Op: op, Node: node, Partition: partition})
-		},
-		Done: func(payload any, err error) {
-			if err != nil {
-				done(ReconfigAck{}, false)
-				return
-			}
-			done(payload.(ReconfigAck), true)
-		},
-	})
-}
-
-// Handle routes config-service replies arriving at the owning daemon; it
-// reports whether the message was consumed.
-func (c *Client) Handle(msg types.Message) bool {
-	switch msg.Type {
-	case MsgTopology:
-		if ack, ok := msg.Payload.(GetAck); ok {
-			c.caller.ResolveFrom(ack.Token, msg.From, ack)
-		}
-		return true
-	case MsgIntrospectAck:
-		if ack, ok := msg.Payload.(IntrospectAck); ok {
-			c.caller.ResolveFrom(ack.Token, msg.From, ack)
-		}
-		return true
-	case MsgReconfigAck:
-		if ack, ok := msg.Payload.(ReconfigAck); ok {
-			c.caller.ResolveFrom(ack.Token, msg.From, ack)
-		}
-		return true
-	}
-	return false
+	rpc.Ask(&c.Client, MsgReconfig, func(token uint64) any {
+		return ReconfigReq{Token: token, Op: op, Node: node, Partition: partition}
+	}, func(ack ReconfigAck, err error) { done(ack, err == nil) })
 }

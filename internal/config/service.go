@@ -67,6 +67,11 @@ type ReconfigAck struct {
 	Version int
 }
 
+// Reply tokens (rpc.Reply): the config client resolves these.
+func (a GetAck) ReplyToken() uint64        { return a.Token }
+func (a IntrospectAck) ReplyToken() uint64 { return a.Token }
+func (a ReconfigAck) ReplyToken() uint64   { return a.Token }
+
 func init() {
 	codec.Register(144, GetReq{})
 	codec.Register(145, GetAck{})
@@ -114,6 +119,9 @@ func (s *Service) Topology() *Topology { return s.topo }
 
 // Receive implements simhost.Process.
 func (s *Service) Receive(msg types.Message) {
+	if s.pending.Handle(msg) {
+		return
+	}
 	switch msg.Type {
 	case MsgGet:
 		req, ok := msg.Payload.(GetReq)
@@ -133,12 +141,6 @@ func (s *Service) Receive(msg types.Message) {
 			return
 		}
 		s.reconfig(msg.From, req)
-	case simhost.MsgProbeAck:
-		ack, ok := msg.Payload.(simhost.ProbeAck)
-		if !ok {
-			return
-		}
-		s.pending.Resolve(ack.Token, ack)
 	}
 }
 

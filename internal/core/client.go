@@ -28,20 +28,23 @@ type ClientProc struct {
 	Server    types.NodeID // current partition server node
 
 	// RPC carries resilient-call options shared by the bundled clients
-	// (breakers, metrics, in-flight bound). Set before Spawn; the
-	// per-client budget defaults to rpcTimeout.
+	// (breakers, metrics, budget). Set before Spawn; the budget defaults
+	// to rpcTimeout.
 	RPC rpc.Options
 
 	H        *simhost.Handle
 	Events   *events.Client
 	Bulletin *bulletin.Client
 	Ckpt     *checkpoint.Client
-	Pending  *rpc.Pending
-	Caller   *rpc.Caller
+	// Pending and Caller are the process's own request tables (one-shot
+	// and resilient); Receive resolves their replies.
+	Pending *rpc.Pending
+	Caller  *rpc.Caller
 
 	// OnStart runs once the process is up and the clients exist.
 	OnStart func(c *ClientProc)
-	// OnMessage sees messages not consumed by the built-in clients.
+	// OnMessage sees messages not consumed by the built-in clients or
+	// the request tables (late duplicate replies included).
 	OnMessage func(c *ClientProc, msg types.Message)
 }
 
@@ -88,15 +91,8 @@ func (c *ClientProc) Receive(msg types.Message) {
 		}
 		return
 	}
-	if c.Events.Handle(msg) || c.Bulletin.Handle(msg) || c.Ckpt.Handle(msg) {
-		return
-	}
-	if msg.Type == ppm.MsgLoadAck {
-		if ack, ok := msg.Payload.(ppm.LoadAck); ok {
-			if !c.Caller.ResolveFrom(ack.Token, msg.From, ack) {
-				c.Pending.Resolve(ack.Token, ack)
-			}
-		}
+	if c.Events.Handle(msg) || c.Bulletin.Handle(msg) || c.Ckpt.Handle(msg) ||
+		c.Caller.Handle(msg) || c.Pending.Handle(msg) {
 		return
 	}
 	if c.OnMessage != nil {
@@ -123,11 +119,11 @@ func (c *ClientProc) LoadJob(node types.NodeID, job ppm.JobSpec, signed string, 
 			if done == nil {
 				return
 			}
-			if err != nil {
-				done(ppm.LoadAck{Job: job.ID, Err: "timeout"})
-				return
+			ack, ok := payload.(ppm.LoadAck)
+			if !ok { // err != nil: the budget ran out
+				ack = ppm.LoadAck{Job: job.ID, Err: "timeout"}
 			}
-			done(payload.(ppm.LoadAck))
+			done(ack)
 		},
 	})
 }

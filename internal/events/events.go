@@ -114,6 +114,10 @@ type EventMsg struct {
 // from its checkpoint.
 type ReadyMsg struct{ Service string }
 
+// Reply tokens (rpc.Reply): the events client resolves these.
+func (a SubAck) ReplyToken() uint64   { return a.Token }
+func (a UnsubAck) ReplyToken() uint64 { return a.Token }
+
 func init() {
 	wirebin.Intern(
 		"es.sub", "es.unsub", "es.pub", "es.event", "es.supplier", "es.ready",

@@ -297,7 +297,12 @@ func (g *Daemon) OnStop() {
 
 // Receive implements simhost.Process.
 func (g *Daemon) Receive(msg types.Message) {
-	if g.ckpt != nil && g.ckpt.Handle(msg) {
+	// Tokens are process-unique, so only the issuing table resolves a
+	// reply: the spawn table, the partition monitor, the reintegration
+	// prober, the checkpoint client, or (inside HandleMessage) the ring
+	// member's monitor.
+	if g.pending.Handle(msg) || g.mon.Handle(msg) || g.reinProber.Handle(msg) ||
+		(g.ckpt != nil && g.ckpt.Handle(msg)) {
 		return
 	}
 	if g.member.HandleMessage(msg) {
@@ -330,16 +335,6 @@ func (g *Daemon) Receive(msg types.Message) {
 			f.Partition == g.spec.Partition && f.Epoch > g.epoch && !g.standingDown {
 			g.standingDown = true
 			g.h.After(0, g.standDown)
-		}
-	case simhost.MsgProbeAck:
-		if ack, ok := msg.Payload.(simhost.ProbeAck); ok {
-			// Tokens are globally unique; only the owning table resolves.
-			g.mon.HandleProbeAck(ack)
-			g.reinProber.HandleProbeAck(ack)
-		}
-	case simhost.MsgSpawnAck:
-		if ack, ok := msg.Payload.(simhost.SpawnAck); ok {
-			g.pending.Resolve(ack.Token, ack)
 		}
 	case events.MsgReady:
 		if rm, ok := msg.Payload.(events.ReadyMsg); ok {
@@ -552,7 +547,7 @@ func (g *Daemon) respawnWD(node types.NodeID) {
 	}
 	tok := g.pending.New(g.spec.Params.RPCTimeout,
 		func(payload any) {
-			if ack := payload.(simhost.SpawnAck); !ack.OK {
+			if ack, _ := payload.(simhost.SpawnAck); !ack.OK {
 				delete(g.wdRespawning, node) // retry on the next detection
 			}
 		},
@@ -830,7 +825,7 @@ func (g *Daemon) spawnGSD(part types.PartitionID, target types.NodeID, onFail fu
 		Epoch: g.member.View().Version}
 	tok := g.pending.New(g.spec.Params.RPCTimeout,
 		func(payload any) {
-			if ack := payload.(simhost.SpawnAck); !ack.OK && onFail != nil {
+			if ack, _ := payload.(simhost.SpawnAck); !ack.OK && onFail != nil {
 				onFail()
 			}
 		},

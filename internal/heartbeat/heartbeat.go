@@ -267,8 +267,9 @@ type Monitor struct {
 	stats   Stats
 }
 
-// NewMonitor builds a monitor; the owner must route agent probe acks to
-// HandleProbeAck and heartbeats to HandleHeartbeat.
+// NewMonitor builds a monitor; the owner must route messages to Handle,
+// relayed probe answers to HandleIndirectAck and heartbeats to
+// HandleHeartbeat.
 func NewMonitor(r rt.Runtime, cfg Config, cb Callbacks) *Monitor {
 	return &Monitor{
 		rt: r, cfg: cfg, cb: cb,
@@ -625,11 +626,9 @@ func (m *Monitor) probe(node types.NodeID, tr *nodeTrack) {
 	}
 }
 
-// HandleProbeAck routes an agent probe ack into the diagnosis engine.
-// Late or duplicate acks are ignored.
-func (m *Monitor) HandleProbeAck(ack simhost.ProbeAck) {
-	m.pending.Resolve(ack.Token, ack)
-}
+// Handle routes an agent probe ack into the diagnosis engine, reporting
+// whether msg answered one of the monitor's probes (see rpc.Pending.Handle).
+func (m *Monitor) Handle(msg types.Message) bool { return m.pending.Handle(msg) }
 
 // HandleIndirectAck routes a peer WD's relayed probe answer into the
 // diagnosis engine. Only positive evidence resolves the diagnosis; a

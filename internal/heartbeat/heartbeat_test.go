@@ -71,10 +71,8 @@ func (g *gsdStub) Receive(msg types.Message) {
 		if ack, ok := msg.Payload.(heartbeat.IndirectProbeAck); ok {
 			g.mon.HandleIndirectAck(ack)
 		}
-	case simhost.MsgProbeAck:
-		if ack, ok := msg.Payload.(simhost.ProbeAck); ok {
-			g.mon.HandleProbeAck(ack)
-		}
+	default:
+		g.mon.Handle(msg)
 	}
 }
 
@@ -340,9 +338,7 @@ func (p *proberOwner) Start(h *simhost.Handle) {
 	p.prober = heartbeat.NewProber(h, 3)
 }
 func (p *proberOwner) Receive(msg types.Message) {
-	if ack, ok := msg.Payload.(simhost.ProbeAck); ok {
-		p.prober.HandleProbeAck(ack)
-	}
+	p.prober.Handle(msg)
 }
 
 type dummy struct{ svc string }

@@ -36,7 +36,7 @@ func NewProber(r rt.Runtime, nics int) *Prober {
 func (p *Prober) Probe(node types.NodeID, service string, timeout time.Duration, done func(ProbeResult)) {
 	token := p.pending.New(timeout,
 		func(payload any) {
-			ack := payload.(simhost.ProbeAck)
+			ack, _ := payload.(simhost.ProbeAck)
 			done(ProbeResult{Node: node, NodeAlive: true, ServiceRunning: ack.Running})
 		},
 		func() {
@@ -48,8 +48,6 @@ func (p *Prober) Probe(node types.NodeID, service string, timeout time.Duration,
 	}
 }
 
-// HandleProbeAck routes an incoming ack; late and duplicate acks are
-// ignored.
-func (p *Prober) HandleProbeAck(ack simhost.ProbeAck) {
-	p.pending.Resolve(ack.Token, ack)
-}
+// Handle routes an incoming probe ack, reporting whether msg answered one
+// of the prober's probes (see rpc.Pending.Handle).
+func (p *Prober) Handle(msg types.Message) bool { return p.pending.Handle(msg) }

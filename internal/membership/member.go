@@ -5,7 +5,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/heartbeat"
 	"repro/internal/rt"
-	"repro/internal/simhost"
 	"repro/internal/types"
 )
 
@@ -230,6 +229,9 @@ func (m *Member) afterViewChange(oldLeader types.PartitionID) {
 // HandleMessage dispatches meta-group traffic; it reports whether the
 // message was consumed.
 func (m *Member) HandleMessage(msg types.Message) bool {
+	if m.mon.Handle(msg) {
+		return true
+	}
 	switch msg.Type {
 	case MsgMetaHB:
 		if hb, ok := msg.Payload.(heartbeat.Heartbeat); ok {
@@ -283,13 +285,6 @@ func (m *Member) HandleMessage(msg types.Message) bool {
 			m.cb.OnJoin(jm.Part, jm.Node)
 		}
 		return true
-	case simhost.MsgProbeAck:
-		if ack, ok := msg.Payload.(simhost.ProbeAck); ok {
-			m.mon.HandleProbeAck(ack)
-		}
-		// Probe acks may belong to other subsystems of the GSD; report
-		// unconsumed so the partition monitor also sees them.
-		return false
 	}
 	return false
 }

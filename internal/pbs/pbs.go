@@ -81,6 +81,11 @@ type DoneMsg struct {
 	Node types.NodeID
 }
 
+// Reply tokens (rpc.Reply): the PBS server's poll and run tables resolve
+// these.
+func (a StatusAck) ReplyToken() uint64 { return a.Token }
+func (a RunAck) ReplyToken() uint64    { return a.Token }
+
 func init() {
 	codec.Register(272, SubmitReq{})
 	codec.Register(273, SubmitAck{})
@@ -226,8 +231,9 @@ func (s *Server) poll() {
 	for _, n := range s.spec.Nodes {
 		tok := s.pending.New(s.spec.PollInterval,
 			func(payload any) {
-				ack := payload.(StatusAck)
-				s.known[ack.Node] = ack
+				if ack, ok := payload.(StatusAck); ok {
+					s.known[ack.Node] = ack
+				}
 			}, nil)
 		s.h.Send(types.Addr{Node: n, Service: types.SvcPBSMom}, types.AnyNIC,
 			MsgStatus, StatusReq{Token: tok})
@@ -265,7 +271,7 @@ func (s *Server) dispatch(job Job, nodes []types.NodeID) {
 	for _, n := range nodes {
 		s.busy[n] = job.ID
 		tok := s.pending.New(5*time.Second, func(payload any) {
-			if ack := payload.(RunAck); !ack.OK {
+			if ack, ok := payload.(RunAck); ok && !ack.OK {
 				// The slice failed to start; treat as immediately done.
 				s.sliceDone(ack.Job, ack.Node)
 			}
@@ -293,6 +299,9 @@ func (s *Server) sliceDone(id types.JobID, node types.NodeID) {
 
 // Receive implements simhost.Process.
 func (s *Server) Receive(msg types.Message) {
+	if s.pending.Handle(msg) {
+		return
+	}
 	switch msg.Type {
 	case MsgSubmit:
 		req, ok := msg.Payload.(SubmitReq)
@@ -306,14 +315,6 @@ func (s *Server) Receive(msg types.Message) {
 		s.queue = append(s.queue, job)
 		s.h.Send(msg.From, types.AnyNIC, MsgSubmitAck, SubmitAck{Token: req.Token, OK: true})
 		s.schedule()
-	case MsgStatusAck:
-		if ack, ok := msg.Payload.(StatusAck); ok {
-			s.pending.Resolve(ack.Token, ack)
-		}
-	case MsgRunAck:
-		if ack, ok := msg.Payload.(RunAck); ok {
-			s.pending.Resolve(ack.Token, ack)
-		}
 	case MsgDone:
 		if dm, ok := msg.Payload.(DoneMsg); ok {
 			s.sliceDone(dm.Job, dm.Node)

@@ -150,6 +150,14 @@ type PExecAck struct {
 	Results []ExecResult
 }
 
+// Reply tokens (rpc.Reply): the PWS scheduler, core.ClientProc and a
+// parent PPM's fan-out table resolve these.
+func (a LoadAck) ReplyToken() uint64  { return a.Token }
+func (a KillAck) ReplyToken() uint64  { return a.Token }
+func (a QueryAck) ReplyToken() uint64 { return a.Token }
+func (a DrainAck) ReplyToken() uint64 { return a.Token }
+func (a PExecAck) ReplyToken() uint64 { return a.Token }
+
 func init() {
 	codec.Register(160, JobSpec{}) // travels inside agent spawn requests (job loading)
 	codec.Register(161, LoadReq{})
@@ -339,6 +347,9 @@ func (d *Daemon) authorize(signed string, op security.Operation) error {
 
 // Receive implements simhost.Process.
 func (d *Daemon) Receive(msg types.Message) {
+	if d.pending.Handle(msg) {
+		return
+	}
 	switch msg.Type {
 	case MsgLoad:
 		req, ok := msg.Payload.(LoadReq)
@@ -397,12 +408,6 @@ func (d *Daemon) Receive(msg types.Message) {
 			return
 		}
 		d.pexec(msg.From, req)
-	case MsgPExecAck:
-		ack, ok := msg.Payload.(PExecAck)
-		if !ok {
-			return
-		}
-		d.pending.Resolve(ack.Token, ack)
 	case MsgQuery:
 		req, ok := msg.Payload.(QueryReq)
 		if !ok {
@@ -476,7 +481,7 @@ func (d *Daemon) pexec(replyTo types.Addr, req PExecReq) {
 		grp := grp
 		tok := d.pending.New(d.spec.SubtreeTimeout,
 			func(payload any) {
-				ack := payload.(PExecAck)
+				ack, _ := payload.(PExecAck)
 				results = append(results, ack.Results...)
 				finish()
 			},

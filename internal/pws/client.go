@@ -30,154 +30,70 @@ func (a SubmitAck) AsError() error {
 // submission tools and experiments. Calls run through a resilient
 // rpc.Caller: the scheduler address is re-resolved on every attempt (it
 // moves with its partition's GSD on migration) and retries are carved out
-// of the deadline budget.
-type Client struct {
-	rt     rt.Runtime
-	caller *rpc.Caller
-	target func() (types.Addr, bool)
-}
+// of the deadline budget. Its Handle resolves the scheduler's replies.
+type Client struct{ rpc.Client }
 
 // NewClient builds a client; target resolves the scheduler's current
 // address, opts the retry/breaker behaviour.
 func NewClient(r rt.Runtime, opts rpc.Options, target func() (types.Addr, bool)) *Client {
-	return &Client{rt: r, caller: rpc.NewCaller(r, opts), target: target}
-}
-
-// targets adapts the single-scheduler resolver to the caller.
-func (c *Client) targets() []types.Addr {
-	if addr, ok := c.target(); ok {
-		return []types.Addr{addr}
-	}
-	return nil
+	return &Client{rpc.NewClient(r, opts, target)}
 }
 
 // Submit queues a job; done (optional) receives the ack. The request token
 // is reused across retries, so the scheduler sees a retried submit as the
 // same request.
 func (c *Client) Submit(job Job, done func(SubmitAck)) {
-	c.caller.Go(rpc.Call{
-		Targets: c.targets,
-		Send: func(token uint64, to types.Addr) {
-			c.rt.Send(to, types.AnyNIC, MsgSubmit, SubmitReq{Token: token, Job: job})
-		},
-		Done: func(payload any, err error) {
+	rpc.Ask(&c.Client, MsgSubmit, func(token uint64) any { return SubmitReq{Token: token, Job: job} },
+		func(ack SubmitAck, err error) {
 			if done == nil {
 				return
 			}
 			if err != nil {
-				done(SubmitAck{Err: "pws: " + err.Error()})
-				return
+				ack.Err = "pws: " + err.Error()
 			}
-			done(payload.(SubmitAck))
-		},
-	})
+			done(ack)
+		})
 }
 
 // Stat fetches scheduler statistics; ok=false when the budget is exhausted.
 func (c *Client) Stat(done func(StatAck, bool)) {
-	c.caller.Go(rpc.Call{
-		Targets: c.targets,
-		Send: func(token uint64, to types.Addr) {
-			c.rt.Send(to, types.AnyNIC, MsgStat, StatReq{Token: token})
-		},
-		Done: func(payload any, err error) {
-			if err != nil {
-				done(StatAck{}, false)
-				return
-			}
-			done(payload.(StatAck), true)
-		},
-	})
+	rpc.Ask(&c.Client, MsgStat, func(token uint64) any { return StatReq{Token: token} },
+		func(ack StatAck, err error) { done(ack, err == nil) })
 }
 
 // Drain marks a node unschedulable (undrain=false) or schedulable again
 // (undrain=true); done (optional) receives the ack. Drain requests are
 // idempotent on the scheduler, so retries are harmless.
 func (c *Client) Drain(node types.NodeID, undrain bool, done func(DrainAdminAck)) {
-	c.caller.Go(rpc.Call{
-		Targets: c.targets,
-		Send: func(token uint64, to types.Addr) {
-			c.rt.Send(to, types.AnyNIC, MsgDrain,
-				DrainAdminReq{Token: token, Node: node, Undrain: undrain})
-		},
-		Done: func(payload any, err error) {
-			if done == nil {
-				return
-			}
-			if err != nil {
-				done(DrainAdminAck{Err: "pws: " + err.Error()})
-				return
-			}
-			done(payload.(DrainAdminAck))
-		},
+	rpc.Ask(&c.Client, MsgDrain, func(token uint64) any {
+		return DrainAdminReq{Token: token, Node: node, Undrain: undrain}
+	}, func(ack DrainAdminAck, err error) {
+		if done == nil {
+			return
+		}
+		if err != nil {
+			ack.Err = "pws: " + err.Error()
+		}
+		done(ack)
 	})
 }
 
 // Delete cancels a job; done (optional) receives the ack.
 func (c *Client) Delete(id types.JobID, done func(DeleteAck)) {
-	c.caller.Go(rpc.Call{
-		Targets: c.targets,
-		Send: func(token uint64, to types.Addr) {
-			c.rt.Send(to, types.AnyNIC, MsgDelete, DeleteReq{Token: token, ID: id})
-		},
-		Done: func(payload any, err error) {
+	rpc.Ask(&c.Client, MsgDelete, func(token uint64) any { return DeleteReq{Token: token, ID: id} },
+		func(ack DeleteAck, err error) {
 			if done == nil {
 				return
 			}
 			if err != nil {
-				done(DeleteAck{Err: "pws: " + err.Error()})
-				return
+				ack.Err = "pws: " + err.Error()
 			}
-			done(payload.(DeleteAck))
-		},
-	})
+			done(ack)
+		})
 }
 
 // JobStat fetches one job's state; ok=false when the budget is exhausted.
 func (c *Client) JobStat(id types.JobID, done func(JobStatAck, bool)) {
-	c.caller.Go(rpc.Call{
-		Targets: c.targets,
-		Send: func(token uint64, to types.Addr) {
-			c.rt.Send(to, types.AnyNIC, MsgJobStat, JobStatReq{Token: token, ID: id})
-		},
-		Done: func(payload any, err error) {
-			if err != nil {
-				done(JobStatAck{}, false)
-				return
-			}
-			done(payload.(JobStatAck), true)
-		},
-	})
-}
-
-// Handle routes scheduler replies arriving at the owning daemon.
-func (c *Client) Handle(msg types.Message) bool {
-	switch msg.Type {
-	case MsgSubmitAck:
-		if ack, ok := msg.Payload.(SubmitAck); ok {
-			c.caller.ResolveFrom(ack.Token, msg.From, ack)
-		}
-		return true
-	case MsgStatAck:
-		if ack, ok := msg.Payload.(StatAck); ok {
-			c.caller.ResolveFrom(ack.Token, msg.From, ack)
-		}
-		return true
-	case MsgDrainAck:
-		if ack, ok := msg.Payload.(DrainAdminAck); ok {
-			c.caller.ResolveFrom(ack.Token, msg.From, ack)
-		}
-		return true
-	case MsgDeleteAck:
-		if ack, ok := msg.Payload.(DeleteAck); ok {
-			c.caller.ResolveFrom(ack.Token, msg.From, ack)
-		}
-		return true
-	case MsgJobStatAck:
-		if ack, ok := msg.Payload.(JobStatAck); ok {
-			c.caller.ResolveFrom(ack.Token, msg.From, ack)
-		}
-		return true
-	}
-	return false
+	rpc.Ask(&c.Client, MsgJobStat, func(token uint64) any { return JobStatReq{Token: token, ID: id} },
+		func(ack JobStatAck, err error) { done(ack, err == nil) })
 }

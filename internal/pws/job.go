@@ -173,6 +173,13 @@ type DrainAdminAck struct {
 	Requeued int // batch jobs requeued off the node
 }
 
+// Reply tokens (rpc.Reply): the PWS client resolves these.
+func (a SubmitAck) ReplyToken() uint64     { return a.Token }
+func (a StatAck) ReplyToken() uint64       { return a.Token }
+func (a DeleteAck) ReplyToken() uint64     { return a.Token }
+func (a JobStatAck) ReplyToken() uint64    { return a.Token }
+func (a DrainAdminAck) ReplyToken() uint64 { return a.Token }
+
 func init() {
 	codec.Register(176, SubmitReq{})
 	codec.Register(177, SubmitAck{})

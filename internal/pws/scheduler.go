@@ -413,7 +413,7 @@ func (s *Scheduler) OnStop() {}
 
 // Receive implements simhost.Process.
 func (s *Scheduler) Receive(msg types.Message) {
-	if s.events.Handle(msg) || s.bulletin.Handle(msg) || s.ckpt.Handle(msg) {
+	if s.events.Handle(msg) || s.bulletin.Handle(msg) || s.ckpt.Handle(msg) || s.caller.Handle(msg) {
 		return
 	}
 	switch msg.Type {
@@ -453,25 +453,9 @@ func (s *Scheduler) Receive(msg types.Message) {
 			return
 		}
 		s.drain(msg.From, req)
-	case ppm.MsgLoadAck:
-		if ack, ok := msg.Payload.(ppm.LoadAck); ok {
-			s.caller.ResolveFrom(ack.Token, msg.From, ack)
-		}
-	case ppm.MsgKillAck:
-		if ack, ok := msg.Payload.(ppm.KillAck); ok {
-			s.caller.ResolveFrom(ack.Token, msg.From, ack)
-		}
-	case ppm.MsgDrainAck:
-		if ack, ok := msg.Payload.(ppm.DrainAck); ok {
-			s.caller.ResolveFrom(ack.Token, msg.From, ack)
-		}
 	case ppm.MsgJobDone:
 		if jd, ok := msg.Payload.(ppm.JobDone); ok {
 			s.sliceDone(jd.Job, jd.Node, jd.Normal, jd.Gen)
-		}
-	case ppm.MsgQueryAck:
-		if ack, ok := msg.Payload.(ppm.QueryAck); ok {
-			s.caller.ResolveFrom(ack.Token, msg.From, ack)
 		}
 	}
 }
@@ -921,11 +905,9 @@ func (s *Scheduler) dispatch(job Job, nodes []types.NodeID, leasedFrom map[types
 			Send: func(token uint64, to types.Addr) {
 				s.h.Send(to, types.AnyNIC, ppm.MsgLoad, ppm.LoadReq{Token: token, Job: spec})
 			},
-			Done: func(payload any, err error) {
-				if err != nil {
-					return // reconcile adopts lost slices
-				}
-				if ack := payload.(ppm.LoadAck); !ack.OK {
+			Done: func(payload any, _ error) {
+				// A lost load (no ack) is adopted by reconcile.
+				if ack, ok := payload.(ppm.LoadAck); ok && !ack.OK {
 					// The node refused the load: a dispatch failure, not a
 					// completion. Requeue against the job's budget so a job
 					// no node will accept lands in StateFailed instead of
@@ -1185,11 +1167,8 @@ func (s *Scheduler) reconcile() {
 				Send: func(token uint64, to types.Addr) {
 					s.h.Send(to, types.AnyNIC, ppm.MsgQuery, ppm.QueryReq{Token: token, Job: id})
 				},
-				Done: func(payload any, err error) {
-					if err != nil {
-						return
-					}
-					if ack := payload.(ppm.QueryAck); !ack.Running {
+				Done: func(payload any, _ error) {
+					if ack, ok := payload.(ppm.QueryAck); ok && !ack.Running {
 						s.sliceDone(id, n, true, gen)
 					}
 				},

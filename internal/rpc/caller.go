@@ -11,9 +11,10 @@ import (
 
 // Options configures a resilient client: the deadline budget its calls
 // default to, the retry policy, the breaker set and metrics registry it
-// shares with the rest of the node, extra failover peers, and the load
-// shedding threshold. The zero value is usable: DefaultBudget, default
-// policy, a private breaker set, no metrics, no shedding.
+// shares with the rest of the node, extra failover peers, and the
+// backpressure gauge its sheddable calls obey. The zero value is usable:
+// DefaultBudget, default policy, a private breaker set, no metrics, no
+// shedding.
 type Options struct {
 	// Budget is the default total deadline per call (0 = DefaultBudget).
 	// This is the role Params.RPCTimeout plays now: the whole call's
@@ -31,20 +32,17 @@ type Options struct {
 	// target list — typically a federation.View's PeerAddrs, so retries
 	// can land on a surviving peer of the complete graph.
 	Peers func() []types.Addr
-	// MaxInFlight bounds outstanding calls; beyond it new calls fail
-	// immediately with ErrShed. Zero means unbounded.
-	MaxInFlight int
 	// Spread rotates the Peers-supplied tail of each call's target list
 	// by one position per call, so reads fan out across a replica set
 	// instead of always hammering the first peer. A call's own explicit
 	// Targets stay first and unrotated — writes pinned to a primary are
 	// unaffected.
 	Spread bool
-	// Pressure, with ShedAt, extends shedding beyond the caller's own
-	// queue: a Call marked Sheddable fails immediately with ErrShed while
-	// Pressure.Level() >= ShedAt. Calls not marked Sheddable ignore the
-	// gauge entirely, so kills, checkpoints and service-path traffic are
-	// never refused by backpressure.
+	// Pressure, with ShedAt, sheds load: a Call marked Sheddable fails
+	// immediately with ErrShed while Pressure.Level() >= ShedAt. Calls
+	// not marked Sheddable ignore the gauge entirely, so kills,
+	// checkpoints and service-path traffic are never refused by
+	// backpressure.
 	Pressure *Gauge
 	// ShedAt is the gauge level at which sheddable calls are refused.
 	// Zero disables gauge-driven shedding even with a gauge wired.
@@ -164,13 +162,6 @@ func inc(ctr *metrics.Counter) {
 // tokens start at 1). Done runs exactly once unless Cancel intervenes;
 // it may run synchronously (shedding, no targets).
 func (c *Caller) Go(call Call) uint64 {
-	if c.opts.MaxInFlight > 0 && len(c.calls) >= c.opts.MaxInFlight {
-		inc(c.shed)
-		if call.Done != nil {
-			call.Done(nil, ErrShed)
-		}
-		return 0
-	}
 	if call.Sheddable && c.opts.ShedAt > 0 && c.opts.Pressure.Level() >= c.opts.ShedAt {
 		inc(c.shed)
 		if call.Done != nil {
@@ -388,6 +379,15 @@ func (c *Caller) Resolve(token uint64, payload any) bool {
 // against a different target than the newest one.
 func (c *Caller) ResolveFrom(token uint64, from types.Addr, payload any) bool {
 	return c.resolve(token, from, payload)
+}
+
+// Handle resolves the call msg answers, crediting the responder's
+// breaker: it is ResolveFrom for any Reply payload. It reports false for
+// late and duplicate replies, other tables' tokens and non-replies, which
+// the daemon's own dispatch then sees (and must ignore).
+func (c *Caller) Handle(msg types.Message) bool {
+	r, ok := msg.Payload.(Reply)
+	return ok && c.resolve(r.ReplyToken(), msg.From, msg.Payload)
 }
 
 func (c *Caller) resolve(token uint64, from types.Addr, payload any) bool {

@@ -268,31 +268,6 @@ func TestCallerPeersExtendFailover(t *testing.T) {
 	}
 }
 
-func TestCallerShedsBeyondMaxInFlight(t *testing.T) {
-	h := newCallerHarness()
-	reg := metrics.NewRegistry()
-	c := NewCaller(h.f, Options{Budget: 3 * time.Second, Metrics: reg, MaxInFlight: 1})
-	c.Go(Call{
-		Targets: func() []types.Addr { return []types.Addr{addrA} },
-		Send:    func(uint64, types.Addr) {},
-	})
-	var gotErr error
-	tok := c.Go(Call{
-		Targets: func() []types.Addr { return []types.Addr{addrA} },
-		Send:    func(uint64, types.Addr) { t.Error("shed call sent") },
-		Done:    func(_ any, err error) { gotErr = err },
-	})
-	if tok != 0 {
-		t.Fatalf("shed call returned token %d, want 0", tok)
-	}
-	if !errors.Is(gotErr, ErrShed) {
-		t.Fatalf("err = %v, want ErrShed (synchronous)", gotErr)
-	}
-	if st := ReadStats(reg); st.Shed != 1 {
-		t.Fatalf("stats = %+v, want 1 shed", st)
-	}
-}
-
 func TestCallerNoTarget(t *testing.T) {
 	h := newCallerHarness()
 	c := NewCaller(h.f, Budget(time.Second))

@@ -19,11 +19,11 @@ var (
 	ErrTimeout = errors.New("rpc: call timed out")
 
 	// ErrShed marks a call rejected locally by load shedding, not a
-	// network fault: the caller's bounded in-flight window is full, or a
-	// sheddable call found the shared pressure gauge above the shed
-	// threshold (cluster-aware backpressure). Schedulers reuse the same
-	// sentinel for admission refusals, so a client can treat "the cluster
-	// is overloaded" uniformly with errors.Is(err, ErrShed).
+	// network fault: a sheddable call found the shared pressure gauge at
+	// or above the shed threshold (cluster-aware backpressure). Schedulers
+	// reuse the same sentinel for admission refusals, so a client can
+	// treat "the cluster is overloaded" uniformly with
+	// errors.Is(err, ErrShed).
 	ErrShed = errors.New("rpc: call shed (overload)")
 
 	// ErrBreakerOpen marks a call that exhausted its budget with every
@@ -33,4 +33,9 @@ var (
 	// ErrNoTarget marks a call whose target resolver produced no
 	// candidates.
 	ErrNoTarget = errors.New("rpc: no target")
+
+	// ErrBadReply marks an Ask whose token was answered by a reply of
+	// another type than the one asked for (a stray reply from a peer that
+	// restarted its token counter, say).
+	ErrBadReply = errors.New("rpc: reply of the wrong type")
 )

@@ -6,10 +6,9 @@ import "sync"
 // utilisation may legitimately sit above 1 under a backlog). One writer —
 // typically a scheduler that knows the cluster's utilisation — sets it;
 // any caller wired to it through Options.Pressure sheds its sheddable
-// calls while the level is at or above Options.ShedAt. This generalises
-// ErrShed from a per-caller in-flight cap into cluster-aware
-// backpressure: the same sentinel, the same metrics counter, but the
-// trigger is the cluster's load rather than the caller's own queue.
+// calls while the level is at or above Options.ShedAt, failing them with
+// ErrShed and counting them in rpc.shed: the trigger is the cluster's
+// load, not the caller's own queue.
 //
 // Unlike the Caller it feeds, a Gauge is safe for concurrent use: the
 // writer (a daemon loop) and the readers (other daemon loops on the same

@@ -1,8 +1,11 @@
 // Package rpc layers request/reply correlation over the kernel's datagram
-// messaging. Every kernel RPC payload carries a Token; a daemon keeps one
-// Pending table, registers a callback per outgoing request, and resolves
-// replies from its Receive dispatch. Timeouts fire the failure callback,
-// which is how probers implement the paper's node-fault diagnosis.
+// messaging. Every request carries a token and every reply echoes it
+// (Reply); a daemon's Receive hands each message to its tables' Handle,
+// and the table that issued the token resolves it. Two tables exist: a
+// Caller runs resilient calls (retries, breakers, shedding) and is what
+// Client and Ask are built on; a Pending runs one-shot requests whose
+// timeout is itself the answer, which is how probers implement the
+// paper's node-fault diagnosis.
 package rpc
 
 import (
@@ -10,13 +13,18 @@ import (
 	"time"
 
 	"repro/internal/rt"
+	"repro/internal/types"
 )
 
 // tokenCounter is process-global so tokens are unique across every Pending
-// table: a daemon owning several tables (the GSD runs a partition monitor
-// and a meta-group prober) can route replies to whichever table knows the
-// token without ambiguity.
+// table and Caller: a daemon owning several (the GSD runs a spawn table,
+// two heartbeat monitors, a reintegration prober and a checkpoint client)
+// offers each reply to them in turn, and only the issuer knows its token.
 var tokenCounter atomic.Uint64
+
+// Reply is a payload that answers a request: it echoes the request's
+// token. Every ack type a Caller or Pending resolves implements it.
+type Reply interface{ ReplyToken() uint64 }
 
 // Pending correlates outstanding requests with their replies.
 type Pending struct {
@@ -71,6 +79,14 @@ func (p *Pending) Resolve(token uint64, payload any) bool {
 		e.onReply(payload)
 	}
 	return true
+}
+
+// Handle resolves the request msg answers, reporting whether msg was a
+// Reply to one of this table's outstanding tokens. Late and duplicate
+// replies, other tables' tokens and non-replies return false.
+func (p *Pending) Handle(msg types.Message) bool {
+	r, ok := msg.Payload.(Reply)
+	return ok && p.Resolve(r.ReplyToken(), msg.Payload)
 }
 
 // Cancel abandons an outstanding request without running either callback.

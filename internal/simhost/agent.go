@@ -13,10 +13,6 @@ const (
 	MsgProbeAck = "agent.probe.ack"
 	MsgSpawn    = "agent.spawn"
 	MsgSpawnAck = "agent.spawn.ack"
-	MsgKill     = "agent.kill"
-	MsgKillAck  = "agent.kill.ack"
-	MsgExec     = "agent.exec"
-	MsgExecAck  = "agent.exec.ack"
 )
 
 // ProbeReq asks the agent whether a service is running on its node.
@@ -54,37 +50,10 @@ type SpawnAck struct {
 	Token   uint64
 }
 
-// KillReq asks the agent to kill a service.
-type KillReq struct {
-	Service string
-	Token   uint64
-}
-
-// KillAck reports the kill result.
-type KillAck struct {
-	Node    types.NodeID
-	Service string
-	OK      bool
-	Err     string
-	Token   uint64
-}
-
-// ExecReq runs a registered host command (the transport of the kernel's
-// parallel command calls).
-type ExecReq struct {
-	Cmd   string
-	Args  []string
-	Token uint64
-}
-
-// ExecAck carries a command's output.
-type ExecAck struct {
-	Node   types.NodeID
-	Cmd    string
-	Output string
-	Err    string
-	Token  uint64
-}
+// Reply tokens (rpc.Reply): the GSD's spawn table, the heartbeat
+// monitors, the probers and the config service resolve these acks.
+func (a ProbeAck) ReplyToken() uint64 { return a.Token }
+func (a SpawnAck) ReplyToken() uint64 { return a.Token }
 
 func (h *Host) registerAgent() {
 	h.net.Register(types.Addr{Node: h.id, Service: types.SvcAgent}, h.agentReceive)
@@ -128,44 +97,6 @@ func (h *Host) agentReceive(msg types.Message) {
 				ack.Err = err.Error()
 			}
 			h.send(msg.From, types.AnyNIC, MsgSpawnAck, ack)
-		})
-	case MsgKill:
-		req, ok := msg.Payload.(KillReq)
-		if !ok {
-			return
-		}
-		h.clk.AfterFunc(h.costs.AgentExecDelay, func() {
-			if !h.up {
-				return
-			}
-			err := h.Kill(req.Service)
-			ack := KillAck{Node: h.id, Service: req.Service, OK: err == nil, Token: req.Token}
-			if err != nil {
-				ack.Err = err.Error()
-			}
-			h.send(msg.From, types.AnyNIC, MsgKillAck, ack)
-		})
-	case MsgExec:
-		req, ok := msg.Payload.(ExecReq)
-		if !ok {
-			return
-		}
-		h.clk.AfterFunc(h.costs.AgentExecDelay, func() {
-			if !h.up {
-				return
-			}
-			ack := ExecAck{Node: h.id, Cmd: req.Cmd, Token: req.Token}
-			cmd, found := h.commands[req.Cmd]
-			if !found {
-				ack.Err = "unknown command: " + req.Cmd
-			} else {
-				out, err := cmd(req.Args)
-				ack.Output = out
-				if err != nil {
-					ack.Err = err.Error()
-				}
-			}
-			h.send(msg.From, types.AnyNIC, MsgExecAck, ack)
 		})
 	}
 }

@@ -97,8 +97,8 @@ type ProcEvent struct {
 // loading). The spec travels in the spawn request.
 type Factory func(spec any) Process
 
-// Command is a host-local command invocable through the agent's exec
-// interface (the transport for the kernel's parallel command calls).
+// Command is a host-local command run by RunCommand (the leaves of the
+// kernel's parallel command calls).
 type Command func(args []string) (string, error)
 
 // Costs calibrates the host's latency model. The defaults reproduce the
@@ -327,13 +327,12 @@ func (h *Host) notify(ev ProcEvent) {
 // RegisterFactory makes a service remotely spawnable on this host.
 func (h *Host) RegisterFactory(service string, f Factory) { h.factories[service] = f }
 
-// RegisterCommand installs a named command reachable through the agent's
-// exec interface.
+// RegisterCommand installs a named command for RunCommand.
 func (h *Host) RegisterCommand(name string, c Command) { h.commands[name] = c }
 
-// RunCommand invokes a registered command directly; co-located daemons
-// (PPM executing its own node's share of a parallel command) use this
-// instead of a network round trip through the agent.
+// RunCommand invokes a registered command on this host: PPM runs its own
+// node's share of a parallel command (ppm.PExecReq) through it. An
+// unregistered name is an error.
 func (h *Host) RunCommand(name string, args []string) (string, error) {
 	c, ok := h.commands[name]
 	if !ok {
@@ -489,8 +488,4 @@ func init() {
 	codec.Register(113, ProbeAck{})
 	codec.Register(114, SpawnReq{})
 	codec.Register(115, SpawnAck{})
-	codec.Register(116, KillReq{})
-	codec.Register(117, KillAck{})
-	codec.Register(118, ExecReq{})
-	codec.Register(119, ExecAck{})
 }

@@ -320,13 +320,9 @@ func TestAgentSpawnAndKillRemote(t *testing.T) {
 		return &testProc{svc: types.SvcES}
 	})
 	var spawnAck *SpawnAck
-	var killAck *KillAck
 	net.Register(types.Addr{Node: 0, Service: "mgr"}, func(m types.Message) {
-		switch a := m.Payload.(type) {
-		case SpawnAck:
+		if a, ok := m.Payload.(SpawnAck); ok {
 			spawnAck = &a
-		case KillAck:
-			killAck = &a
 		}
 	})
 	mgr := types.Addr{Node: 0, Service: "mgr"}
@@ -339,15 +335,6 @@ func TestAgentSpawnAndKillRemote(t *testing.T) {
 	}
 	if !hosts[1].Running(types.SvcES) {
 		t.Fatal("remote spawn did not start the service")
-	}
-	_ = net.Send(types.Message{From: mgr, To: agent, NIC: 0, Type: MsgKill,
-		Payload: KillReq{Service: types.SvcES, Token: 2}})
-	eng.Run()
-	if killAck == nil || !killAck.OK {
-		t.Fatalf("remote kill failed: %+v", killAck)
-	}
-	if hosts[1].Running(types.SvcES) {
-		t.Fatal("remote kill did not stop the service")
 	}
 }
 
@@ -367,39 +354,6 @@ func TestAgentSpawnUnknownFactory(t *testing.T) {
 	eng.Run()
 	if ack == nil || ack.OK {
 		t.Fatalf("spawn of unknown factory should fail: %+v", ack)
-	}
-}
-
-func TestAgentExecCommand(t *testing.T) {
-	eng, net, hosts := testRig(t, 2)
-	hosts[1].RegisterCommand("uptime", func(args []string) (string, error) {
-		return "up 42s", nil
-	})
-	var ack *ExecAck
-	net.Register(types.Addr{Node: 0, Service: "mgr"}, func(m types.Message) {
-		if a, ok := m.Payload.(ExecAck); ok {
-			ack = &a
-		}
-	})
-	_ = net.Send(types.Message{
-		From: types.Addr{Node: 0, Service: "mgr"},
-		To:   types.Addr{Node: 1, Service: types.SvcAgent},
-		NIC:  0, Type: MsgExec, Payload: ExecReq{Cmd: "uptime", Token: 3},
-	})
-	eng.Run()
-	if ack == nil || ack.Output != "up 42s" || ack.Err != "" {
-		t.Fatalf("exec ack: %+v", ack)
-	}
-	// Unknown command errors.
-	ack = nil
-	_ = net.Send(types.Message{
-		From: types.Addr{Node: 0, Service: "mgr"},
-		To:   types.Addr{Node: 1, Service: types.SvcAgent},
-		NIC:  0, Type: MsgExec, Payload: ExecReq{Cmd: "frobnicate"},
-	})
-	eng.Run()
-	if ack == nil || ack.Err == "" {
-		t.Fatalf("unknown command should error: %+v", ack)
 	}
 }
 

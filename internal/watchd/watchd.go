@@ -120,6 +120,9 @@ func (w *WD) OnStop() {}
 
 // Receive implements simhost.Process.
 func (w *WD) Receive(msg types.Message) {
+	if w.prober != nil && w.prober.Handle(msg) {
+		return
+	}
 	switch msg.Type {
 	case heartbeat.MsgGSDAnnounce:
 		a, ok := msg.Payload.(heartbeat.GSDAnnounce)
@@ -171,10 +174,6 @@ func (w *WD) Receive(msg types.Message) {
 				Alive: true, Running: res.ServiceRunning,
 			})
 		})
-	case simhost.MsgProbeAck:
-		if ack, ok := msg.Payload.(simhost.ProbeAck); ok && w.prober != nil {
-			w.prober.HandleProbeAck(ack)
-		}
 	}
 }
 
