@@ -20,7 +20,9 @@ import (
 // layer's budget — never a user-visible failure (ErrWrongShard documents
 // the protocol; callers only ever see rpc sentinels on final failure).
 type Client struct {
-	rpc.Client
+	rt     rt.Runtime
+	caller *rpc.Caller
+	target func() (types.Addr, bool)
 
 	smap     shard.Map
 	rr       int                     // read round-robin over a key's copy holders
@@ -41,7 +43,9 @@ type getCall struct {
 // shard map's instances are added to the failover pool and reads are
 // spread across them.
 func NewClient(r rt.Runtime, opts rpc.Options, target func() (types.Addr, bool)) *Client {
-	c := &Client{gets: make(map[uint64]*getCall), servedBy: make(map[types.NodeID]uint64)}
+	c := &Client{rt: r, target: target,
+		gets:     make(map[uint64]*getCall),
+		servedBy: make(map[types.NodeID]uint64)}
 	userPeers := opts.Peers
 	opts.Spread = true
 	opts.Peers = func() []types.Addr {
@@ -51,7 +55,7 @@ func NewClient(r rt.Runtime, opts rpc.Options, target func() (types.Addr, bool))
 		}
 		return out
 	}
-	c.Client = rpc.NewClient(r, opts, target)
+	c.caller = rpc.NewCaller(r, opts)
 	return c
 }
 
@@ -66,6 +70,14 @@ func (c *Client) ServedBy() map[types.NodeID]uint64 { return c.servedBy }
 // adopt-and-retry.
 func (c *Client) Rerouted() uint64 { return c.rerouted }
 
+// targets adapts the single-access-point resolver to the caller.
+func (c *Client) targets() []types.Addr {
+	if addr, ok := c.target(); ok {
+		return []types.Addr{addr}
+	}
+	return nil
+}
+
 // adopt keeps the newest piggybacked shard map.
 func (c *Client) adopt(has bool, m shard.Map) {
 	if has && m.Version > c.smap.Version {
@@ -75,12 +87,16 @@ func (c *Client) adopt(has bool, m shard.Map) {
 
 // ExportResources pushes a physical-resource sample (fire-and-forget).
 func (c *Client) ExportResources(res types.ResourceStats) {
-	c.Notify(MsgPut, PutReq{Kind: "res", Res: res})
+	if addr, ok := c.target(); ok {
+		c.rt.Send(addr, types.AnyNIC, MsgPut, PutReq{Kind: "res", Res: res})
+	}
 }
 
 // ExportApp pushes an application-state sample (fire-and-forget).
 func (c *Client) ExportApp(app types.AppState) {
-	c.Notify(MsgPut, PutReq{Kind: "app", App: app})
+	if addr, ok := c.target(); ok {
+		c.rt.Send(addr, types.AnyNIC, MsgPut, PutReq{Kind: "app", App: app})
+	}
 }
 
 // put runs one acked data-plane write: targeted at the key's primary, with
@@ -88,10 +104,10 @@ func (c *Client) ExportApp(app types.AppState) {
 // reroutes the retry).
 func (c *Client) put(req PutReq, done func(ok bool)) {
 	key := shard.NodeKey(req.Res.Node)
-	c.Caller().Go(rpc.Call{
+	c.caller.Go(rpc.Call{
 		Targets: func() []types.Addr {
 			if c.smap.Empty() {
-				return c.Targets()
+				return c.targets()
 			}
 			return c.smap.OwnerAddrs(key, types.SvcDB)
 		},
@@ -99,7 +115,7 @@ func (c *Client) put(req PutReq, done func(ok bool)) {
 			r := req
 			r.Token = token
 			r.MapVersion = c.smap.Version
-			c.Runtime().Send(to, types.AnyNIC, MsgPut, r)
+			c.rt.Send(to, types.AnyNIC, MsgPut, r)
 		},
 		Done: func(payload any, err error) {
 			if done != nil {
@@ -122,10 +138,10 @@ func (c *Client) Get(node types.NodeID, done func(ack GetAck, ok bool)) {
 	key := shard.NodeKey(node)
 	gc := &getCall{rot: c.rr}
 	c.rr++
-	c.Caller().Go(rpc.Call{
+	c.caller.Go(rpc.Call{
 		Targets: func() []types.Addr {
 			if c.smap.Empty() {
-				return c.Targets()
+				return c.targets()
 			}
 			all := c.smap.OwnerAddrs(key, types.SvcDB)
 			reps := c.smap.Replicas
@@ -145,17 +161,14 @@ func (c *Client) Get(node types.NodeID, done func(ack GetAck, ok bool)) {
 		Send: func(token uint64, to types.Addr) {
 			gc.token = token
 			c.gets[token] = gc
-			c.Runtime().Send(to, types.AnyNIC, MsgGet, GetReq{
+			c.rt.Send(to, types.AnyNIC, MsgGet, GetReq{
 				Token: token, Node: node, MapVersion: c.smap.Version,
 			})
 		},
 		Done: func(payload any, err error) {
 			delete(c.gets, gc.token)
-			if err != nil {
-				done(GetAck{}, false)
-				return
-			}
-			done(payload.(GetAck), true)
+			ack, ok := payload.(GetAck)
+			done(ack, ok && err == nil)
 		},
 	})
 }
@@ -165,24 +178,21 @@ func (c *Client) Get(node types.NodeID, done func(ack GetAck, ok bool)) {
 // included) is exhausted. Cluster-scope queries spread across the mapped
 // instances — any one is a valid access point.
 func (c *Client) Query(scope Scope, done func(ack QueryAck, ok bool)) {
-	c.Caller().Go(rpc.Call{
+	c.caller.Go(rpc.Call{
 		Targets: func() []types.Addr {
 			if scope == ScopeCluster && !c.smap.Empty() {
 				return nil // the Peers pool (all mapped instances) serves
 			}
-			return c.Targets()
+			return c.targets()
 		},
 		Send: func(token uint64, to types.Addr) {
-			c.Runtime().Send(to, types.AnyNIC, MsgQuery, QueryReq{
+			c.rt.Send(to, types.AnyNIC, MsgQuery, QueryReq{
 				Token: token, Scope: scope, MapVersion: c.smap.Version,
 			})
 		},
 		Done: func(payload any, err error) {
-			if err != nil {
-				done(QueryAck{}, false)
-				return
-			}
-			done(payload.(QueryAck), true)
+			ack, ok := payload.(QueryAck)
+			done(ack, ok && err == nil)
 		},
 	})
 }
@@ -194,7 +204,7 @@ func (c *Client) Handle(msg types.Message) bool {
 	case MsgResult:
 		if ack, ok := msg.Payload.(QueryAck); ok {
 			c.adopt(ack.HasMap, ack.Map)
-			if c.Caller().ResolveFrom(ack.Token, msg.From, ack) {
+			if c.caller.ResolveFrom(ack.Token, msg.From, ack) {
 				c.servedBy[msg.From.Node]++
 			}
 		}
@@ -207,10 +217,10 @@ func (c *Client) Handle(msg types.Message) bool {
 				// map and retry; the refuser answered, so its breaker
 				// is credited, not charged.
 				c.rerouted++
-				c.Caller().Reject(ack.Token, msg.From)
+				c.caller.Reject(ack.Token, msg.From)
 				return true
 			}
-			c.Caller().ResolveFrom(ack.Token, msg.From, ack)
+			c.caller.ResolveFrom(ack.Token, msg.From, ack)
 		}
 		return true
 	case MsgGetAck:
@@ -218,17 +228,17 @@ func (c *Client) Handle(msg types.Message) bool {
 			c.adopt(ack.HasMap, ack.Map)
 			if ack.Wrong {
 				c.rerouted++
-				c.Caller().Reject(ack.Token, msg.From)
+				c.caller.Reject(ack.Token, msg.From)
 				return true
 			}
 			if gc, live := c.gets[ack.Token]; live && !ack.Found && !ack.Primary && !gc.escalated {
 				// The replica may simply not have caught up: believe a
 				// miss only from the primary.
 				gc.escalated = true
-				c.Caller().Reject(ack.Token, msg.From)
+				c.caller.Reject(ack.Token, msg.From)
 				return true
 			}
-			if c.Caller().ResolveFrom(ack.Token, msg.From, ack) {
+			if c.caller.ResolveFrom(ack.Token, msg.From, ack) {
 				c.servedBy[msg.From.Node]++
 			}
 		}

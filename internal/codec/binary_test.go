@@ -33,7 +33,7 @@ func exemplars(t testing.TB) []any {
 	for _, ex := range codec.Registered() {
 		out = append(out, fill(ex))
 	}
-	if len(out) < 90 {
+	if len(out) < 96 {
 		t.Fatalf("only %d payload types registered; kernel protocols are missing", len(out))
 	}
 	return append(append(out, nestedExemplars()...), spawnRequests()...)

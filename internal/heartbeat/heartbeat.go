@@ -571,8 +571,17 @@ func (m *Monitor) deadlineExpired(node types.NodeID) {
 // probe performs diagnosis: ProbeReq on every interface plus indirect
 // probes through up to indirectProbes peer WDs; the first answer —
 // direct or relayed — settles process-vs-node, silence until the timeout
-// means node failure.
+// means node failure. A reply of another type is no answer and reads as
+// the timeout.
 func (m *Monitor) probe(node types.NodeID, tr *nodeTrack) {
+	silent := func() {
+		tr.diagnosing = false
+		tr.status = StatusDown
+		m.stats.FailVerdicts++
+		if m.cb.OnDiagnosed != nil {
+			m.cb.OnDiagnosed(Verdict{Node: node, Kind: types.FaultNode})
+		}
+	}
 	token := m.pending.New(m.cfg.ProbeTimeout,
 		func(payload any) {
 			var running bool
@@ -581,6 +590,9 @@ func (m *Monitor) probe(node types.NodeID, tr *nodeTrack) {
 				running = ack.Running
 			case IndirectProbeAck:
 				running = ack.Running
+			default:
+				silent()
+				return
 			}
 			tr.diagnosing = false
 			if running {
@@ -600,14 +612,7 @@ func (m *Monitor) probe(node types.NodeID, tr *nodeTrack) {
 				m.cb.OnDiagnosed(Verdict{Node: node, Kind: types.FaultProcess})
 			}
 		},
-		func() {
-			tr.diagnosing = false
-			tr.status = StatusDown
-			m.stats.FailVerdicts++
-			if m.cb.OnDiagnosed != nil {
-				m.cb.OnDiagnosed(Verdict{Node: node, Kind: types.FaultNode})
-			}
-		})
+		silent)
 	tr.probeToken = token
 	for nic := 0; nic < m.cfg.NICs; nic++ {
 		m.rt.Send(types.Addr{Node: node, Service: types.SvcAgent}, nic,

@@ -327,6 +327,52 @@ func TestProberFirstAckWins(t *testing.T) {
 	}
 }
 
+// TestStrayReplyIsNoAnswer: probe tables match a reply by token alone, so
+// a reply of another type carrying a probe's token must read as silence —
+// never as the node answering.
+func TestStrayReplyIsNoAnswer(t *testing.T) {
+	eng, net, hosts, g, _ := rig(t)
+	eng.RunFor(3 * tInterval)
+	var token uint64
+	net.Filter = func(m types.Message, deliver func()) {
+		switch m.Type {
+		case heartbeat.MsgHeartbeat:
+		case simhost.MsgProbe:
+			token = m.Payload.(simhost.ProbeReq).Token
+		default:
+			deliver()
+		}
+	}
+	for token == 0 && eng.Step() {
+	}
+	stray := types.Message{Type: simhost.MsgSpawnAck, Payload: simhost.SpawnAck{OK: true, Token: token}}
+	if !g.mon.Handle(stray) {
+		t.Fatal("monitor did not take the stray reply for its probe")
+	}
+	if len(g.verdicts) != 1 || g.verdicts[0].Kind != types.FaultNode {
+		t.Fatalf("verdicts after a stray reply = %v, want one node fault", g.verdicts)
+	}
+
+	owner := &proberOwner{}
+	if _, err := hosts[0].Spawn(owner); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(200 * time.Millisecond)
+	var results []heartbeat.ProbeResult
+	token = 0
+	owner.prober.Probe(1, types.SvcWD, tProbeTO, func(r heartbeat.ProbeResult) { results = append(results, r) })
+	for token == 0 && eng.Step() {
+	}
+	stray.Payload = simhost.SpawnAck{OK: true, Token: token}
+	if !owner.prober.Handle(stray) {
+		t.Fatal("prober did not take the stray reply for its probe")
+	}
+	eng.RunFor(2 * tProbeTO)
+	if len(results) != 1 || results[0].NodeAlive {
+		t.Fatalf("probe results after a stray reply = %+v, want one NodeAlive=false", results)
+	}
+}
+
 type proberOwner struct {
 	prober   *heartbeat.Prober
 	onResult func(heartbeat.ProbeResult)

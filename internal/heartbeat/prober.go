@@ -32,16 +32,20 @@ func NewProber(r rt.Runtime, nics int) *Prober {
 }
 
 // Probe asks node's agent whether service runs, invoking done exactly once:
-// with the first ack, or after timeout with NodeAlive=false.
+// with the first ack, or after timeout with NodeAlive=false. A reply of
+// another type is no answer and reads as the timeout.
 func (p *Prober) Probe(node types.NodeID, service string, timeout time.Duration, done func(ProbeResult)) {
+	silent := func() { done(ProbeResult{Node: node}) }
 	token := p.pending.New(timeout,
 		func(payload any) {
-			ack, _ := payload.(simhost.ProbeAck)
+			ack, ok := payload.(simhost.ProbeAck)
+			if !ok {
+				silent()
+				return
+			}
 			done(ProbeResult{Node: node, NodeAlive: true, ServiceRunning: ack.Running})
 		},
-		func() {
-			done(ProbeResult{Node: node})
-		})
+		silent)
 	for nic := 0; nic < p.nics; nic++ {
 		p.rt.Send(types.Addr{Node: node, Service: types.SvcAgent}, nic,
 			simhost.MsgProbe, simhost.ProbeReq{Service: service, Token: token})

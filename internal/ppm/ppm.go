@@ -479,19 +479,24 @@ func (d *Daemon) pexec(replyTo types.Addr, req PExecReq) {
 	}
 	for _, grp := range groups {
 		grp := grp
+		silent := func() {
+			// Mark every node of the silent subtree as failed.
+			for _, n := range grp {
+				results = append(results, ExecResult{Node: n, Err: "ppm: subtree timeout"})
+			}
+			finish()
+		}
 		tok := d.pending.New(d.spec.SubtreeTimeout,
 			func(payload any) {
-				ack, _ := payload.(PExecAck)
+				ack, ok := payload.(PExecAck)
+				if !ok {
+					silent()
+					return
+				}
 				results = append(results, ack.Results...)
 				finish()
 			},
-			func() {
-				// Mark every node of the silent subtree as failed.
-				for _, n := range grp {
-					results = append(results, ExecResult{Node: n, Err: "ppm: subtree timeout"})
-				}
-				finish()
-			})
+			silent)
 		d.h.Send(types.Addr{Node: grp[0], Service: types.SvcPPM}, types.AnyNIC,
 			MsgPExec, PExecReq{Token: tok, Cmd: req.Cmd, Args: req.Args, Nodes: grp, Fanout: fanout})
 	}

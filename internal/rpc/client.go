@@ -25,9 +25,6 @@ func NewClient(r rt.Runtime, opts Options, target func() (types.Addr, bool)) Cli
 // Runtime is the runtime the client sends from.
 func (c *Client) Runtime() rt.Runtime { return c.rt }
 
-// Caller is the caller the client's calls run through.
-func (c *Client) Caller() *Caller { return c.caller }
-
 // Targets is the call target list: the resolved instance, or none.
 func (c *Client) Targets() []types.Addr {
 	if addr, ok := c.target(); ok {
